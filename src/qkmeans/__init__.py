@@ -60,10 +60,8 @@ from .simulator import (
     StateVector,
     apply_gate,
     h,
-    marginal,
     measure,
     new_state,
-    postselect,
     probabilities,
     ry,
     x,

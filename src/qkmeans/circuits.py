@@ -18,7 +18,7 @@ empty).
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +39,13 @@ from .simulator import (
 
 
 class EstimationFailure(RuntimeError):
-    """No usable shots survived post-selection; the caller must raise t."""
+    """No usable shots survived post-selection; the caller must raise t.
+
+    ``rows`` lists the rows of a batched histogram that came up empty."""
+
+    def __init__(self, message: str, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -77,12 +83,17 @@ def _make_layout(n_index: int, n_batch: int = 0, n_cluster: int = 0) -> Layout:
 
 @dataclass
 class CircuitPlan:
-    """An ordered gate list plus the register layout it acts on."""
+    """An ordered gate list plus the register layout it acts on.
+
+    ``rows`` is None for one circuit; otherwise the plan is that many
+    circuits sharing the gate list, whose RY angles carry one value per
+    row."""
 
     layout: Layout
     gates: list[Gate] = field(default_factory=list)
     num_records: int = 1
     num_clusters: int = 1
+    rows: int | None = None
 
     @property
     def num_qubits(self) -> int:
@@ -98,12 +109,24 @@ def _check_angles(angles, n_index: int, what: str) -> np.ndarray:
     return angles
 
 
+def _rows_of(record_angles: np.ndarray) -> int | None:
+    """Rows of a batched build: None for one circuit's 1-D record angles."""
+    if record_angles.ndim > 2:
+        raise ValueError("record angles must be one row or a 2-D batch")
+    return record_angles.shape[0] if record_angles.ndim == 2 else None
+
+
 def build_qc1(record_angles, centroid_angles, n_index: int) -> CircuitPlan:
-    """Pairwise-distance circuit: 1 + n_index + 1 qubits."""
+    """Pairwise-distance circuit: 1 + n_index + 1 qubits.
+
+    Given (B, slots) rows of record and centroid angles it builds B circuits
+    at once, one per row pair, on one shared gate list."""
     record_angles = _check_angles(record_angles, n_index, "record")
     centroid_angles = _check_angles(centroid_angles, n_index, "centroid")
+    if record_angles.shape != centroid_angles.shape:
+        raise ValueError("record and centroid angles must have one shape")
     layout = _make_layout(n_index)
-    plan = CircuitPlan(layout)
+    plan = CircuitPlan(layout, rows=_rows_of(record_angles))
     plan.gates.append(h(layout.ancilla))
     plan.gates.extend(h(q) for q in layout.index)
     encode_vector(plan, record_angles, EncodingContext(
@@ -119,7 +142,9 @@ def build_qc2(record_angles, centroids_angles, n_index: int,
     """One-record-vs-k-centroids circuit: 1 + n_index + 1 + n_cluster qubits.
 
     The record rotations are controlled by the ancilla only; each centroid's
-    rotations carry its cluster bit pattern as extra controls.
+    rotations carry its cluster bit pattern as extra controls.  Given
+    (B, slots) record rows it builds B circuits at once against the same
+    centroids.
     """
     record_angles = _check_angles(record_angles, n_index, "record")
     centroids_angles = _check_angles(centroids_angles, n_index, "centroids")
@@ -127,7 +152,7 @@ def build_qc2(record_angles, centroids_angles, n_index: int,
     if k > (1 << n_cluster):
         raise ValueError(f"{k} centroids do not fit in {n_cluster} cluster qubits")
     layout = _make_layout(n_index, n_cluster=n_cluster)
-    plan = CircuitPlan(layout, num_clusters=k)
+    plan = CircuitPlan(layout, num_clusters=k, rows=_rows_of(record_angles))
     plan.gates.append(h(layout.ancilla))
     plan.gates.extend(h(q) for q in layout.index)
     plan.gates.extend(h(q) for q in layout.cluster)
@@ -176,7 +201,7 @@ def build_qc3(records_angles, centroids_angles, n_index: int, n_batch: int,
 
 
 def simulate(plan: CircuitPlan) -> StateVector:
-    return apply_circuit(new_state(plan.num_qubits), plan.gates)
+    return apply_circuit(new_state(plan.num_qubits, plan.rows), plan.gates)
 
 
 def execute(plan: CircuitPlan, mode: MeasureMode) -> Histogram:
@@ -184,29 +209,57 @@ def execute(plan: CircuitPlan, mode: MeasureMode) -> Histogram:
     return measure(simulate(plan), mode)
 
 
-def estimate_distance(plan: CircuitPlan, hist: Histogram) -> tuple[float, float]:
+def _ordered_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the last axis strictly left to right, the order in which the
+    basis states are enumerated, so analytic weights round the same way for
+    one circuit and for any batch."""
+    return functools.reduce(np.add, np.moveaxis(values, -1, 0))
+
+
+def _layout_view(plan: CircuitPlan, hist: Histogram) -> np.ndarray:
+    """The weights with one axis per register, most significant first:
+    (rows..., cluster, register, batch, index, ancilla)."""
+    layout = plan.layout
+    return hist.weights.reshape(hist.weights.shape[:-1] + (
+        1 << len(layout.cluster), 2, 1 << len(layout.batch),
+        1 << len(layout.index), 2))
+
+
+def _empty_rows(kept: np.ndarray, what: str) -> None:
+    """Raise EstimationFailure naming the rows with nothing kept."""
+    empty = np.atleast_1d(kept <= 0.0)
+    if empty.any():
+        raise EstimationFailure(f"no shots survived {what}",
+                                np.flatnonzero(empty))
+
+
+def estimate_distance(plan: CircuitPlan, hist: Histogram):
     """Distance estimate from a QC1 histogram.
 
     Post-selects the register qubit on 1, takes the surviving ancilla-0
     frequency p and returns (sqrt(max(0, 4 - 4p)), kept shots).  This is the
-    distance between the encoded (projected) unit vectors.
+    distance between the encoded (projected) unit vectors.  A batched
+    histogram gives one estimate and one kept count per row.
     """
-    layout = plan.layout
-    kept = hist.postselect([(layout.register, 1)])
-    t_prime = kept.shots
-    if t_prime <= 0.0:
-        raise EstimationFailure("no shots survived register post-selection")
-    zeros = kept.postselect([(layout.ancilla, 0)]).shots
+    # QC1 has no cluster or batch register; keep register = 1
+    kept = _layout_view(plan, hist)[..., 0, 1, 0, :, :]  # (..., index, ancilla)
+    t_prime = _ordered_sum(kept.reshape(kept.shape[:-2] + (-1,)))
+    _empty_rows(t_prime, "register post-selection")
+    zeros = _ordered_sum(kept[..., 0])  # ancilla = 0
     p_hat = zeros / t_prime
-    return math.sqrt(max(0.0, 4.0 - 4.0 * p_hat)), t_prime
+    return np.sqrt(np.maximum(0.0, 4.0 - 4.0 * p_hat)), t_prime
 
 
 @dataclass
 class AssignmentHistogram:
-    """Meaningful (record slot -> cluster -> weight) counts of an assignment
-    circuit run, after post-selection and pattern filtering."""
+    """Meaningful counts of an assignment circuit run, after post-selection
+    and pattern filtering.
 
-    per_record: dict[int, dict[int, float]]
+    ``counts[..., v, j]`` is the weight of record slot v on cluster j, with
+    the histogram's leading batch axis if it had one; ``kept_shots`` and
+    ``wasted_fraction`` are totals over all rows."""
+
+    counts: np.ndarray
     kept_shots: float
     wasted_fraction: float
 
@@ -214,57 +267,32 @@ class AssignmentHistogram:
 def assignment_histogram(plan: CircuitPlan, hist: Histogram) -> AssignmentHistogram:
     """Post-select register=1 and ancilla=0, then bucket the surviving counts
     by (record slot, cluster), discarding patterns beyond the loaded counts."""
-    layout = plan.layout
+    # register = 1, ancilla = 0
+    kept = _layout_view(plan, hist)[..., 1, :, :, 0]  # (..., j, v, index)
+    cells = _ordered_sum(kept)[..., :plan.num_clusters, :plan.num_records]
+    counts = np.swapaxes(cells, -1, -2)
     total = hist.shots
-    kept = hist.postselect([(layout.register, 1), (layout.ancilla, 0)])
-    per_record: dict[int, dict[int, float]] = {}
-    meaningful = 0.0
-    for basis, weight in kept.counts.items():
-        v = 0
-        for b, qb in enumerate(layout.batch):
-            v |= ((basis >> qb) & 1) << b
-        j = 0
-        for b, qb in enumerate(layout.cluster):
-            j |= ((basis >> qb) & 1) << b
-        if v >= plan.num_records or j >= plan.num_clusters:
-            continue
-        meaningful += weight
-        per_record.setdefault(v, {})
-        per_record[v][j] = per_record[v].get(j, 0.0) + weight
+    meaningful = float(counts.sum())
     wasted = 1.0 - meaningful / total if total > 0 else 1.0
-    return AssignmentHistogram(per_record, meaningful, wasted)
+    return AssignmentHistogram(counts, meaningful, wasted)
 
 
-def _argmax_label(cluster_counts: dict[int, float], k: int) -> int:
-    best_j, best_w = 0, -1.0
-    for j in range(k):
-        w = cluster_counts.get(j, 0.0)
-        if w > best_w:
-            best_j, best_w = j, w
-    return best_j
-
-
-def decode_qc2(plan: CircuitPlan, hist: Histogram) -> int:
+def decode_qc2(plan: CircuitPlan, hist: Histogram):
     """Most frequent meaningful cluster pattern; ties break to the lowest
-    index.  Raises EstimationFailure if nothing survives."""
-    buckets = assignment_histogram(plan, hist)
-    if buckets.kept_shots <= 0.0:
-        raise EstimationFailure("no meaningful shots for cluster assignment")
-    return _argmax_label(buckets.per_record.get(0, {}), plan.num_clusters)
+    index.  One label per row for a batched histogram.  Raises
+    EstimationFailure if nothing survives in some row."""
+    counts = assignment_histogram(plan, hist).counts[..., 0, :]
+    _empty_rows(counts.sum(axis=-1), "cluster assignment")
+    return np.argmax(counts, axis=-1)
 
 
 def decode_qc3(plan: CircuitPlan, hist: Histogram) -> list[int | None]:
     """Per-record most frequent cluster; record slots with zero surviving
     counts come back as None for the caller to reassign."""
-    buckets = assignment_histogram(plan, hist)
-    labels: list[int | None] = []
-    for v in range(plan.num_records):
-        counts = buckets.per_record.get(v)
-        if not counts:
-            labels.append(None)
-        else:
-            labels.append(_argmax_label(counts, plan.num_clusters))
-    return labels
+    counts = assignment_histogram(plan, hist).counts
+    labels = np.argmax(counts, axis=-1)
+    return [int(label) if total > 0.0 else None
+            for label, total in zip(labels, counts.sum(axis=-1))]
 
 
 def postselection_probability(plan: CircuitPlan, qubit: int | None = None,

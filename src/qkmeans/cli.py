@@ -224,7 +224,7 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
         k = _default_k(ds, k)
         params = _build_params(algorithm, k, shots, m1, delta, sc_thresh,
                                max_ite, analytic, seed)
-        params.validate(len(ds))
+        params.validate(*ds.matrix.shape)
         dataset_seconds = time.perf_counter() - started
 
         params_dict = dataclasses.asdict(params)

@@ -35,11 +35,13 @@ from .circuits import (
 )
 from .encoding import (
     PreparedVectors,
+    num_slots,
     prepare_vectors,
     recover_distance,
     standardize,
 )
-from .simulator import Analytic, Sampled, measure
+from . import simulator
+from .simulator import Analytic, Sampled, StateVector, measure
 
 
 def derive_seed(*parts: int) -> int:
@@ -71,7 +73,9 @@ class ClusteringParams:
     delta: float = 0.0
     analytic: bool = False
 
-    def validate(self, num_records: int) -> None:
+    def validate(self, num_records: int, num_features: int) -> None:
+        """Reject settings that cannot run on ``num_records`` records of
+        ``num_features`` features, before any work starts."""
         if not 1 <= self.k <= num_records:
             raise ValueError(f"k must be in [1, {num_records}], got {self.k}")
         if self.sc_thresh <= 0:
@@ -84,6 +88,25 @@ class ClusteringParams:
             raise ValueError("delta must be >= 0")
         if self.m1 is not None and not 1 <= self.m1 <= num_records:
             raise ValueError(f"m1 must be in [1, {num_records}], got {self.m1}")
+        if self.assignment in QUANTUM_STRATEGIES:
+            qubits = self._circuit_qubits(num_records, num_features)
+            if qubits > simulator.MAX_QUBITS:
+                raise ValueError(
+                    f"{self.assignment.value} needs {qubits} qubits for "
+                    f"{num_records} records of {num_features} features, more "
+                    f"than MAX_QUBITS = {simulator.MAX_QUBITS}")
+
+    def _circuit_qubits(self, num_records: int, num_features: int) -> int:
+        """Qubits of the strategy's assignment circuit: ancilla, index,
+        batch, register and cluster."""
+        n_index = num_slots(num_features + 1).bit_length() - 1
+        n_cluster = n_batch = 0
+        if self.assignment in (Strategy.Q1K, Strategy.QMK):
+            n_cluster = (self.k - 1).bit_length()
+        if self.assignment is Strategy.QMK:
+            m1 = self.m1 if self.m1 is not None else num_records
+            n_batch = (m1 - 1).bit_length()
+        return 2 + n_index + n_batch + n_cluster
 
 
 @dataclass
@@ -153,52 +176,74 @@ def assign_delta(data: np.ndarray, centroids: np.ndarray, delta: float,
     return labels
 
 
-def _measure_with_retry(plan, decode, shots: int, analytic: bool, seed_key):
-    """Measure a simulated plan and decode it; one retry at 4x the shots if
-    post-selection wipes out the histogram, then the failure propagates."""
+# Largest batched state one pass may hold, in amplitudes (16 MiB of
+# complex128); larger batches run as several passes.
+MAX_BATCH_AMPLITUDES = 1 << 20
+
+
+def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
+    step = max(1, MAX_BATCH_AMPLITUDES >> num_qubits)
+    return [slice(start, min(start + step, rows))
+            for start in range(0, rows, step)]
+
+
+def _measure_with_retry(plan, decode, shots: int, analytic: bool, seed_keys):
+    """Simulate a batched plan, measure it and decode every row; rows whose
+    post-selection came up empty are drawn once more at 4x the shots, then
+    a failure propagates.  Row i draws from ``derive_seed(*seed_keys[i])``,
+    and its retry from ``derive_seed(*seed_keys[i], 1)``."""
     state = simulate(plan)
     if analytic:
         return decode(plan, measure(state, Analytic()))
+    hist = measure(state, Sampled(
+        shots, tuple(derive_seed(*key) for key in seed_keys)))
     try:
-        return decode(plan, measure(state, Sampled(shots, derive_seed(*seed_key))))
-    except EstimationFailure:
-        return decode(
-            plan, measure(state, Sampled(4 * shots, derive_seed(*seed_key, 1)))
-        )
+        return decode(plan, hist)
+    except EstimationFailure as failure:
+        rows = failure.rows
+        retry = measure(
+            StateVector(state.num_qubits, state.amplitudes[rows]),
+            Sampled(4 * shots,
+                    tuple(derive_seed(*seed_keys[i], 1) for i in rows)))
+        hist.weights[rows] = retry.weights
+        return decode(plan, hist)
 
 
 def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, rng_key=()) -> np.ndarray:
     """One distance circuit per (record, centroid) pair, argmin over the
-    recovered original-space distances."""
+    recovered original-space distances.  Pair (r, j) is row r*k + j of
+    one batched pass."""
     n_index = records.index_size
-    shots = params.shots_base
-    labels = np.empty(len(records), dtype=np.int64)
-    for r in range(len(records)):
-        dists = np.empty(len(centroids))
-        for j in range(len(centroids)):
-            plan = build_qc1(records.angles[r], centroids.angles[j], n_index)
-            d_proj, _ = _measure_with_retry(
-                plan, estimate_distance, shots, params.analytic,
-                (*rng_key, r, j))
-            dists[j] = recover_distance(
-                d_proj, records.norms[r], centroids.norms[j])
-        labels[r] = int(np.argmin(dists))
-    return labels
+    k = len(centroids)
+    r_of, j_of = np.divmod(np.arange(len(records) * k), k)
+    dists = np.empty(len(r_of))
+    for rows in _row_chunks(len(r_of), 2 + n_index):
+        r, j = r_of[rows], j_of[rows]
+        plan = build_qc1(records.angles[r], centroids.angles[j], n_index)
+        d_proj, _ = _measure_with_retry(
+            plan, estimate_distance, params.shots_base, params.analytic,
+            [(*rng_key, int(a), int(b)) for a, b in zip(r, j)])
+        dists[rows] = recover_distance(
+            d_proj, records.norms[r], centroids.norms[j])
+    return np.argmin(dists.reshape(len(records), k), axis=1)
 
 
 def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, rng_key=()) -> np.ndarray:
-    """One multi-centroid circuit per record."""
+    """One multi-centroid circuit per record, all records in one batched
+    pass."""
     n_index = records.index_size
     k = len(centroids)
     n_cluster = max(k - 1, 0).bit_length()
     shots = k * params.shots_base
     labels = np.empty(len(records), dtype=np.int64)
-    for r in range(len(records)):
-        plan = build_qc2(records.angles[r], centroids.angles, n_index, n_cluster)
-        labels[r] = _measure_with_retry(
-            plan, decode_qc2, shots, params.analytic, (*rng_key, r))
+    for rows in _row_chunks(len(records), 2 + n_index + n_cluster):
+        plan = build_qc2(records.angles[rows], centroids.angles, n_index,
+                         n_cluster)
+        labels[rows] = _measure_with_retry(
+            plan, decode_qc2, shots, params.analytic,
+            [(*rng_key, r) for r in range(len(records))[rows]])
     return labels
 
 
@@ -231,8 +276,9 @@ def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
         stop = min(start + m1, m)
         plan = build_qc3(records.angles[start:stop], centroids.angles,
                          n_index, n_batch, n_cluster)
-        batch_labels = _measure_with_retry(
-            plan, decode_qc3, shots, params.analytic, (*rng_key, b))
+        mode = (Analytic() if params.analytic
+                else Sampled(shots, derive_seed(*rng_key, b)))
+        batch_labels = decode_qc3(plan, measure(simulate(plan), mode))
         for v, label in enumerate(batch_labels):
             if label is None:
                 label = _recovered_nearest(records, centroids, start + v)
@@ -279,8 +325,8 @@ def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:
     the same centroids.
     """
     data = np.asarray(data, dtype=float)
-    params.validate(data.shape[0])
     std, _, _ = standardize(data)
+    params.validate(*std.shape)
     records = (prepare_vectors(std)
                if params.assignment in QUANTUM_STRATEGIES else None)
     centroids = kmeanspp_init(std, params.k, params.seed)

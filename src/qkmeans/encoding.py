@@ -13,7 +13,6 @@ distances can be recovered from projected-space ones:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +54,21 @@ def isp_rows(matrix: np.ndarray) -> np.ndarray:
     return np.hstack([2.0 * matrix / (s + 1.0), (s - 1.0) / (s + 1.0)])
 
 
-def recover_distance(dp: float, nx: float, ny: float) -> float:
-    """Original-space distance from a projected-space one.
+def recover_distance(dp, nx, ny):
+    """Original-space distance from a projected-space one, elementwise over
+    arrays.
 
     ``dp`` is the Euclidean distance between the two projections (must lie in
     [0, 2] up to a small statistical slack, which is clamped), ``nx``/``ny``
     the stored pre-projection norms.
     """
-    if dp < -DISTANCE_SLACK or dp > 2.0 + DISTANCE_SLACK:
-        raise ValueError(f"projected distance {dp} outside [0, 2]")
-    dp = min(max(dp, 0.0), 2.0)
+    dp = np.asarray(dp, dtype=float)
+    outside = (dp < -DISTANCE_SLACK) | (dp > 2.0 + DISTANCE_SLACK)
+    if np.any(outside):
+        raise ValueError(f"projected distance {dp[outside]} outside [0, 2]")
+    dp = np.clip(dp, 0.0, 2.0)
     factor = 0.25 * (nx * nx + 1.0) * (ny * ny + 1.0)
-    return math.sqrt(factor) * dp
+    return np.sqrt(factor) * dp
 
 
 def num_slots(dim: int) -> int:
@@ -116,20 +118,22 @@ def encode_vector(plan, angles: np.ndarray, ctx: EncodingContext) -> None:
 
     The slot's bit pattern is expressed directly as control polarities on the
     index qubits, so no X gates are emitted; zero-angle slots (padding or
-    zero entries) emit nothing.
+    zero entries) emit nothing.  Given (B, slots) rows of angles, each RY
+    carries one angle per row, and a slot is left out only when it is zero
+    in every row.
     """
     slots = 1 << len(ctx.index_qubits)
-    if len(angles) != slots:
-        raise ValueError(f"expected {slots} angles, got {len(angles)}")
-    for slot, theta in enumerate(angles):
-        if theta == 0.0:
-            continue
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape[-1] != slots:
+        raise ValueError(f"expected {slots} angles, got {angles.shape[-1]}")
+    used = np.any(angles != 0.0, axis=tuple(range(angles.ndim - 1)))
+    for slot in np.flatnonzero(used).tolist():
+        theta = angles[..., slot]
         pattern = tuple(
             (qb, (slot >> b) & 1) for b, qb in enumerate(ctx.index_qubits)
         )
-        plan.gates.append(
-            ry(float(theta), ctx.register_qubit, pattern + ctx.extra_controls)
-        )
+        plan.gates.append(ry(theta.copy() if theta.ndim else float(theta),
+                             ctx.register_qubit, pattern + ctx.extra_controls))
 
 
 @dataclass

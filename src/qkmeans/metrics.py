@@ -22,31 +22,42 @@ def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
+# Elements of the (rows, M, d) difference block silhouette holds at a time.
+_SILHOUETTE_BLOCK = 1 << 20
+
+
 def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette score (b - a) / max(a, b).
 
     ``a`` is the mean distance to the other members of the point's own
     cluster, ``b`` the smallest mean distance to any other cluster.
-    Singleton clusters contribute 0 for their lone point.
+    Singleton clusters contribute 0 for their lone point.  Distances are
+    computed a block of rows at a time, and each block's per-cluster sums
+    come from one product with the one-hot cluster matrix.
     """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    unique = np.unique(labels)
+    unique, cluster = np.unique(labels, return_inverse=True)
     if len(unique) < 2:
         raise ValueError("silhouette needs at least 2 distinct clusters")
-    diff = data[:, None, :] - data[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    members = {int(c): np.nonzero(labels == c)[0] for c in unique}
-    scores = np.zeros(data.shape[0])
-    for i in range(data.shape[0]):
-        own = members[int(labels[i])]
-        if len(own) == 1:
-            continue
-        a = dist[i, own].sum() / (len(own) - 1)
-        b = min(dist[i, members[int(c)]].mean()
-                for c in unique if c != labels[i])
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    m = data.shape[0]
+    one_hot = (cluster[:, None] == np.arange(len(unique))).astype(float)
+    sizes = one_hot.sum(axis=0)
+    step = max(1, _SILHOUETTE_BLOCK // max(1, m * data.shape[1]))
+    scores = np.zeros(m)
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        diff = data[rows, None, :] - data[None, :, :]
+        sums = np.sqrt(np.sum(diff * diff, axis=2)) @ one_hot
+        own = cluster[rows]
+        at = np.arange(len(own))
+        a = sums[at, own] / np.maximum(sizes[own] - 1, 1)
+        means = sums / sizes
+        means[at, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        np.divide(b - a, denom, out=scores[rows],
+                  where=(denom > 0) & (sizes[own] > 1))
     return float(scores.mean())
 
 

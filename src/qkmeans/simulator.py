@@ -10,12 +10,16 @@ Conventions, used everywhere in this package:
 
 Multi-controlled gates are applied natively on the statevector (the control
 pattern selects the amplitude pairs), never decomposed.
+
+A state may carry a leading batch axis: ``(B, 2^q)`` amplitudes are B
+circuits that share one gate list, and an RY angle may then be a length-B
+array, one angle per row.  Histograms keep the same leading axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +32,26 @@ _X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
 @dataclass(frozen=True)
 class Gate:
     """One gate: kind in {"h", "x", "ry"}, a target qubit and optional
-    polarity-annotated controls ``((qubit, polarity), ...)``."""
+    polarity-annotated controls ``((qubit, polarity), ...)``.
+
+    An RY angle is a float, or a 1-D array with one angle per row of a
+    batched state."""
 
     kind: str
     target: int
-    theta: float = 0.0
+    theta: float | np.ndarray = 0.0
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("h", "x", "ry"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not math.isfinite(self.theta):
+        if isinstance(self.theta, np.ndarray):
+            if self.theta.ndim != 1:
+                raise ValueError("gate angles must be a float or a 1-D array")
+            finite = bool(np.isfinite(self.theta).all())
+        else:
+            finite = math.isfinite(self.theta)
+        if not finite:
             raise ValueError("gate angle must be finite")
         cq = [q for q, _ in self.controls]
         if len(set(cq)) != len(cq):
@@ -55,12 +68,16 @@ class Gate:
         return {self.target, *(q for q, _ in self.controls)}
 
     def matrix(self) -> np.ndarray:
+        """The 2x2 block; shape (2, 2, B) for a per-row RY angle."""
         if self.kind == "h":
             return _H_MATRIX
         if self.kind == "x":
             return _X_MATRIX
         half = 0.5 * self.theta
-        c, s = math.cos(half), math.sin(half)
+        if isinstance(half, np.ndarray):
+            c, s = np.cos(half), np.sin(half)
+        else:
+            c, s = math.cos(half), math.sin(half)
         return np.array([[c, -s], [s, c]])
 
 
@@ -72,13 +89,14 @@ def x(target: int, controls=()) -> Gate:
     return Gate("x", target, controls=tuple(controls))
 
 
-def ry(theta: float, target: int, controls=()) -> Gate:
+def ry(theta, target: int, controls=()) -> Gate:
     return Gate("ry", target, theta=theta, controls=tuple(controls))
 
 
 @dataclass
 class StateVector:
-    """2^q complex amplitudes of a q-qubit register."""
+    """2^q complex amplitudes of a q-qubit register, or a (B, 2^q) batch of
+    B such registers."""
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -87,22 +105,26 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
-def new_state(num_qubits: int) -> StateVector:
-    """Fresh |0...0> state on ``num_qubits`` qubits (1 <= q <= 26)."""
+def new_state(num_qubits: int, rows: int | None = None) -> StateVector:
+    """Fresh |0...0> state on ``num_qubits`` qubits (1 <= q <= 26); with
+    ``rows``, a (rows, 2^q) array of them."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(
             f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
         )
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
+    lead = () if rows is None else (rows,)
+    amps = np.zeros(lead + (1 << num_qubits,), dtype=np.complex128)
+    amps[..., 0] = 1.0
     return StateVector(num_qubits, amps)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply ``gate`` to ``state`` in place and return it.
 
-    The 2x2 block acts on the amplitude pairs whose control bits match the
-    declared polarities; all other amplitudes are untouched.
+    The amplitudes are viewed as one axis of length 2 per qubit; controls
+    fix their axes to the declared polarities and the target axis splits
+    into the |0> and |1> halves, so the 2x2 block acts on views of the
+    matching amplitude pairs and all other amplitudes are untouched.
     """
     q = state.num_qubits
     if not 0 <= gate.target < q:
@@ -110,26 +132,35 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     for cq, _ in gate.controls:
         if not 0 <= cq < q:
             raise ValueError(f"control qubit {cq} out of range for {q} qubits")
+    if not state.amplitudes.flags.c_contiguous:
+        state.amplitudes = np.ascontiguousarray(state.amplitudes)
+    amps = state.amplitudes
+    lead = amps.shape[:-1]
+    view = amps.reshape(lead + (2,) * q)
 
-    base = 0
-    control_qubits = set()
+    def axis(qubit: int) -> int:
+        return len(lead) + q - 1 - qubit
+
+    index = [slice(None)] * view.ndim
     for cq, pol in gate.controls:
-        control_qubits.add(cq)
-        base |= pol << cq
-
-    free = [j for j in range(q) if j != gate.target and j not in control_qubits]
-    offsets = np.arange(1 << len(free), dtype=np.int64)
-    i0 = np.full(offsets.shape, base, dtype=np.int64)
-    for b, pos in enumerate(free):
-        i0 |= ((offsets >> b) & 1) << pos
-    i1 = i0 | (1 << gate.target)
+        index[axis(cq)] = pol
+    index[axis(gate.target)] = 0
+    i0 = tuple(index)
+    index[axis(gate.target)] = 1
+    i1 = tuple(index)
 
     (u00, u01), (u10, u11) = gate.matrix()
-    amps = state.amplitudes
-    a0 = amps[i0]
-    a1 = amps[i1]
-    amps[i0] = u00 * a0 + u01 * a1
-    amps[i1] = u10 * a0 + u11 * a1
+    if np.ndim(u00):
+        if lead != np.shape(u00):
+            raise ValueError(f"{np.shape(u00)[0]} gate angles for a state of "
+                             f"shape {amps.shape}")
+        per_row = lead + (1,) * (q - 1 - len(gate.controls))
+        u00, u01, u10, u11 = (u.reshape(per_row) for u in (u00, u01, u10, u11))
+    a0 = view[i0]
+    a1 = view[i1]
+    new0 = u00 * a0 + u01 * a1
+    view[i1] = u10 * a0 + u11 * a1
+    view[i0] = new0
     return state
 
 
@@ -151,10 +182,13 @@ class Analytic:
 
 @dataclass(frozen=True)
 class Sampled:
-    """t i.i.d. shots drawn from the final-state distribution."""
+    """t i.i.d. shots drawn from the final-state distribution.
+
+    ``seed`` is one seed, or for a batched state a sequence with one seed
+    per row; each row draws from its own generator."""
 
     shots: int
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if self.shots < 1:
@@ -166,41 +200,47 @@ MeasureMode = Analytic | Sampled
 
 @dataclass
 class Histogram:
-    """Counts of measured basis states over all qubits.
+    """Weights of measured basis states over all qubits.
 
-    ``counts`` maps basis index -> weight.  Sampled measurements produce
-    integer-valued weights summing to the shot count; analytic measurements
-    produce the exact probabilities (weights summing to 1), so post-selection
-    and marginalization work identically in both modes.
+    ``weights`` is a dense array over the 2^q basis states, with the
+    state's leading batch axis if it had one.  Sampled measurements produce
+    integer-valued weights summing to the shot count per row; analytic
+    measurements produce the exact probabilities (weights summing to 1), so
+    post-selection and marginalization work identically in both modes.
     """
 
     num_qubits: int
-    counts: dict[int, float] = field(default_factory=dict)
+    weights: np.ndarray
 
     @property
     def shots(self) -> float:
-        return sum(self.counts.values())
+        """Total weight over all rows."""
+        return float(self.weights.sum())
 
     def postselect(self, conditions) -> "Histogram":
-        """Keep only outcomes whose ``(qubit, bit)`` conditions all match."""
-        kept = {}
-        for basis, weight in self.counts.items():
-            if all((basis >> qb) & 1 == bit for qb, bit in conditions):
-                kept[basis] = weight
-        return Histogram(self.num_qubits, kept)
+        """Zero every outcome whose ``(qubit, bit)`` conditions do not all
+        match."""
+        basis = np.arange(1 << self.num_qubits)
+        keep = np.ones(basis.shape, dtype=bool)
+        for qb, bit in conditions:
+            keep &= (basis >> qb) & 1 == bit
+        return Histogram(self.num_qubits, np.where(keep, self.weights, 0.0))
 
     def marginal(self, qubits) -> "Histogram":
-        """Sum counts over all qubits not listed; the result is keyed by the
-        sub-pattern on ``qubits`` in the given order (qubits[0] -> bit 0)."""
+        """Sum weights over all qubits not listed; the result is indexed by
+        the sub-pattern on ``qubits`` in the given order (qubits[0] -> bit
+        0)."""
         qubits = list(qubits)
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate qubit index in marginal")
-        out: dict[int, float] = {}
-        for basis, weight in self.counts.items():
-            key = 0
-            for b, qb in enumerate(qubits):
-                key |= ((basis >> qb) & 1) << b
-            out[key] = out.get(key, 0.0) + weight
+        q = self.num_qubits
+        lead = self.weights.shape[:-1]
+        view = self.weights.reshape(lead + (2,) * q)
+        # the listed qubits' axes, most significant first, then the rest
+        keep = [len(lead) + q - 1 - qb for qb in reversed(qubits)]
+        rest = [a for a in range(len(lead), view.ndim) if a not in keep]
+        moved = view.transpose(list(range(len(lead))) + keep + rest)
+        out = moved.reshape(lead + (1 << len(qubits), -1)).sum(axis=-1)
         return Histogram(len(qubits), out)
 
 
@@ -208,23 +248,18 @@ def measure(state: StateVector, mode: MeasureMode) -> Histogram:
     """Measure all qubits.
 
     Analytic mode returns the exact distribution; Sampled mode draws
-    ``mode.shots`` i.i.d. outcomes, reproducibly for a fixed seed.  Partial
-    measurement is realized downstream via ``postselect``/``marginal``.
+    ``mode.shots`` i.i.d. outcomes per row, reproducibly for fixed seeds.
+    Partial measurement is realized downstream via ``postselect``/``marginal``.
     """
     probs = probabilities(state)
     if isinstance(mode, Analytic):
-        counts = {int(b): float(p) for b, p in enumerate(probs) if p > 0.0}
-        return Histogram(state.num_qubits, counts)
-    rng = np.random.default_rng(mode.seed)
-    draws = rng.multinomial(mode.shots, probs / probs.sum())
-    nonzero = np.nonzero(draws)[0]
-    counts = {int(b): float(draws[b]) for b in nonzero}
-    return Histogram(state.num_qubits, counts)
-
-
-def postselect(hist: Histogram, conditions) -> Histogram:
-    return hist.postselect(conditions)
-
-
-def marginal(hist: Histogram, qubits) -> Histogram:
-    return hist.marginal(qubits)
+        return Histogram(state.num_qubits, probs)
+    seeds = [mode.seed] if np.ndim(mode.seed) == 0 else list(mode.seed)
+    rows = probs.reshape(-1, probs.shape[-1])
+    if len(seeds) != rows.shape[0]:
+        raise ValueError(f"{len(seeds)} seeds for {rows.shape[0]} rows")
+    draws = np.empty(rows.shape)
+    for i, (row, seed) in enumerate(zip(rows, seeds)):
+        draws[i] = np.random.default_rng(seed).multinomial(
+            mode.shots, row / row.sum())
+    return Histogram(state.num_qubits, draws.reshape(probs.shape))

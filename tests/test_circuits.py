@@ -34,6 +34,14 @@ def n_bits(count):
     return max(count - 1, 0).bit_length()
 
 
+def histogram_of(num_qubits, counts):
+    """A dense histogram with the given {basis: weight} entries."""
+    weights = np.zeros(1 << num_qubits)
+    for basis, weight in counts.items():
+        weights[basis] = weight
+    return Histogram(num_qubits, weights)
+
+
 class TestBuildQc1:
     def test_qubit_count(self):
         plan = build_qc1(np.zeros(2), np.zeros(2), 1)
@@ -83,7 +91,7 @@ class TestEstimateDistance:
 
     def test_zero_kept_shots(self):
         plan = build_qc1(np.zeros(2), np.zeros(2), 1)
-        empty = Histogram(plan.num_qubits, {0: 100})  # register bit 0 only
+        empty = histogram_of(plan.num_qubits, {0: 100})  # register bit 0 only
         with pytest.raises(EstimationFailure):
             estimate_distance(plan, empty)
 
@@ -125,7 +133,7 @@ class TestBuildQc2:
         e1, e2 = np.eye(2)
         plan = build_qc2(angles_of(e1), angles_of(np.vstack([e1, e2])), 1, 1)
         buckets = assignment_histogram(plan, execute(plan, Analytic()))
-        weights = buckets.per_record[0]
+        weights = buckets.counts[0]
         total = weights[0] + weights[1]
         assert weights[0] / total == pytest.approx(2 / 3, abs=1e-12)
         assert weights[1] / total == pytest.approx(1 / 3, abs=1e-12)
@@ -146,7 +154,7 @@ class TestDecodeQc2:
             for b, qb in enumerate(layout.cluster):
                 basis |= ((j >> b) & 1) << qb
             counts[basis] = c
-        return Histogram(layout.num_qubits, counts)
+        return histogram_of(layout.num_qubits, counts)
 
     def test_tie_breaks_low(self):
         plan = self.make_plan(k=2)
@@ -207,7 +215,7 @@ class TestDecodeQc3:
         plan = build_qc3(angles_of(records), angles_of(centroids), 2, 2, 1)
         hist = execute(plan, Analytic())
         buckets = assignment_histogram(plan, hist)
-        assert set(buckets.per_record) <= {0, 1, 2}
+        assert buckets.counts.shape == (3, 2)
         assert buckets.wasted_fraction > 0.0
         assert buckets.wasted_fraction == pytest.approx(
             1.0 - buckets.kept_shots / hist.shots)
@@ -219,7 +227,7 @@ class TestDecodeQc3:
         # histogram whose kept counts only cover record slot 0
         layout = plan.layout
         basis = 1 << layout.register
-        hist = Histogram(layout.num_qubits, {basis: 10})
+        hist = histogram_of(layout.num_qubits, {basis: 10})
         assert decode_qc3(plan, hist) == [0, None]
 
     def test_uniform_tie_gives_zero(self):
@@ -228,7 +236,7 @@ class TestDecodeQc3:
                            num_records=1, num_clusters=2)
         b0 = 1 << layout.register
         b1 = b0 | (1 << layout.cluster[0])
-        hist = Histogram(layout.num_qubits, {b0: 7, b1: 7})
+        hist = histogram_of(layout.num_qubits, {b0: 7, b1: 7})
         assert decode_qc3(plan, hist) == [0]
 
 
@@ -268,11 +276,8 @@ class TestOracleEquivalence:
             plan2 = build_qc2(angles_of(records[v]), angles_of(centroids),
                               2, 2)
             buckets2 = assignment_histogram(plan2, execute(plan2, Analytic()))
-            w3, w2 = buckets3.per_record[v], buckets2.per_record[0]
-            t3, t2 = sum(w3.values()), sum(w2.values())
-            for j in range(3):
-                assert w3.get(j, 0) / t3 == pytest.approx(
-                    w2.get(j, 0) / t2, abs=1e-10)
+            w3, w2 = buckets3.counts[v], buckets2.counts[0]
+            assert w3 / w3.sum() == pytest.approx(w2 / w2.sum(), abs=1e-10)
 
     def test_ancilla_rate_in_unit_interval(self):
         rng = np.random.default_rng(9)
@@ -332,3 +337,47 @@ class TestCircuitStats:
         plan = build_qc1(angles_of(x), angles_of(y), 2)
         assert circuit_stats(plan).gate_count == len(plan.gates)
         assert circuit_stats(plan).qubits == 4
+
+
+class TestBatchedCircuits:
+    """B circuits built from rows of angles match B single builds."""
+
+    def test_qc1_rows_match_single_circuits(self):
+        rng = np.random.default_rng(14)
+        records, centroids = unit_rows(rng, 5, 4), unit_rows(rng, 5, 4)
+        records[:, 3] = 0.0  # slot 3 is zero in every record row
+        records[2, 1] = 0.0  # slot 1 is zero in one row only
+        plan = build_qc1(angles_of(records), angles_of(centroids), 2)
+        assert plan.rows == 5
+        assert len(plan.gates) == 2 + 2 + 3 + 4
+        hist = execute(plan, Analytic())
+        d, kept = estimate_distance(plan, hist)
+        for r in range(5):
+            single = build_qc1(angles_of(records[r]), angles_of(centroids[r]),
+                               2)
+            d1, kept1 = estimate_distance(single, execute(single, Analytic()))
+            assert d[r] == d1 and kept[r] == kept1
+
+    def test_qc2_rows_match_single_circuits(self):
+        rng = np.random.default_rng(15)
+        records, centroids = unit_rows(rng, 6, 4), unit_rows(rng, 3, 4)
+        plan = build_qc2(angles_of(records), angles_of(centroids), 2, 2)
+        hist = execute(plan, Sampled(300, seed=tuple(range(6))))
+        labels = decode_qc2(plan, hist)
+        buckets = assignment_histogram(plan, hist)
+        for r in range(6):
+            single = build_qc2(angles_of(records[r]), angles_of(centroids),
+                               2, 2)
+            alone = execute(single, Sampled(300, seed=r))
+            assert labels[r] == decode_qc2(single, alone)
+            assert np.array_equal(buckets.counts[r, 0],
+                                  assignment_histogram(single, alone).counts[0])
+
+    def test_failure_names_empty_rows(self):
+        plan = build_qc1(np.zeros((3, 2)), np.zeros((3, 2)), 1)
+        weights = np.zeros((3, 8))
+        weights[:, 0] = 5.0  # register = 0: nothing survives ...
+        weights[1, 1 << plan.layout.register] = 5.0  # ... except in row 1
+        with pytest.raises(EstimationFailure) as failure:
+            estimate_distance(plan, Histogram(plan.num_qubits, weights))
+        assert list(failure.value.rows) == [0, 2]

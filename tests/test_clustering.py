@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qkmeans.circuits import EstimationFailure, estimate_distance
 from qkmeans.clustering import (
     ClusteringParams,
     Strategy,
@@ -297,3 +298,109 @@ class TestDeriveSeed:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
         assert derive_seed(0) != derive_seed(1)
+
+
+class TestBatchedAssignmentContract:
+    """``run`` with the batched assignment step reproduces, iteration by
+    iteration, the per-circuit loops of ``reference_impls``: the same
+    circuits, the same per-circuit seeds, so the same sampled streams."""
+
+    @staticmethod
+    def runs_agree(monkeypatch, data, params, name):
+        import reference_impls
+        from qkmeans import clustering
+        batched = run(data, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, name,
+                          getattr(reference_impls, f"{name}_reference"))
+            looped = run(data, params)
+        assert batched.n_ite == looped.n_ite
+        for a, b in zip(batched.history, looped.history):
+            assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_q11_iris(self, monkeypatch, analytic):
+        from qkmeans.data import builtin
+        params = ClusteringParams(k=3, assignment=Strategy.Q11, seed=5,
+                                  max_ite=3, analytic=analytic)
+        self.runs_agree(monkeypatch, builtin("iris").matrix, params,
+                        "assign_q11")
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_q1k_iris(self, monkeypatch, analytic, k):
+        from qkmeans.data import builtin
+        params = ClusteringParams(k=k, assignment=Strategy.Q1K, seed=6,
+                                  max_ite=3, analytic=analytic)
+        self.runs_agree(monkeypatch, builtin("iris").matrix, params,
+                        "assign_q1k")
+
+    def test_qmk_blobs_sampled(self, monkeypatch):
+        params = ClusteringParams(k=3, assignment=Strategy.QMK, m1=64,
+                                  seed=7, max_ite=3)
+        self.runs_agree(monkeypatch, blob_data(m=64, seed=8).matrix, params,
+                        "assign_qmk")
+
+    def test_chunked_passes_match_one_pass(self, monkeypatch):
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+        data = builtin("iris").matrix
+        for strategy in (Strategy.Q11, Strategy.Q1K):
+            params = ClusteringParams(k=3, assignment=strategy, seed=9,
+                                      max_ite=2, shots_base=64)
+            whole = run(data, params)
+            with monkeypatch.context() as patch:
+                # 7 rows of 16 or 64 amplitudes: several uneven chunks
+                patch.setattr(clustering, "MAX_BATCH_AMPLITUDES", 7 * 64)
+                chunked = run(data, params)
+            for a, b in zip(whole.history, chunked.history):
+                assert np.array_equal(a.labels, b.labels)
+
+    def test_retry_redraws_only_empty_rows(self, monkeypatch):
+        # 4 shots per circuit leave about a third of the QC1 rows with no
+        # register=1 shot; their 16-shot retries then succeed
+        import reference_impls
+        from qkmeans import clustering
+        failures = []
+
+        def counting(plan, hist):
+            try:
+                return estimate_distance(plan, hist)
+            except EstimationFailure as failure:
+                failures.append(len(failure.rows))
+                raise
+
+        monkeypatch.setattr(clustering, "estimate_distance", counting)
+        rng = np.random.default_rng(12)
+        _, records = unit_prepared(rng, 6, 4)
+        _, centroids = unit_prepared(rng, 2, 4)
+        params = ClusteringParams(k=2, shots_base=4, seed=0)
+        got = assign_q11(records, centroids, params, rng_key=(3,))
+        want = reference_impls.assign_q11_reference(records, centroids,
+                                                    params, rng_key=(3,))
+        assert np.array_equal(got, want)
+        assert failures and failures[0] > 0
+
+
+class TestQubitLimit:
+    def test_fails_before_seeding(self, monkeypatch):
+        from qkmeans import clustering, simulator
+        from qkmeans.data import builtin
+
+        def never(*args, **kwargs):
+            raise AssertionError("called before the qubit check")
+
+        monkeypatch.setattr(simulator, "MAX_QUBITS", 10)
+        monkeypatch.setattr(clustering, "kmeanspp_init", never)
+        monkeypatch.setattr(clustering, "simulate", never)
+        params = ClusteringParams(k=3, assignment=Strategy.QMK, m1=150)
+        with pytest.raises(ValueError, match=r"14 qubits.*MAX_QUBITS = 10"):
+            run(builtin("iris").matrix, params)
+
+    def test_counts_per_strategy(self):
+        # iris: 3 features -> 4 slots -> 2 index qubits; k=3 -> 2 cluster
+        # qubits; m1=150 -> 8 batch qubits
+        expect = {Strategy.Q11: 4, Strategy.Q1K: 6, Strategy.QMK: 14}
+        for strategy, qubits in expect.items():
+            params = ClusteringParams(k=3, assignment=strategy, m1=150)
+            assert params._circuit_qubits(150, 3) == qubits

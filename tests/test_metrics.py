@@ -82,6 +82,17 @@ class TestSilhouette:
             assert silhouette(data, labels) == pytest.approx(
                 silhouette_reference(data, labels), abs=1e-9)
 
+    def test_row_blocks_match_reference(self, monkeypatch):
+        # blocks of 3 rows, so every cluster's sums span several blocks
+        from qkmeans import metrics
+        monkeypatch.setattr(metrics, "_SILHOUETTE_BLOCK", 3 * 31 * 3)
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(31, 3))
+        labels = rng.integers(0, 4, 31)
+        labels[7] = 9  # a singleton cluster
+        assert silhouette(data, labels) == pytest.approx(
+            silhouette_reference(data, labels), abs=1e-9)
+
 
 class TestVMeasure:
     def test_identical(self):

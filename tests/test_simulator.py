@@ -10,19 +10,27 @@ from qkmeans.simulator import (
     Gate,
     Histogram,
     Sampled,
+    StateVector,
     apply_circuit,
     apply_gate,
     h,
-    marginal,
     measure,
     new_state,
-    postselect,
     probabilities,
     ry,
     x,
 )
+from reference_impls import apply_gate_reference
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def histogram_of(num_qubits, counts):
+    """A dense histogram with the given {basis: weight} entries."""
+    weights = np.zeros(1 << num_qubits)
+    for basis, weight in counts.items():
+        weights[basis] = weight
+    return Histogram(num_qubits, weights)
 
 
 def random_gates(rng, num_qubits, count):
@@ -141,25 +149,25 @@ class TestMeasure:
     def test_analytic_uniform(self):
         state = apply_gate(new_state(1), h(0))
         hist = measure(state, Analytic())
-        assert hist.counts == pytest.approx({0: 0.5, 1: 0.5})
+        assert hist.weights == pytest.approx([0.5, 0.5])
 
     def test_sampled_within_binomial_bound(self):
         state = apply_gate(new_state(1), h(0))
         hist = measure(state, Sampled(4096, seed=99))
-        assert abs(hist.counts.get(0, 0) / 4096 - 0.5) <= 3 * math.sqrt(0.25 / 4096)
+        assert abs(hist.weights[0] / 4096 - 0.5) <= 3 * math.sqrt(0.25 / 4096)
 
     def test_single_shot(self):
         state = apply_gate(new_state(2), h(1))
         hist = measure(state, Sampled(1, seed=0))
-        assert sum(hist.counts.values()) == 1
-        assert set(hist.counts.values()) == {1}
+        assert hist.shots == 1
+        assert set(hist.weights[hist.weights > 0]) == {1}
 
     def test_deterministic_for_fixed_seed(self):
         state = apply_gate(new_state(3), h(0))
         apply_gate(state, h(2))
         a = measure(state, Sampled(2048, seed=7))
         b = measure(state, Sampled(2048, seed=7))
-        assert a.counts == b.counts
+        assert np.array_equal(a.weights, b.weights)
 
     def test_sampling_consistency_4_sigma(self):
         rng = np.random.default_rng(11)
@@ -171,7 +179,7 @@ class TestMeasure:
         hist = measure(state, Sampled(t, seed=5))
         probs = probabilities(state)
         for b, p in enumerate(probs):
-            f = hist.counts.get(b, 0) / t
+            f = hist.weights[b] / t
             assert abs(f - p) <= 4 * math.sqrt(p * (1 - p) / t) + 1e-12
 
     def test_shots_validation(self):
@@ -181,37 +189,37 @@ class TestMeasure:
 
 class TestPostselect:
     def test_filter_on_qubit(self):
-        hist = Histogram(2, {0b00: 10, 0b01: 20, 0b10: 30, 0b11: 40})
-        kept = postselect(hist, [(1, 1)])
-        assert kept.counts == {0b10: 30, 0b11: 40}
+        hist = histogram_of(2, {0b00: 10, 0b01: 20, 0b10: 30, 0b11: 40})
+        kept = hist.postselect([(1, 1)])
+        assert list(kept.weights) == [0, 0, 30, 40]
         assert kept.shots == 70
 
     def test_empty_result_is_legal(self):
-        hist = Histogram(2, {0b00: 5})
-        kept = postselect(hist, [(0, 1)])
-        assert kept.counts == {}
+        hist = histogram_of(2, {0b00: 5})
+        kept = hist.postselect([(0, 1)])
+        assert not kept.weights.any()
         assert kept.shots == 0
 
     def test_double_equals_joint(self):
         rng = np.random.default_rng(0)
-        hist = Histogram(3, {b: float(rng.integers(1, 50)) for b in range(8)})
-        once = postselect(hist, [(0, 0), (1, 1)])
-        twice = postselect(postselect(hist, [(0, 0)]), [(1, 1)])
-        assert once.counts == twice.counts
+        hist = histogram_of(3, {b: float(rng.integers(1, 50)) for b in range(8)})
+        once = hist.postselect([(0, 0), (1, 1)])
+        twice = hist.postselect([(0, 0)]).postselect([(1, 1)])
+        assert np.array_equal(once.weights, twice.weights)
 
 
 class TestMarginal:
     def test_single_qubit(self):
-        hist = Histogram(2, {0b00: 1, 0b01: 2, 0b10: 3, 0b11: 4})
-        assert marginal(hist, [1]).counts == {0: 3, 1: 7}
+        hist = histogram_of(2, {0b00: 1, 0b01: 2, 0b10: 3, 0b11: 4})
+        assert list(hist.marginal([1]).weights) == [3, 7]
 
     def test_all_qubits_identity(self):
-        hist = Histogram(2, {0b00: 1, 0b01: 2, 0b10: 3, 0b11: 4})
-        assert marginal(hist, [0, 1]).counts == hist.counts
+        hist = histogram_of(2, {0b00: 1, 0b01: 2, 0b10: 3, 0b11: 4})
+        assert np.array_equal(hist.marginal([0, 1]).weights, hist.weights)
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
-            marginal(Histogram(2, {0: 1}), [0, 0])
+            histogram_of(2, {0: 1}).marginal([0, 0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.dictionaries(st.integers(0, 15), st.integers(1, 100),
@@ -219,10 +227,97 @@ class TestMarginal:
            st.permutations([0, 1, 2, 3]))
     def test_matches_group_by(self, counts, order):
         qubits = order[:2]
-        hist = Histogram(4, {b: float(w) for b, w in counts.items()})
-        got = marginal(hist, qubits).counts
-        expect = {}
+        hist = histogram_of(4, {b: float(w) for b, w in counts.items()})
+        got = hist.marginal(qubits).weights
+        expect = np.zeros(4)
         for b, w in counts.items():
             key = ((b >> qubits[0]) & 1) | (((b >> qubits[1]) & 1) << 1)
-            expect[key] = expect.get(key, 0) + w
+            expect[key] += w
         assert got == pytest.approx(expect)
+
+
+def random_batched_gates(rng, num_qubits, count, rows):
+    """Random H/X/RY gates with up to 3 controls of either polarity; every
+    RY carries one angle per row."""
+    gates = []
+    for _ in range(count):
+        target = int(rng.integers(num_qubits))
+        others = [q for q in range(num_qubits) if q != target]
+        n_controls = int(rng.integers(0, min(3, len(others)) + 1))
+        picked = rng.choice(others, size=n_controls, replace=False)
+        controls = tuple((int(q), int(rng.integers(2))) for q in picked)
+        kind = rng.choice(["h", "x", "ry"])
+        if kind == "ry":
+            gates.append(ry(rng.uniform(-math.pi, math.pi, rows), target,
+                            controls))
+        else:
+            gates.append((h if kind == "h" else x)(target, controls))
+    return gates
+
+
+def row_gate(gate, row):
+    """The scalar-angle gate that row ``row`` of a batched gate applies."""
+    if np.ndim(gate.theta):
+        return ry(float(gate.theta[row]), gate.target, gate.controls)
+    return gate
+
+
+class TestBatchedKernel:
+    """The reshape-view kernel against the index-array reference kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 5))
+    def test_rows_match_reference(self, seed, num_qubits, rows):
+        rng = np.random.default_rng(seed)
+        gates = random_batched_gates(rng, num_qubits, 16, rows)
+        amps = (rng.standard_normal((rows, 1 << num_qubits))
+                + 1j * rng.standard_normal((rows, 1 << num_qubits)))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        batched = StateVector(num_qubits, amps.copy())
+        apply_circuit(batched, gates)
+        for r in range(rows):
+            single = StateVector(num_qubits, amps[r].copy())
+            for gate in gates:
+                apply_gate_reference(single, row_gate(gate, r))
+            assert np.max(np.abs(batched.amplitudes[r]
+                                 - single.amplitudes)) <= 1e-12
+            unbatched = StateVector(num_qubits, amps[r].copy())
+            apply_circuit(unbatched, [row_gate(g, r) for g in gates])
+            assert np.max(np.abs(unbatched.amplitudes
+                                 - single.amplitudes)) <= 1e-12
+
+    def test_new_state_rows(self):
+        state = new_state(2, rows=3)
+        assert state.amplitudes.shape == (3, 4)
+        assert np.array_equal(probabilities(state)[:, 0], np.ones(3))
+
+    def test_angle_count_must_match_rows(self):
+        with pytest.raises(ValueError):
+            apply_gate(new_state(2, rows=3), ry(np.zeros(2), 0))
+        with pytest.raises(ValueError):
+            ry(np.zeros((2, 2)), 0)
+
+    def test_sampled_rows_use_their_own_seeds(self):
+        state = apply_gate(new_state(3, rows=2), ry(np.array([0.3, 2.0]), 1))
+        apply_gate(state, h(0))
+        hist = measure(state, Sampled(500, seed=(11, 12)))
+        for r, seed in enumerate((11, 12)):
+            single = StateVector(3, state.amplitudes[r].copy())
+            alone = measure(single, Sampled(500, seed=seed))
+            assert np.array_equal(hist.weights[r], alone.weights)
+        with pytest.raises(ValueError):
+            measure(state, Sampled(500, seed=11))
+
+    def test_histogram_rows_postselect_and_marginal(self):
+        rng = np.random.default_rng(1)
+        weights = rng.integers(0, 9, (3, 8)).astype(float)
+        hist = Histogram(3, weights)
+        kept = hist.postselect([(2, 1)])
+        margin = hist.marginal([2, 0])
+        for r in range(3):
+            row = Histogram(3, weights[r])
+            assert np.array_equal(kept.weights[r],
+                                  row.postselect([(2, 1)]).weights)
+            assert np.array_equal(margin.weights[r],
+                                  row.marginal([2, 0]).weights)
+        assert hist.shots == weights.sum()
