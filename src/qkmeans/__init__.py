@@ -6,14 +6,12 @@ from .circuits import (
     CircuitPlan,
     CircuitStats,
     EstimationFailure,
-    build_qc1,
-    build_qc2,
     build_qc3,
+    circuit_layout,
     circuit_stats,
     decode_qc2,
     decode_qc3,
     estimate_distance,
-    execute,
     postselection_probability,
     simulate,
 )
@@ -33,11 +31,9 @@ from .clustering import (
 from .data import Dataset, builtin, gen_aniso, gen_blobs, gen_moons, load_csv
 from .encoding import (
     EncodingContext,
-    PreparedDataset,
     PreparedVectors,
     encode_vector,
     isp,
-    prepare_dataset,
     prepare_vectors,
     recover_distance,
     standardize,

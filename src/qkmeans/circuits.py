@@ -1,19 +1,19 @@
-"""Builders and decoders for the three cluster-assignment circuits.
+"""The cluster-assignment circuit and its decoders.
 
-* QC1 interferes one record with one centroid; the ancilla's post-selected
+* QC3 loads a batch of M1 records over a batch register against all k
+  centroids over a cluster register, assigning every record in the batch
+  from a single circuit.
+* QC2 is QC3 with one record: the most frequent cluster pattern is the
+  assignment.
+* QC1 is QC3 with one record and one centroid: the ancilla's post-selected
   |0> frequency encodes their squared Euclidean distance.
-* QC2 loads one record against all k centroids in superposition over a
-  cluster register; the most frequent cluster pattern is the assignment.
-* QC3 additionally batches M1 records over a batch register, assigning every
-  record in the batch from a single circuit.
 
-All three share the interference skeleton: H on the ancilla, uniform
-superposition over the addressing registers, amplitude-encode the record(s)
-in the ancilla-0 branch and the centroid(s) in the ancilla-1 branch, final H
-on the ancilla.  Decoding post-selects the encoding register qubit on 1 and
-the ancilla on 0, then discards patterns that do not address anything
-actually loaded (non-power-of-two record or cluster counts leave such slots
-empty).
+The skeleton: H on the ancilla, uniform superposition over the addressing
+registers, amplitude-encode the record(s) in the ancilla-0 branch and the
+centroid(s) in the ancilla-1 branch, final H on the ancilla.  Decoding
+post-selects the encoding register qubit on 1 and the ancilla on 0, then
+discards patterns that do not address anything actually loaded
+(non-power-of-two record or cluster counts leave such slots empty).
 """
 
 from __future__ import annotations
@@ -25,14 +25,11 @@ import numpy as np
 
 from .encoding import EncodingContext, encode_vector
 from .simulator import (
-    Analytic,
     Gate,
     Histogram,
-    MeasureMode,
     StateVector,
     apply_circuit,
     h,
-    measure,
     new_state,
     probabilities,
 )
@@ -52,8 +49,8 @@ class EstimationFailure(RuntimeError):
 class Layout:
     """Qubit assignment for an assignment circuit.
 
-    Order: ancilla, index register, batch register (QC3 only), encoding
-    register qubit, cluster register (QC2/QC3 only).
+    Order: ancilla, index register, batch register, encoding register
+    qubit, cluster register.
     """
 
     ancilla: int
@@ -67,18 +64,22 @@ class Layout:
         return 2 + len(self.index) + len(self.batch) + len(self.cluster)
 
 
-def _make_layout(n_index: int, n_batch: int = 0, n_cluster: int = 0) -> Layout:
-    pos = 0
-    ancilla = pos
-    pos += 1
-    index = tuple(range(pos, pos + n_index))
-    pos += n_index
-    batch = tuple(range(pos, pos + n_batch))
-    pos += n_batch
-    register = pos
-    pos += 1
-    cluster = tuple(range(pos, pos + n_cluster))
-    return Layout(ancilla, index, batch, register, cluster)
+def circuit_layout(slots: int, records: int = 1, clusters: int = 1) -> Layout:
+    """The layout of a circuit that loads ``records`` records against
+    ``clusters`` centroids of ``slots`` angle slots each: log2(slots) index
+    qubits, and as many batch and cluster qubits as it takes to address the
+    records and the centroids."""
+    n_index = slots.bit_length() - 1
+    if slots < 1 or slots != 1 << n_index:
+        raise ValueError(f"slots must be a power of two, got {slots}")
+    if records < 1 or clusters < 1:
+        raise ValueError("a circuit loads at least one record and centroid")
+    n_batch = (records - 1).bit_length()
+    n_cluster = (clusters - 1).bit_length()
+    register = 1 + n_index + n_batch
+    return Layout(0, tuple(range(1, 1 + n_index)),
+                  tuple(range(1 + n_index, register)), register,
+                  tuple(range(register + 1, register + 1 + n_cluster)))
 
 
 @dataclass
@@ -100,113 +101,48 @@ class CircuitPlan:
         return self.layout.num_qubits
 
 
-def _check_angles(angles, n_index: int, what: str) -> np.ndarray:
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape[-1] != (1 << n_index):
-        raise ValueError(
-            f"{what} needs {1 << n_index} angle slots, got {angles.shape[-1]}"
-        )
-    return angles
+def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
+    """Assignment circuit for records ``(M1, slots)`` against centroids
+    ``(k, slots)``: 1 + n_index + n_batch + 1 + n_cluster qubits, with the
+    widths taken from the shapes by ``circuit_layout``.  QC2 is the M1 = 1
+    instance and QC1 the M1 = k = 1 one.
 
-
-def _rows_of(record_angles: np.ndarray) -> int | None:
-    """Rows of a batched build: None for one circuit's 1-D record angles."""
-    if record_angles.ndim > 2:
-        raise ValueError("record angles must be one row or a 2-D batch")
-    return record_angles.shape[0] if record_angles.ndim == 2 else None
-
-
-def build_qc1(record_angles, centroid_angles, n_index: int) -> CircuitPlan:
-    """Pairwise-distance circuit: 1 + n_index + 1 qubits.
-
-    Given (B, slots) rows of record and centroid angles it builds B circuits
-    at once, one per row pair, on one shared gate list."""
-    record_angles = _check_angles(record_angles, n_index, "record")
-    centroid_angles = _check_angles(centroid_angles, n_index, "centroid")
-    if record_angles.shape != centroid_angles.shape:
-        raise ValueError("record and centroid angles must have one shape")
-    layout = _make_layout(n_index)
-    plan = CircuitPlan(layout, rows=_rows_of(record_angles))
-    plan.gates.append(h(layout.ancilla))
-    plan.gates.extend(h(q) for q in layout.index)
-    encode_vector(plan, record_angles, EncodingContext(
-        layout.index, layout.register, ((layout.ancilla, 0),)))
-    encode_vector(plan, centroid_angles, EncodingContext(
-        layout.index, layout.register, ((layout.ancilla, 1),)))
-    plan.gates.append(h(layout.ancilla))
-    return plan
-
-
-def build_qc2(record_angles, centroids_angles, n_index: int,
-              n_cluster: int) -> CircuitPlan:
-    """One-record-vs-k-centroids circuit: 1 + n_index + 1 + n_cluster qubits.
-
-    The record rotations are controlled by the ancilla only; each centroid's
-    rotations carry its cluster bit pattern as extra controls.  Given
-    (B, slots) record rows it builds B circuits at once against the same
-    centroids.
+    Record v's rotations carry v's bit pattern on the batch register (and
+    are not controlled by the cluster register); centroid j's carry j's
+    pattern on the cluster register only.  Records ``(B, M1, slots)`` build
+    B circuits at once on one shared gate list, against centroids
+    ``(B, k, slots)``, or ``(k, slots)`` shared by every row.
     """
-    record_angles = _check_angles(record_angles, n_index, "record")
-    centroids_angles = _check_angles(centroids_angles, n_index, "centroids")
-    k = centroids_angles.shape[0]
-    if k > (1 << n_cluster):
-        raise ValueError(f"{k} centroids do not fit in {n_cluster} cluster qubits")
-    layout = _make_layout(n_index, n_cluster=n_cluster)
-    plan = CircuitPlan(layout, num_clusters=k, rows=_rows_of(record_angles))
+    records = np.asarray(records_angles, dtype=float)
+    centroids = np.asarray(centroids_angles, dtype=float)
+    if records.ndim not in (2, 3) or centroids.ndim not in (2, records.ndim):
+        raise ValueError("records must be (M1, slots) or (B, M1, slots) and "
+                         "centroids (k, slots) or records' (B, k, slots)")
+    if centroids.ndim == 3 and centroids.shape[0] != records.shape[0]:
+        raise ValueError("records and centroids must have the same rows")
+    if records.shape[-1] != centroids.shape[-1]:
+        raise ValueError(f"records have {records.shape[-1]} angle slots, "
+                         f"centroids {centroids.shape[-1]}")
+    m1, k = records.shape[-2], centroids.shape[-2]
+    layout = circuit_layout(records.shape[-1], m1, k)
+    plan = CircuitPlan(layout, num_records=m1, num_clusters=k,
+                       rows=records.shape[0] if records.ndim == 3 else None)
     plan.gates.append(h(layout.ancilla))
-    plan.gates.extend(h(q) for q in layout.index)
-    plan.gates.extend(h(q) for q in layout.cluster)
-    encode_vector(plan, record_angles, EncodingContext(
-        layout.index, layout.register, ((layout.ancilla, 0),)))
-    for j in range(k):
-        pattern = tuple((qb, (j >> b) & 1) for b, qb in enumerate(layout.cluster))
-        encode_vector(plan, centroids_angles[j], EncodingContext(
-            layout.index, layout.register, ((layout.ancilla, 1),) + pattern))
-    plan.gates.append(h(layout.ancilla))
-    return plan
-
-
-def build_qc3(records_angles, centroids_angles, n_index: int, n_batch: int,
-              n_cluster: int) -> CircuitPlan:
-    """Batched circuit: 1 + n_index + n_batch + 1 + n_cluster qubits.
-
-    Record v's rotations carry v's bit pattern on the batch register (and are
-    not controlled by the cluster register); centroids are loaded once, with
-    cluster-pattern controls only.
-    """
-    records_angles = _check_angles(records_angles, n_index, "records")
-    centroids_angles = _check_angles(centroids_angles, n_index, "centroids")
-    m1 = records_angles.shape[0]
-    k = centroids_angles.shape[0]
-    if m1 > (1 << n_batch):
-        raise ValueError(f"{m1} records do not fit in {n_batch} batch qubits")
-    if k > (1 << n_cluster):
-        raise ValueError(f"{k} centroids do not fit in {n_cluster} cluster qubits")
-    layout = _make_layout(n_index, n_batch=n_batch, n_cluster=n_cluster)
-    plan = CircuitPlan(layout, num_records=m1, num_clusters=k)
-    plan.gates.append(h(layout.ancilla))
-    plan.gates.extend(h(q) for q in layout.index)
-    plan.gates.extend(h(q) for q in layout.batch)
-    plan.gates.extend(h(q) for q in layout.cluster)
-    for v in range(m1):
-        pattern = tuple((qb, (v >> b) & 1) for b, qb in enumerate(layout.batch))
-        encode_vector(plan, records_angles[v], EncodingContext(
-            layout.index, layout.register, ((layout.ancilla, 0),) + pattern))
-    for j in range(k):
-        pattern = tuple((qb, (j >> b) & 1) for b, qb in enumerate(layout.cluster))
-        encode_vector(plan, centroids_angles[j], EncodingContext(
-            layout.index, layout.register, ((layout.ancilla, 1),) + pattern))
+    plan.gates.extend(h(q) for q in layout.index + layout.batch
+                      + layout.cluster)
+    for angles, branch, address in ((records, 0, layout.batch),
+                                    (centroids, 1, layout.cluster)):
+        for v in range(angles.shape[-2]):
+            pattern = tuple((qb, (v >> b) & 1) for b, qb in enumerate(address))
+            encode_vector(plan, angles[..., v, :], EncodingContext(
+                layout.index, layout.register,
+                ((layout.ancilla, branch),) + pattern))
     plan.gates.append(h(layout.ancilla))
     return plan
 
 
 def simulate(plan: CircuitPlan) -> StateVector:
     return apply_circuit(new_state(plan.num_qubits, plan.rows), plan.gates)
-
-
-def execute(plan: CircuitPlan, mode: MeasureMode) -> Histogram:
-    """Run the plan and measure all qubits under the given mode."""
-    return measure(simulate(plan), mode)
 
 
 def _ordered_sum(values: np.ndarray) -> np.ndarray:

@@ -21,13 +21,7 @@ import click
 import numpy as np
 
 from . import data as datasets
-from .circuits import (
-    build_qc1,
-    build_qc2,
-    build_qc3,
-    circuit_stats,
-    postselection_probability,
-)
+from .circuits import build_qc3, circuit_stats, postselection_probability
 from .clustering import (
     ClusteringParams,
     Strategy,
@@ -40,6 +34,10 @@ from .metrics import elbow as elbow_sweep
 from .metrics import pair_confusion, summarize_run
 
 SCHEMA_VERSION = 1
+
+# Seeds are mixed into derived seeds as 63-bit words, where a negative seed
+# would alias a positive one; every --seed is refused below 0 up front.
+SEED = click.IntRange(min=0)
 
 ALGORITHMS = {
     "kmeans": Strategy.CLASSICAL,
@@ -204,7 +202,7 @@ def main():
 @_params_options
 @click.option("--algorithm", type=click.Choice(sorted(ALGORITHMS)),
               default="kmeans", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--reps", type=int, default=1, show_default=True,
               help="Independent seeded repetitions.")
 @click.option("--jobs", type=int, default=1, show_default=True,
@@ -289,7 +287,7 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
 @click.option("--k-max", type=int, default=8, show_default=True)
 @click.option("--seeds-per-k", type=int, default=5, show_default=True,
               help="Runs per k; the best SSE wins.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default="results",
               show_default=True)
 def cmd_elbow(dataset, dataset_csv, label_column, features, top_variance, m,
@@ -327,7 +325,7 @@ def cmd_elbow(dataset, dataset_csv, label_column, features, top_variance, m,
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--m-min", type=int, default=1, show_default=True)
 @click.option("--m-max", type=int, default=32, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default="results",
               show_default=True)
 def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
@@ -336,8 +334,6 @@ def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
     try:
         if slots < 2 or slots & (slots - 1):
             raise ValueError("--slots must be a power of two >= 2")
-        n_index = slots.bit_length() - 1
-        n_cluster = max(k - 1, 0).bit_length()
         rng = np.random.default_rng(seed)
 
         def unit_rows(count):
@@ -354,11 +350,9 @@ def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
             for m in range(m_min, m_max + 1):
                 record_angles = 2.0 * np.arcsin(
                     np.clip(unit_rows(m), -1.0, 1.0))
-                n_batch = max(m - 1, 0).bit_length()
-                plan = build_qc3(record_angles, centroid_angles, n_index,
-                                 n_batch, n_cluster)
+                plan = build_qc3(record_angles, centroid_angles)
                 p = postselection_probability(plan)
-                fh.write(f"{m},{p!r},{2.0 ** -n_index!r}\n")
+                fh.write(f"{m},{p!r},{1.0 / slots!r}\n")
         _write_manifest(out, stem, "postselect", [csv_path])
         click.echo(f"wrote {csv_path}")
     except (ValueError, KeyError) as exc:
@@ -371,7 +365,7 @@ def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
               default="q11", show_default=True)
 @click.option("--k", type=int, default=None)
 @click.option("--m1", type=int, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
               sample, variant, k, m1, seed):
     """Circuit complexity (qubits / gates / depth) of one assignment circuit
@@ -385,18 +379,14 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
         records = prepare_vectors(std)
         centroids = prepare_vectors(kmeanspp_init(std, k, seed),
                                     slots=records.slots)
-        n_index = records.index_size
-        n_cluster = max(k - 1, 0).bit_length()
-        if variant == "q11":
-            plan = build_qc1(records.angles[0], centroids.angles[0], n_index)
-        elif variant == "q1k":
-            plan = build_qc2(records.angles[0], centroids.angles, n_index,
-                             n_cluster)
-        else:
-            m1 = m1 if m1 is not None else len(ds)
-            n_batch = max(m1 - 1, 0).bit_length()
-            plan = build_qc3(records.angles[:m1], centroids.angles, n_index,
-                             n_batch, n_cluster)
+        if variant != "qmk":
+            m1 = 1
+        elif m1 is None:
+            m1 = len(ds)
+        elif not 1 <= m1 <= len(ds):
+            raise ValueError(f"--m1 must be in [1, {len(ds)}], got {m1}")
+        plan = build_qc3(records.angles[:m1],
+                         centroids.angles[:1 if variant == "q11" else k])
         stats = circuit_stats(plan)
         row = {"variant": variant, "qubits": stats.qubits,
                "gates": stats.gate_count, "depth": stats.depth}
@@ -416,7 +406,7 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
               help="Blob spread override.")
 @click.option("--noise", type=float, default=None,
               help="Moon noise override.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen(dataset, m, std, noise, seed, out):
     """Materialize a generator output (with its ground-truth column) as CSV."""

@@ -25,9 +25,8 @@ import numpy as np
 
 from .circuits import (
     EstimationFailure,
-    build_qc1,
-    build_qc2,
     build_qc3,
+    circuit_layout,
     decode_qc2,
     decode_qc3,
     estimate_distance,
@@ -76,6 +75,8 @@ class ClusteringParams:
     def validate(self, num_records: int, num_features: int) -> None:
         """Reject settings that cannot run on ``num_records`` records of
         ``num_features`` features, before any work starts."""
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.k <= num_records:
             raise ValueError(f"k must be in [1, {num_records}], got {self.k}")
         if self.sc_thresh <= 0:
@@ -89,24 +90,16 @@ class ClusteringParams:
         if self.m1 is not None and not 1 <= self.m1 <= num_records:
             raise ValueError(f"m1 must be in [1, {num_records}], got {self.m1}")
         if self.assignment in QUANTUM_STRATEGIES:
-            qubits = self._circuit_qubits(num_records, num_features)
+            records = ((self.m1 or num_records)
+                       if self.assignment is Strategy.QMK else 1)
+            clusters = 1 if self.assignment is Strategy.Q11 else self.k
+            qubits = circuit_layout(num_slots(num_features + 1), records,
+                                    clusters).num_qubits
             if qubits > simulator.MAX_QUBITS:
                 raise ValueError(
                     f"{self.assignment.value} needs {qubits} qubits for "
                     f"{num_records} records of {num_features} features, more "
                     f"than MAX_QUBITS = {simulator.MAX_QUBITS}")
-
-    def _circuit_qubits(self, num_records: int, num_features: int) -> int:
-        """Qubits of the strategy's assignment circuit: ancilla, index,
-        batch, register and cluster."""
-        n_index = num_slots(num_features + 1).bit_length() - 1
-        n_cluster = n_batch = 0
-        if self.assignment in (Strategy.Q1K, Strategy.QMK):
-            n_cluster = (self.k - 1).bit_length()
-        if self.assignment is Strategy.QMK:
-            m1 = self.m1 if self.m1 is not None else num_records
-            n_batch = (m1 - 1).bit_length()
-        return 2 + n_index + n_batch + n_cluster
 
 
 @dataclass
@@ -188,10 +181,11 @@ def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
 
 
 def _measure_with_retry(plan, decode, shots: int, analytic: bool, seed_keys):
-    """Simulate a batched plan, measure it and decode every row; rows whose
+    """Simulate a plan, measure it and decode every row; rows whose
     post-selection came up empty are drawn once more at 4x the shots, then
     a failure propagates.  Row i draws from ``derive_seed(*seed_keys[i])``,
-    and its retry from ``derive_seed(*seed_keys[i], 1)``."""
+    and its retry from ``derive_seed(*seed_keys[i], 1)``; a plan of one
+    circuit takes one key."""
     state = simulate(plan)
     if analytic:
         return decode(plan, measure(state, Analytic()))
@@ -214,13 +208,13 @@ def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
     """One distance circuit per (record, centroid) pair, argmin over the
     recovered original-space distances.  Pair (r, j) is row r*k + j of
     one batched pass."""
-    n_index = records.index_size
     k = len(centroids)
     r_of, j_of = np.divmod(np.arange(len(records) * k), k)
     dists = np.empty(len(r_of))
-    for rows in _row_chunks(len(r_of), 2 + n_index):
+    qubits = circuit_layout(records.slots).num_qubits
+    for rows in _row_chunks(len(r_of), qubits):
         r, j = r_of[rows], j_of[rows]
-        plan = build_qc1(records.angles[r], centroids.angles[j], n_index)
+        plan = build_qc3(records.angles[r, None], centroids.angles[j, None])
         d_proj, _ = _measure_with_retry(
             plan, estimate_distance, params.shots_base, params.analytic,
             [(*rng_key, int(a), int(b)) for a, b in zip(r, j)])
@@ -233,14 +227,12 @@ def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, rng_key=()) -> np.ndarray:
     """One multi-centroid circuit per record, all records in one batched
     pass."""
-    n_index = records.index_size
     k = len(centroids)
-    n_cluster = max(k - 1, 0).bit_length()
     shots = k * params.shots_base
     labels = np.empty(len(records), dtype=np.int64)
-    for rows in _row_chunks(len(records), 2 + n_index + n_cluster):
-        plan = build_qc2(records.angles[rows], centroids.angles, n_index,
-                         n_cluster)
+    qubits = circuit_layout(records.slots, clusters=k).num_qubits
+    for rows in _row_chunks(len(records), qubits):
+        plan = build_qc3(records.angles[rows, None], centroids.angles)
         labels[rows] = _measure_with_retry(
             plan, decode_qc2, shots, params.analytic,
             [(*rng_key, r) for r in range(len(records))[rows]])
@@ -263,22 +255,23 @@ def _recovered_nearest(records: PreparedVectors, centroids: PreparedVectors,
 def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, rng_key=()) -> np.ndarray:
     """Batched assignment: contiguous batches of ``m1`` records, one circuit
-    per batch; unassigned slots fall back to the classical nearest centroid."""
+    per batch; unassigned slots fall back to the classical nearest centroid.
+
+    Every circuit has ``m1`` record slots: a short last batch leaves its
+    unused slots empty (zero angles load nothing), and its plan counts only
+    the records it holds."""
     m = len(records)
     m1 = params.m1 if params.m1 is not None else m
-    n_index = records.index_size
-    k = len(centroids)
-    n_cluster = max(k - 1, 0).bit_length()
-    n_batch = max(m1 - 1, 0).bit_length()
-    shots = m1 * k * params.shots_base
+    shots = m1 * len(centroids) * params.shots_base
     labels = np.empty(m, dtype=np.int64)
     for b, start in enumerate(range(0, m, m1)):
-        stop = min(start + m1, m)
-        plan = build_qc3(records.angles[start:stop], centroids.angles,
-                         n_index, n_batch, n_cluster)
-        mode = (Analytic() if params.analytic
-                else Sampled(shots, derive_seed(*rng_key, b)))
-        batch_labels = decode_qc3(plan, measure(simulate(plan), mode))
+        held = min(m1, m - start)
+        batch = np.zeros((m1, records.slots))
+        batch[:held] = records.angles[start:start + held]
+        plan = build_qc3(batch, centroids.angles)
+        plan.num_records = held
+        batch_labels = _measure_with_retry(
+            plan, decode_qc3, shots, params.analytic, [(*rng_key, b)])
         for v, label in enumerate(batch_labels):
             if label is None:
                 label = _recovered_nearest(records, centroids, start + v)

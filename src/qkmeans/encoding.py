@@ -167,43 +167,3 @@ def prepare_vectors(std_rows: np.ndarray, slots: int | None = None) -> PreparedV
     angles = np.vstack([rotation_angles(row, slots) for row in projected])
     return PreparedVectors(projected, norms, angles)
 
-
-@dataclass
-class PreparedDataset:
-    """A dataset carried through the full preparation pipeline."""
-
-    raw: np.ndarray
-    standardized: np.ndarray
-    projected: np.ndarray
-    norms: np.ndarray
-    angles: np.ndarray
-    feature_names: list[str] | None = None
-
-    def __len__(self) -> int:
-        return self.raw.shape[0]
-
-    @property
-    def slots(self) -> int:
-        return self.angles.shape[1]
-
-    @property
-    def index_size(self) -> int:
-        return self.slots.bit_length() - 1
-
-    @property
-    def vectors(self) -> PreparedVectors:
-        return PreparedVectors(self.projected, self.norms, self.angles)
-
-
-def prepare_dataset(data: np.ndarray, feature_names=None) -> PreparedDataset:
-    """Standardize, project and angle-convert a raw M x N matrix."""
-    standardized, _, _ = standardize(data)
-    vecs = prepare_vectors(standardized)
-    return PreparedDataset(
-        raw=np.asarray(data, dtype=float),
-        standardized=standardized,
-        projected=vecs.projected,
-        norms=vecs.norms,
-        angles=vecs.angles,
-        feature_names=list(feature_names) if feature_names is not None else None,
-    )

@@ -4,11 +4,14 @@
   they share no code with the package.
 * The index-array statevector kernel, which gathers and scatters amplitude
   pairs through explicit int64 index arrays, one circuit at a time.
+* Three separate builders for the QC1, QC2 and QC3 circuits, each given
+  its register widths by the caller; the package builds all three as
+  instances of one QC3 builder, whose gate lists must equal theirs.
 * The per-circuit assignment loops of q1:1, q1:k and qM:k: one circuit per
-  (record, centroid) pair, record or batch, run through that kernel and
-  measured with a generator seeded per circuit.  They reuse the package's
-  circuit builders and decoders on single circuits, and define the sampled
-  streams a batched assignment must reproduce.
+  (record, centroid) pair, record or batch, built by those builders, run
+  through the index-array kernel and measured with a generator seeded per
+  circuit.  They reuse the package's decoders on single circuits, and
+  define the sampled streams a batched assignment must reproduce.
 """
 
 import math
@@ -16,17 +19,115 @@ import math
 import numpy as np
 
 from qkmeans.circuits import (
+    CircuitPlan,
     EstimationFailure,
-    build_qc1,
-    build_qc2,
-    build_qc3,
+    Layout,
     decode_qc2,
     decode_qc3,
     estimate_distance,
 )
 from qkmeans.clustering import _recovered_nearest, derive_seed
-from qkmeans.encoding import recover_distance
-from qkmeans.simulator import Histogram, new_state
+from qkmeans.encoding import EncodingContext, encode_vector, recover_distance
+from qkmeans.simulator import Histogram, h, new_state
+
+
+def _layout_reference(n_index, n_batch=0, n_cluster=0):
+    pos = 0
+    ancilla = pos
+    pos += 1
+    index = tuple(range(pos, pos + n_index))
+    pos += n_index
+    batch = tuple(range(pos, pos + n_batch))
+    pos += n_batch
+    register = pos
+    pos += 1
+    cluster = tuple(range(pos, pos + n_cluster))
+    return Layout(ancilla, index, batch, register, cluster)
+
+
+def _check_angles(angles, n_index, what):
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape[-1] != (1 << n_index):
+        raise ValueError(
+            f"{what} needs {1 << n_index} angle slots, got {angles.shape[-1]}"
+        )
+    return angles
+
+
+def _rows_of(record_angles):
+    if record_angles.ndim > 2:
+        raise ValueError("record angles must be one row or a 2-D batch")
+    return record_angles.shape[0] if record_angles.ndim == 2 else None
+
+
+def build_qc1_reference(record_angles, centroid_angles, n_index):
+    """Pairwise-distance circuit; (B, slots) rows build B circuits."""
+    record_angles = _check_angles(record_angles, n_index, "record")
+    centroid_angles = _check_angles(centroid_angles, n_index, "centroid")
+    if record_angles.shape != centroid_angles.shape:
+        raise ValueError("record and centroid angles must have one shape")
+    layout = _layout_reference(n_index)
+    plan = CircuitPlan(layout, rows=_rows_of(record_angles))
+    plan.gates.append(h(layout.ancilla))
+    plan.gates.extend(h(q) for q in layout.index)
+    encode_vector(plan, record_angles, EncodingContext(
+        layout.index, layout.register, ((layout.ancilla, 0),)))
+    encode_vector(plan, centroid_angles, EncodingContext(
+        layout.index, layout.register, ((layout.ancilla, 1),)))
+    plan.gates.append(h(layout.ancilla))
+    return plan
+
+
+def build_qc2_reference(record_angles, centroids_angles, n_index, n_cluster):
+    """One record against k centroids; (B, slots) record rows build B
+    circuits against the same centroids."""
+    record_angles = _check_angles(record_angles, n_index, "record")
+    centroids_angles = _check_angles(centroids_angles, n_index, "centroids")
+    k = centroids_angles.shape[0]
+    if k > (1 << n_cluster):
+        raise ValueError(f"{k} centroids do not fit in {n_cluster} cluster qubits")
+    layout = _layout_reference(n_index, n_cluster=n_cluster)
+    plan = CircuitPlan(layout, num_clusters=k, rows=_rows_of(record_angles))
+    plan.gates.append(h(layout.ancilla))
+    plan.gates.extend(h(q) for q in layout.index)
+    plan.gates.extend(h(q) for q in layout.cluster)
+    encode_vector(plan, record_angles, EncodingContext(
+        layout.index, layout.register, ((layout.ancilla, 0),)))
+    for j in range(k):
+        pattern = tuple((qb, (j >> b) & 1) for b, qb in enumerate(layout.cluster))
+        encode_vector(plan, centroids_angles[j], EncodingContext(
+            layout.index, layout.register, ((layout.ancilla, 1),) + pattern))
+    plan.gates.append(h(layout.ancilla))
+    return plan
+
+
+def build_qc3_reference(records_angles, centroids_angles, n_index, n_batch,
+                        n_cluster):
+    """M1 records over a batch register against k centroids."""
+    records_angles = _check_angles(records_angles, n_index, "records")
+    centroids_angles = _check_angles(centroids_angles, n_index, "centroids")
+    m1 = records_angles.shape[0]
+    k = centroids_angles.shape[0]
+    if m1 > (1 << n_batch):
+        raise ValueError(f"{m1} records do not fit in {n_batch} batch qubits")
+    if k > (1 << n_cluster):
+        raise ValueError(f"{k} centroids do not fit in {n_cluster} cluster qubits")
+    layout = _layout_reference(n_index, n_batch=n_batch, n_cluster=n_cluster)
+    plan = CircuitPlan(layout, num_records=m1, num_clusters=k)
+    plan.gates.append(h(layout.ancilla))
+    plan.gates.extend(h(q) for q in layout.index)
+    plan.gates.extend(h(q) for q in layout.batch)
+    plan.gates.extend(h(q) for q in layout.cluster)
+    for v in range(m1):
+        pattern = tuple((qb, (v >> b) & 1) for b, qb in enumerate(layout.batch))
+        encode_vector(plan, records_angles[v], EncodingContext(
+            layout.index, layout.register, ((layout.ancilla, 0),) + pattern))
+    for j in range(k):
+        pattern = tuple((qb, (j >> b) & 1) for b, qb in enumerate(layout.cluster))
+        encode_vector(plan, centroids_angles[j], EncodingContext(
+            layout.index, layout.register, ((layout.ancilla, 1),) + pattern))
+    plan.gates.append(h(layout.ancilla))
+    return plan
 
 
 def apply_gate_reference(state, gate):
@@ -95,7 +196,8 @@ def assign_q11_reference(records, centroids, params, rng_key=()):
     for r in range(len(records)):
         dists = np.empty(len(centroids))
         for j in range(len(centroids)):
-            plan = build_qc1(records.angles[r], centroids.angles[j], n_index)
+            plan = build_qc1_reference(records.angles[r],
+                                       centroids.angles[j], n_index)
             d_proj, _ = _decode_reference(
                 plan, estimate_distance, params.shots_base, params.analytic,
                 (*rng_key, r, j))
@@ -111,8 +213,8 @@ def assign_q1k_reference(records, centroids, params, rng_key=()):
     n_cluster = max(k - 1, 0).bit_length()
     labels = np.empty(len(records), dtype=np.int64)
     for r in range(len(records)):
-        plan = build_qc2(records.angles[r], centroids.angles, n_index,
-                         n_cluster)
+        plan = build_qc2_reference(records.angles[r], centroids.angles,
+                                   n_index, n_cluster)
         labels[r] = _decode_reference(
             plan, decode_qc2, k * params.shots_base, params.analytic,
             (*rng_key, r))
@@ -128,8 +230,9 @@ def assign_qmk_reference(records, centroids, params, rng_key=()):
     labels = np.empty(m, dtype=np.int64)
     for b, start in enumerate(range(0, m, m1)):
         stop = min(start + m1, m)
-        plan = build_qc3(records.angles[start:stop], centroids.angles,
-                         records.index_size, n_batch, n_cluster)
+        plan = build_qc3_reference(records.angles[start:stop],
+                                   centroids.angles, records.index_size,
+                                   n_batch, n_cluster)
         batch_labels = _decode_reference(
             plan, decode_qc3, m1 * k * params.shots_base, params.analytic,
             (*rng_key, b))

@@ -4,21 +4,18 @@ One test per criterion; each prints a PASS/FAIL line (run with ``pytest -s``
 or read the captured output) and asserts the stated tolerance.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
 from qkmeans.circuits import (
-    build_qc1,
-    build_qc2,
     build_qc3,
     decode_qc2,
     decode_qc3,
     estimate_distance,
-    execute,
     postselection_probability,
+    simulate,
 )
 from qkmeans.clustering import (
     ClusteringParams,
@@ -36,7 +33,7 @@ from qkmeans.metrics import (
     summarize_run,
     v_measure,
 )
-from qkmeans.simulator import Analytic, Sampled
+from qkmeans.simulator import Analytic, Sampled, measure
 from reference_impls import silhouette_reference, v_measure_reference
 
 
@@ -54,10 +51,6 @@ def angles_of(rows):
     return 2.0 * np.arcsin(np.clip(rows, -1.0, 1.0))
 
 
-def n_bits(count):
-    return max(count - 1, 0).bit_length()
-
-
 def table_dataset(name, seed=0):
     return subsample(builtin(name, seed=seed), 150, derive_seed(seed, 0x5A))
 
@@ -73,8 +66,8 @@ def test_criterion_01_distance_oracle_analytic():
     for i in range(200):
         dim = (2, 4, 8)[i % 3]
         x, y = unit_rows(rng, 2, dim)
-        plan = build_qc1(angles_of(x), angles_of(y), int(math.log2(dim)))
-        d, _ = estimate_distance(plan, execute(plan, Analytic()))
+        plan = build_qc3(angles_of(x[None]), angles_of(y[None]))
+        d, _ = estimate_distance(plan, measure(simulate(plan), Analytic()))
         worst = max(worst, abs(d - float(np.linalg.norm(x - y))))
     elapsed = time.perf_counter() - started
     report(1, worst <= 1e-9 and elapsed < 10.0,
@@ -86,8 +79,9 @@ def test_criterion_02_distance_oracle_sampled():
     hits = 0
     for i in range(100):
         x, y = unit_rows(rng, 2, 4)
-        plan = build_qc1(angles_of(x), angles_of(y), 2)
-        hist = execute(plan, Sampled(2 ** 15, seed=derive_seed(102, i)))
+        plan = build_qc3(angles_of(x[None]), angles_of(y[None]))
+        hist = measure(simulate(plan),
+                       Sampled(2 ** 15, seed=derive_seed(102, i)))
         d_hat, _ = estimate_distance(plan, hist)
         if abs(d_hat - float(np.linalg.norm(x - y))) <= 0.1:
             hits += 1
@@ -116,15 +110,13 @@ def test_criterion_03_assignment_oracle():
             continue
         instances += 1
         want = np.argmin(dists, axis=1)
-        n_index = int(math.log2(dim))
-        plan3 = build_qc3(angles_of(records), angles_of(centroids),
-                          n_index, n_bits(m), n_bits(k))
-        got3 = decode_qc3(plan3, execute(plan3, Analytic()))
+        plan3 = build_qc3(angles_of(records), angles_of(centroids))
+        got3 = decode_qc3(plan3, measure(simulate(plan3), Analytic()))
         mismatches += sum(int(g != w) for g, w in zip(got3, want))
         for v in range(m):
-            plan2 = build_qc2(angles_of(records[v]), angles_of(centroids),
-                              n_index, n_bits(k))
-            got2 = decode_qc2(plan2, execute(plan2, Analytic()))
+            plan2 = build_qc3(angles_of(records[v:v + 1]),
+                              angles_of(centroids))
+            got2 = decode_qc2(plan2, measure(simulate(plan2), Analytic()))
             mismatches += int(got2 != want[v])
         records_checked += 2 * m
     report(3, mismatches == 0,
@@ -205,8 +197,7 @@ def test_criterion_07_postselection_sweep():
     table = {}
     for m in range(1, 34):
         records = unit_rows(rng, m, 4)
-        plan = build_qc3(angles_of(records), angles_of(centroids),
-                         2, n_bits(m), 1)
+        plan = build_qc3(angles_of(records), angles_of(centroids))
         table[m] = postselection_probability(plan)
     theoretical = 0.25
     powers = [1, 2, 4, 8, 16, 32]

@@ -95,6 +95,20 @@ class TestRunCommand:
         assert "nope" in err["message"]
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", [
+        ["run", "--dataset", "iris", "--algorithm", "q11"],
+        ["elbow", "--dataset", "iris", "--k-min", "2", "--k-max", "2"],
+    ])
+    def test_rejected_before_any_work(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(main, command + ["--seed", "-1",
+                                                "--out-dir", str(out)])
+        assert result.exit_code != 0
+        assert "--seed" in result.output
+        assert not out.exists()
+
+
 class TestElbowCommand:
     def test_single_k(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -154,6 +168,26 @@ class TestStatsCommand:
         a, b = json.loads(base.output), json.loads(degenerate.output)
         assert (a["qubits"], a["gates"], a["depth"]) == \
             (b["qubits"], b["gates"], b["depth"])
+
+    @pytest.mark.parametrize("variant,extra,expect", [
+        ("q11", [], (4, 12, 10)),
+        ("q1k", [], (6, 22, 18)),
+        ("qmk", ["--m1", "150"], (14, 626, 614)),
+    ])
+    def test_iris_k3_figures(self, runner, variant, extra, expect):
+        result = runner.invoke(main, [
+            "stats", "--dataset", "iris", "--variant", variant, "--k", "3",
+            *extra])
+        assert result.exit_code == 0, result.output
+        row = json.loads(result.output)
+        assert (row["qubits"], row["gates"], row["depth"]) == expect
+
+    def test_m1_out_of_range(self, runner):
+        # iris has 150 records: a wider batch register would be built for
+        # records that are not there
+        result = runner.invoke(main, [
+            "stats", "--dataset", "iris", "--variant", "qmk", "--m1", "151"])
+        assert result.exit_code == 1
 
     def test_iris_qmk_full(self, runner):
         result = runner.invoke(main, [

@@ -341,6 +341,40 @@ class TestBatchedAssignmentContract:
         self.runs_agree(monkeypatch, blob_data(m=64, seed=8).matrix, params,
                         "assign_qmk")
 
+    def test_qmk_short_last_batch(self, monkeypatch):
+        # 64 records in batches of 24: the last circuit holds 16 records
+        # and keeps the 5 batch qubits of the full ones; 8 base shots keep
+        # the labels sensitive to the sampled stream
+        params = ClusteringParams(k=3, assignment=Strategy.QMK, m1=24,
+                                  shots_base=8, seed=7, max_ite=3)
+        self.runs_agree(monkeypatch, blob_data(m=64, seed=8).matrix, params,
+                        "assign_qmk")
+
+    def test_qmk_fallback_is_classical_nearest(self, monkeypatch):
+        # 16 shots over 8 record slots leave most slots without a kept
+        # shot; those fall back to the exact nearest centroid
+        import reference_impls
+        from qkmeans import clustering
+        fallbacks = []
+
+        def recording(records, centroids, r):
+            fallbacks.append(r)
+            return clustering_nearest(records, centroids, r)
+
+        clustering_nearest = clustering._recovered_nearest
+        monkeypatch.setattr(clustering, "_recovered_nearest", recording)
+        rng = np.random.default_rng(13)
+        rows, records = unit_prepared(rng, 8, 4)
+        crows, centroids = unit_prepared(rng, 2, 4)
+        params = ClusteringParams(k=2, m1=8, shots_base=1, seed=0)
+        got = assign_qmk(records, centroids, params, rng_key=(2,))
+        want = reference_impls.assign_qmk_reference(records, centroids,
+                                                    params, rng_key=(2,))
+        assert np.array_equal(got, want)
+        assert fallbacks
+        nearest = assign_classical(rows, crows)
+        assert all(got[r] == nearest[r] for r in fallbacks)
+
     def test_chunked_passes_match_one_pass(self, monkeypatch):
         from qkmeans import clustering
         from qkmeans.data import builtin
@@ -397,10 +431,28 @@ class TestQubitLimit:
         with pytest.raises(ValueError, match=r"14 qubits.*MAX_QUBITS = 10"):
             run(builtin("iris").matrix, params)
 
-    def test_counts_per_strategy(self):
+    def test_counts_per_strategy(self, monkeypatch):
         # iris: 3 features -> 4 slots -> 2 index qubits; k=3 -> 2 cluster
         # qubits; m1=150 -> 8 batch qubits
+        from qkmeans import simulator
         expect = {Strategy.Q11: 4, Strategy.Q1K: 6, Strategy.QMK: 14}
         for strategy, qubits in expect.items():
             params = ClusteringParams(k=3, assignment=strategy, m1=150)
-            assert params._circuit_qubits(150, 3) == qubits
+            monkeypatch.setattr(simulator, "MAX_QUBITS", qubits)
+            params.validate(150, 3)
+            monkeypatch.setattr(simulator, "MAX_QUBITS", qubits - 1)
+            with pytest.raises(ValueError, match=f"needs {qubits} qubits"):
+                params.validate(150, 3)
+
+
+class TestSeedValidation:
+    def test_negative_seed_fails_before_seeding(self, monkeypatch):
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+
+        def never(*args, **kwargs):
+            raise AssertionError("k-Means++ ran with a negative seed")
+
+        monkeypatch.setattr(clustering, "kmeanspp_init", never)
+        with pytest.raises(ValueError, match="seed"):
+            run(builtin("iris").matrix, ClusteringParams(k=3, seed=-1))

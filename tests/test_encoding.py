@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkmeans.circuits import CircuitPlan, _make_layout
+from qkmeans.circuits import CircuitPlan, circuit_layout
 from qkmeans.encoding import (
     EncodingContext,
     encode_vector,
     isp,
     isp_rows,
     num_slots,
-    prepare_dataset,
     prepare_vectors,
     recover_distance,
     rotation_angles,
@@ -117,8 +116,7 @@ class TestAngles:
 
 def encoded_state(angles, extra_controls=()):
     """Uniform index register, then the encoding block, on a fresh plan."""
-    n_index = int(math.log2(len(angles)))
-    layout = _make_layout(n_index)
+    layout = circuit_layout(len(angles))
     plan = CircuitPlan(layout)
     plan.gates.extend(h(q) for q in layout.index)
     encode_vector(plan, np.asarray(angles),
@@ -148,7 +146,7 @@ class TestEncodeVector:
         assert kept[i_bits == 1].sum() == pytest.approx(0.0, abs=1e-15)
 
     def test_angle_count_mismatch(self):
-        layout = _make_layout(2)
+        layout = circuit_layout(4)
         plan = CircuitPlan(layout)
         with pytest.raises(ValueError):
             encode_vector(plan, np.zeros(3),
@@ -202,7 +200,7 @@ class TestPrepare:
     def test_prepared_dataset_invariants(self):
         rng = np.random.default_rng(8)
         data = rng.normal(2.0, 3.0, (40, 3))
-        prepared = prepare_dataset(data)
+        prepared = prepare_vectors(standardize(data)[0])
         assert prepared.projected.shape == (40, 4)
         norms = np.linalg.norm(prepared.projected, axis=1)
         assert np.max(np.abs(norms - 1)) <= 1e-12
