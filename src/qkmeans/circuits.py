@@ -232,14 +232,15 @@ def decode_qc3(plan: CircuitPlan, hist: Histogram) -> list[int | None]:
 
 
 def postselection_probability(plan: CircuitPlan, qubit: int | None = None,
-                              value: int = 1) -> float:
+                              value: int = 1) -> float | np.ndarray:
     """Exact probability that ``qubit`` (default: the encoding register)
-    measures ``value`` in the final state."""
+    measures ``value`` in the final state; one per row for a batched plan."""
     if qubit is None:
         qubit = plan.layout.register
     probs = probabilities(simulate(plan))
-    basis = np.arange(probs.shape[0])
-    return float(probs[((basis >> qubit) & 1) == value].sum())
+    basis = np.arange(probs.shape[-1])
+    kept = probs[..., ((basis >> qubit) & 1) == value].sum(axis=-1)
+    return float(kept) if plan.rows is None else kept
 
 
 @dataclass(frozen=True)

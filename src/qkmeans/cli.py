@@ -21,7 +21,12 @@ import click
 import numpy as np
 
 from . import data as datasets
-from .circuits import build_qc3, circuit_stats, postselection_probability
+from .circuits import (
+    build_qc3,
+    circuit_layout,
+    circuit_stats,
+    postselection_probability,
+)
 from .clustering import (
     ClusteringParams,
     Strategy,
@@ -32,6 +37,7 @@ from .clustering import (
 from .encoding import prepare_vectors, standardize
 from .metrics import elbow as elbow_sweep
 from .metrics import pair_confusion, summarize_run
+from .simulator import MAX_QUBITS
 
 SCHEMA_VERSION = 1
 
@@ -334,6 +340,15 @@ def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
     try:
         if slots < 2 or slots & (slots - 1):
             raise ValueError("--slots must be a power of two >= 2")
+        if k < 1:
+            raise ValueError(f"--k must be >= 1, got {k}")
+        if not 1 <= m_min <= m_max:
+            raise ValueError(f"need 1 <= --m-min <= --m-max, got --m-min "
+                             f"{m_min} and --m-max {m_max}")
+        qubits = circuit_layout(slots, m_max, k).num_qubits
+        if qubits > MAX_QUBITS:
+            raise ValueError(f"--m-max {m_max} needs {qubits} qubits, more "
+                             f"than MAX_QUBITS = {MAX_QUBITS}")
         rng = np.random.default_rng(seed)
 
         def unit_rows(count):

@@ -321,6 +321,19 @@ class TestPostselectionProbability:
         plan = build_qc3(angles_of(records), angles_of(centroids))
         assert postselection_probability(plan) < 0.25 - 1e-6
 
+    def test_batched_plan_gives_one_per_row(self):
+        rng = np.random.default_rng(13)
+        records = angles_of(rng.uniform(-1.0, 1.0, (3, 1, 4)))
+        centroids = angles_of(rng.uniform(-1.0, 1.0, (2, 4)))
+        batched = postselection_probability(build_qc3(records, centroids))
+        singles = [postselection_probability(build_qc3(row, centroids))
+                   for row in records]
+        assert all(isinstance(p, float) for p in singles)
+        assert len(set(singles)) == 3 and min(singles) > 0.0
+        # per-row angles take np.cos where one circuit takes math.cos
+        assert batched.shape == (3,)
+        assert batched == pytest.approx(singles, rel=1e-12)
+
 
 class TestCircuitStats:
     def test_empty_plan(self):

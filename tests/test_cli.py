@@ -147,6 +147,23 @@ class TestPostselectCommand:
             "postselect", "--slots", "3", "--out-dir", str(tmp_path)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("args, named", [
+        (["--k", "0"], "--k"),
+        (["--m-min", "0"], "--m-min"),
+        (["--m-min", "5", "--m-max", "2"], "--m-max"),
+        # 2 + 2 index + 22 batch + 1 cluster = 27 qubits
+        (["--m-max", str(2 ** 21 + 1)], "27 qubits"),
+    ])
+    def test_rejected_before_any_output(self, runner, tmp_path, args, named):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["postselect", "--slots", "4", "--k", "2",
+                                      *args, "--out-dir", str(out)])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert named in err["message"]
+        assert not out.exists()
+
 
 class TestStatsCommand:
     def test_iris_q11_reference_echo(self, runner):

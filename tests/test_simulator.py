@@ -11,6 +11,7 @@ from qkmeans.simulator import (
     Histogram,
     Sampled,
     StateVector,
+    _apply_disjoint_ry_run,
     apply_circuit,
     apply_gate,
     h,
@@ -321,3 +322,89 @@ class TestBatchedKernel:
             assert np.array_equal(margin.weights[r],
                                   row.marginal([2, 0]).weights)
         assert hist.shots == weights.sum()
+
+
+def random_ry_run(rng, num_qubits, rows, disjoint):
+    """Up to 8 RYs on one target with controls of both polarities; with
+    ``rows``, float and per-row angles are mixed.  Disjoint runs give each
+    gate its own pattern on a shared control subset, plus extra controls
+    that vary from gate to gate; an overlapping run then gets one more gate
+    with an earlier gate's pattern or a sub-pattern of it."""
+    target = int(rng.integers(num_qubits))
+    others = [q for q in range(num_qubits) if q != target]
+    shared = [int(q) for q in rng.permutation(others)[
+        :int(rng.integers(len(others) + 1))]]
+    rest = [q for q in others if q not in shared]
+    count = int(rng.integers(1, min(8, 1 << len(shared)) + 1))
+
+    def angle():
+        if rows and rng.random() < 0.5:
+            return rng.uniform(-math.pi, math.pi, rows)
+        return float(rng.uniform(-math.pi, math.pi))
+
+    run = []
+    for pattern in rng.choice(1 << len(shared), size=count, replace=False):
+        controls = [(q, (int(pattern) >> b) & 1) for b, q in enumerate(shared)]
+        controls += [(q, int(rng.integers(2))) for q in rest
+                     if rng.random() < 0.5]
+        run.append(ry(angle(), target,
+                      [controls[i] for i in rng.permutation(len(controls))]))
+    if not disjoint:
+        earlier = run[int(rng.integers(count))].controls
+        kept = [c for c in earlier if rng.random() < 0.7]
+        run.insert(int(rng.integers(count + 1)), ry(angle(), target, kept))
+    return run
+
+
+def random_amplitudes(rng, num_qubits, rows):
+    shape = ((rows,) if rows else ()) + (1 << num_qubits,)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+class TestFusedRyRuns:
+    """A run of RYs on one target, applied in one pass when its amplitude
+    pairs are disjoint, against gate-by-gate application."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 5),
+           st.booleans())
+    def test_matches_gate_by_gate(self, seed, num_qubits, rows, disjoint):
+        rng = np.random.default_rng(seed)
+        run = random_ry_run(rng, num_qubits, rows, disjoint)
+        amps = random_amplitudes(rng, num_qubits, rows)
+
+        fused = StateVector(num_qubits, amps.copy())
+        assert _apply_disjoint_ry_run(fused, run) is disjoint
+        gates = run + [h(run[0].target)] + run
+        circuit = apply_circuit(StateVector(num_qubits, amps.copy()), gates)
+        gate_by_gate = StateVector(num_qubits, amps.copy())
+        for gate in gates:
+            apply_gate(gate_by_gate, gate)
+        assert (circuit.amplitudes.tobytes()
+                == gate_by_gate.amplitudes.tobytes())
+
+        once = StateVector(num_qubits, amps.copy())
+        for gate in run:
+            apply_gate(once, gate)
+        expect = once if disjoint else StateVector(num_qubits, amps)
+        assert fused.amplitudes.tobytes() == expect.amplitudes.tobytes()
+
+        for r in range(rows or 1):
+            single = StateVector(num_qubits, (amps[r] if rows else amps).copy())
+            for gate in gates:
+                apply_gate_reference(single, row_gate(gate, r))
+            row = circuit.amplitudes[r] if rows else circuit.amplitudes
+            assert np.max(np.abs(row - single.amplitudes)) <= 1e-12
+
+    def test_checks_every_gate(self):
+        good = ry(np.array([0.1, 0.2]), 0, [(1, 0)])
+        with pytest.raises(ValueError, match="gate angles"):
+            apply_circuit(new_state(3, rows=2),
+                          [good, ry(np.zeros(3), 0, [(1, 1)])])
+        with pytest.raises(ValueError, match="control qubit 5"):
+            apply_circuit(new_state(3, rows=2),
+                          [good, ry(0.3, 0, [(1, 1), (5, 0)])])
+        with pytest.raises(ValueError, match="target qubit 4"):
+            apply_circuit(new_state(3), [ry(0.1, 4, [(1, 0)]),
+                                         ry(0.2, 4, [(1, 1)])])
