@@ -22,6 +22,7 @@ import numpy as np
 
 from . import data as datasets
 from .circuits import (
+    EstimationFailure,
     build_qc3,
     circuit_layout,
     circuit_stats,
@@ -116,8 +117,6 @@ def _default_k(ds: datasets.Dataset, k: int | None) -> int:
 
 
 def _params_options(fn):
-    fn = click.option("--k", type=int, default=None,
-                      help="Number of clusters (default: #classes).")(fn)
     fn = click.option("--shots", type=int, default=1024, show_default=True,
                       help="Base shot count t (scaled by k and M1 for the "
                            "multi-vector circuits).")(fn)
@@ -206,6 +205,8 @@ def main():
 @main.command("run")
 @_dataset_options
 @_params_options
+@click.option("--k", type=int, default=None,
+              help="Number of clusters (default: #classes).")
 @click.option("--algorithm", type=click.Choice(sorted(ALGORITHMS)),
               default="kmeans", show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
@@ -280,7 +281,7 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
                                   for c in cells) + "\n")
         _write_manifest(out, stem, "run", [json_path, csv_path])
         click.echo(f"wrote {json_path} and {csv_path}")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, EstimationFailure) as exc:
         _fail(type(exc).__name__, str(exc))
 
 
@@ -297,7 +298,7 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
 @click.option("--out-dir", type=click.Path(), default="results",
               show_default=True)
 def cmd_elbow(dataset, dataset_csv, label_column, features, top_variance, m,
-              sample, k, shots, m1, delta, sc_thresh, max_ite, analytic,
+              sample, shots, m1, delta, sc_thresh, max_ite, analytic,
               algorithm, k_min, k_max, seeds_per_k, seed, out_dir):
     """SSE-vs-k sweep (best of several seeds per k) written as CSV."""
     try:
@@ -321,7 +322,7 @@ def cmd_elbow(dataset, dataset_csv, label_column, features, top_variance, m,
                 fh.write(f"{kk},{value!r}\n")
         _write_manifest(out, stem, "elbow", [csv_path])
         click.echo(f"wrote {csv_path}")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, EstimationFailure) as exc:
         _fail(type(exc).__name__, str(exc))
 
 

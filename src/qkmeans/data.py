@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from importlib.resources import files
+from importlib.resources import as_file, files
 from pathlib import Path
 
 import numpy as np
@@ -221,19 +221,8 @@ def select_features(ds: Dataset, names=None, top_variance: int | None = None
 
 
 def _bundled(filename: str, label_column: str) -> Dataset:
-    resource = files("qkmeans").joinpath(f"datasets/{filename}")
-    with resource.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    label_idx = header.index(label_column)
-    matrix, truth = [], []
-    for row in rows[1:]:
-        truth.append(int(row[label_idx]))
-        matrix.append([float(cell) for i, cell in enumerate(row)
-                       if i != label_idx])
-    names = [name for i, name in enumerate(header) if i != label_idx]
-    return Dataset(filename.rsplit(".", 1)[0], np.asarray(matrix),
-                   np.asarray(truth, dtype=np.int64), names)
+    with as_file(files("qkmeans").joinpath(f"datasets/{filename}")) as path:
+        return load_csv(path, label_column=label_column)
 
 
 def load_iris() -> Dataset:

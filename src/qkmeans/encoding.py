@@ -105,12 +105,6 @@ class EncodingContext:
     register_qubit: int
     extra_controls: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        used = [*self.index_qubits, self.register_qubit,
-                *(q for q, _ in self.extra_controls)]
-        if len(set(used)) != len(used):
-            raise ValueError("encoding context qubits must be distinct")
-
 
 def encode_vector(plan, angles: np.ndarray, ctx: EncodingContext) -> None:
     """Append the pattern-controlled rotations that write ``angles`` into the

@@ -12,15 +12,14 @@ Multi-controlled gates are applied natively on the statevector (the control
 pattern selects the amplitude pairs), never decomposed.  ``apply_gate`` is
 the per-gate kernel and the source of truth.
 
-``apply_circuit`` also recognises an amplitude-encoding block, a uniformly
-controlled rotation: a run of consecutive RYs on one target.  When the run
-has two or more gates and no two of them act on a common amplitude pair
-(exactly when every two of them control some qubit with opposite
-polarities), the gates commute, and the run is applied in one
-gather/scatter pass per set of control qubits.  The pass checks every gate
-as ``apply_gate`` does and uses its coefficients and elementwise formula, so
-the amplitudes are the same bytes as gate by gate.  Any other gate, and
-every gate of a run whose pairs overlap, goes through ``apply_gate``.
+``apply_circuit`` also applies an amplitude-encoding block, a uniformly
+controlled rotation, in one pass.  Its RYs share one target and one set of
+control qubits and differ only in their polarity pattern, so no two of them
+act on a common amplitude pair: they commute, and a run of two or more
+consecutive such gates is applied in one gather/scatter pass with
+``apply_gate``'s checks, coefficients and elementwise formula, giving the
+same bytes as gate by gate.  Every other gate, a lone RY and a run that
+repeats a pattern go through ``apply_gate``.
 
 A state may carry a leading batch axis: ``(B, 2^q)`` amplitudes are B
 circuits that share one gate list, and an RY angle may then be a length-B
@@ -29,10 +28,9 @@ array, one angle per row.  Histograms keep the same leading axis.
 
 from __future__ import annotations
 
-import array
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,12 +46,15 @@ class Gate:
     polarity-annotated controls ``((qubit, polarity), ...)``.
 
     An RY angle is a float, or a 1-D array with one angle per row of a
-    batched state."""
+    batched state.  ``mask`` (the control qubits as bits) and ``base`` (the
+    basis-index bits their polarities set) are derived from ``controls``."""
 
     kind: str
     target: int
     theta: float | np.ndarray = 0.0
     controls: tuple[tuple[int, int], ...] = ()
+    mask: int = field(init=False, repr=False, compare=False)
+    base: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("h", "x", "ry"):
@@ -66,14 +67,22 @@ class Gate:
             finite = math.isfinite(self.theta)
         if not finite:
             raise ValueError("gate angle must be finite")
-        cq = [q for q, _ in self.controls]
-        if len(set(cq)) != len(cq):
-            raise ValueError("control qubits must be pairwise distinct")
-        if self.target in cq:
-            raise ValueError("target qubit cannot also be a control")
-        for _, pol in self.controls:
+        if self.target < 0:
+            raise ValueError(f"target qubit {self.target} is negative")
+        mask = base = 0
+        for cq, pol in self.controls:
+            if cq < 0:
+                raise ValueError(f"control qubit {cq} is negative")
             if pol not in (0, 1):
                 raise ValueError("control polarity must be 0 or 1")
+            mask |= 1 << cq
+            base |= pol << cq
+        if mask.bit_count() != len(self.controls):
+            raise ValueError("control qubits must be pairwise distinct")
+        if mask >> self.target & 1:
+            raise ValueError("target qubit cannot also be a control")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "base", base)
 
     @property
     def qubits(self) -> set[int]:
@@ -136,25 +145,20 @@ def new_state(num_qubits: int, rows: int | None = None) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _checked_controls(state: StateVector, gate: Gate) -> tuple[int, int]:
+def _check(state: StateVector, gate: Gate) -> None:
     """Make the checks every kernel makes: target and controls inside the
-    register, and one angle per row for a per-row RY.  Return the control
-    qubits as a bit mask, and the basis-index bits their polarities set."""
+    register, and one angle per row for a per-row RY."""
     q = state.num_qubits
-    if not 0 <= gate.target < q:
+    if gate.target >= q:
         raise ValueError(f"target qubit {gate.target} out of range for {q} qubits")
-    mask = base = 0
-    for cq, pol in gate.controls:
-        if not 0 <= cq < q:
-            raise ValueError(f"control qubit {cq} out of range for {q} qubits")
-        mask |= 1 << cq
-        base |= pol << cq
+    if gate.mask >> q:
+        raise ValueError(f"control qubit {gate.mask.bit_length() - 1} out of "
+                         f"range for {q} qubits")
     if isinstance(gate.theta, np.ndarray):
         shape = state.amplitudes.shape
         if gate.theta.shape != shape[:-1]:
             raise ValueError(f"{gate.theta.shape[0]} gate angles for a state "
                              f"of shape {shape}")
-    return mask, base
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -165,7 +169,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     into the |0> and |1> halves, so the 2x2 block acts on views of the
     matching amplitude pairs and all other amplitudes are untouched.
     """
-    _checked_controls(state, gate)
+    _check(state, gate)
     q = state.num_qubits
     if not state.amplitudes.flags.c_contiguous:
         state.amplitudes = np.ascontiguousarray(state.amplitudes)
@@ -197,7 +201,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _pair_indices(num_qubits: int, target: int, controls: int,
-                  bases: array.array) -> np.ndarray:
+                  bases: list[int]) -> np.ndarray:
     """The (2, gates, free) basis indices of the amplitude pairs that RYs on
     ``target`` act on, for gates that share the control qubits set in the
     bit mask ``controls``: each gate's polarity pattern (its base) plus
@@ -231,60 +235,47 @@ def _rotate_pairs(basis_first: np.ndarray, idx: np.ndarray, c: np.ndarray,
     basis_first[idx] = new
 
 
-def _apply_disjoint_ry_run(state: StateVector, run: list[Gate]) -> bool:
-    """Apply a run of RYs on one target with one gather/scatter pass per
-    set of control qubits, if no two of them act on a common amplitude pair;
-    return False, with the state untouched, if some two do.
+def _apply_ry_run(state: StateVector, run: list[Gate]) -> None:
+    """Apply RYs that share one target and one set of control qubits, each
+    with its own polarity pattern, in one gather/scatter pass.
 
-    Disjoint gates commute, so the pass equals applying them one by one,
-    and with ``apply_gate``'s coefficients and formula it does so bit for
-    bit.
+    Such gates act on disjoint amplitude pairs and so commute; with
+    ``apply_gate``'s coefficients and formula the pass equals applying them
+    one by one, bit for bit.
     """
-    # by control mask; the bases go in a typed array: a list of thousands
-    # of int objects kept about 2 MiB more resident through a qM:k run
-    groups: dict[int, tuple[list[Gate], array.array]] = {}
     for gate in run:
-        mask, base = _checked_controls(state, gate)
-        gates, bases = groups.setdefault(mask, ([], array.array("q")))
-        gates.append(gate)
-        bases.append(base)
-    pairs = [_pair_indices(state.num_qubits, run[0].target, mask, bases)
-             for mask, (_, bases) in groups.items()]
-    starts = np.sort(np.concatenate([idx[0].ravel() for idx in pairs]))
-    if (starts[1:] == starts[:-1]).any():
-        return False
-    del starts  # before the pair-sized buffers
+        _check(state, gate)
+    first = run[0]
+    idx = _pair_indices(state.num_qubits, first.target, first.mask,
+                        [gate.base for gate in run])
     lead = state.amplitudes.shape[:-1]
-    basis_first = np.moveaxis(state.amplitudes, -1, 0)  # a view
-    for (gates, _), idx in zip(groups.values(), pairs):
-        per_row = any(isinstance(gate.theta, np.ndarray) for gate in gates)
-        rows = lead if per_row else (1,) * len(lead)
-        # filled gate by gate, so that no per-gate objects pile up
-        cos_sin = np.empty((len(gates), 2) + (lead if per_row else ()))
-        for i, gate in enumerate(gates):
-            pair = _half_cos_sin(gate.theta)
-            # a float angle's pair spans every row
-            cos_sin[i] = np.reshape(pair, (2, -1)) if per_row else pair
-        c, s = np.moveaxis(cos_sin, 1, 0).reshape((2, len(gates), 1) + rows)
-        _rotate_pairs(basis_first, idx, c, s)
-    return True
+    per_row = any(isinstance(gate.theta, np.ndarray) for gate in run)
+    rows = lead if per_row else (1,) * len(lead)
+    # filled gate by gate, so that no per-gate objects pile up
+    cos_sin = np.empty((len(run), 2) + (lead if per_row else ()))
+    for i, gate in enumerate(run):
+        pair = _half_cos_sin(gate.theta)
+        # a float angle's pair spans every row
+        cos_sin[i] = np.reshape(pair, (2, -1)) if per_row else pair
+    c, s = np.moveaxis(cos_sin, 1, 0).reshape((2, len(run), 1) + rows)
+    _rotate_pairs(np.moveaxis(state.amplitudes, -1, 0), idx, c, s)
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:
     """Apply ``gates`` in order, in place, and return the state.
 
-    Each maximal run of two or more consecutive RYs on one target whose
-    amplitude pairs are pairwise disjoint (an encoding block) goes through
-    ``_apply_disjoint_ry_run``; every other gate goes through
-    ``apply_gate``.  The amplitudes are the same bytes either way.
+    Each maximal run of two or more consecutive RYs with one target, one
+    set of control qubits and pairwise different polarity patterns (an
+    encoding block) goes through ``_apply_ry_run``; every other gate goes
+    through ``apply_gate``.  The amplitudes are the same bytes either way.
     """
-    def ry_target(gate: Gate) -> int | None:
-        return gate.target if gate.kind == "ry" else None
-
-    for target, run in itertools.groupby(gates, key=ry_target):
+    for (kind, _, _), run in itertools.groupby(
+            gates, key=lambda gate: (gate.kind, gate.target, gate.mask)):
         run = list(run)
-        if (target is None or len(run) < 2
-                or not _apply_disjoint_ry_run(state, run)):
+        if (kind == "ry" and len(run) > 1
+                and len({gate.base for gate in run}) == len(run)):
+            _apply_ry_run(state, run)
+        else:
             for gate in run:
                 apply_gate(state, gate)
     return state

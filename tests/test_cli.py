@@ -94,6 +94,22 @@ class TestRunCommand:
         assert err["error"] == "ValueError"
         assert "nope" in err["message"]
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--dataset", "iris", "--algorithm", "q11"],
+        ["elbow", "--dataset", "iris", "--algorithm", "q11", "--k-min", "2",
+         "--k-max", "2", "--seeds-per-k", "1"],
+    ])
+    def test_estimation_failure_is_machine_readable(self, runner, tmp_path,
+                                                    command):
+        # one shot, four on retry: some register post-selection keeps none
+        out = tmp_path / "out"
+        result = runner.invoke(main, command + ["--shots", "1",
+                                                "--out-dir", str(out)])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "EstimationFailure"
+        assert not out.exists()
+
 
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", [
@@ -118,6 +134,16 @@ class TestElbowCommand:
         lines = (tmp_path / "blobs3_kmeans_elbow.csv").read_text().splitlines()
         assert lines[0] == "k,sse"
         assert len(lines) == 2
+
+    def test_k_is_refused(self, runner, tmp_path):
+        # elbow sweeps k itself; a --k it would ignore is an error
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "elbow", "--dataset", "blobs3", "--k", "7", "--k-min", "2",
+            "--k-max", "2", "--out-dir", str(out)])
+        assert result.exit_code == 2
+        assert "--k" in result.output
+        assert not out.exists()
 
     def test_k_max_over_m(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkmeans import simulator
+from qkmeans.circuits import build_qc3, simulate
 from qkmeans.simulator import (
     Analytic,
     Gate,
     Histogram,
     Sampled,
     StateVector,
-    _apply_disjoint_ry_run,
+    _apply_ry_run,
     apply_circuit,
     apply_gate,
     h,
@@ -102,6 +104,17 @@ class TestApplyGate:
             ry(1.0, 0, [(0, 1)])
         with pytest.raises(ValueError):
             ry(1.0, 0, [(1, 1), (1, 0)])
+
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(ValueError, match="control qubit -1"):
+            ry(1.0, 0, [(1, 1), (-1, 0)])
+        with pytest.raises(ValueError, match="target qubit -2"):
+            h(-2)
+
+    def test_mask_and_base(self):
+        gate = ry(1.0, 2, [(0, 1), (4, 0), (3, 1)])
+        assert (gate.mask, gate.base) == (0b11001, 0b01001)
+        assert (h(1).mask, h(1).base) == (0, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -324,17 +337,19 @@ class TestBatchedKernel:
         assert hist.shots == weights.sum()
 
 
-def random_ry_run(rng, num_qubits, rows, disjoint):
+def random_ry_run(rng, num_qubits, rows, disjoint, same_controls):
     """Up to 8 RYs on one target with controls of both polarities; with
     ``rows``, float and per-row angles are mixed.  Disjoint runs give each
-    gate its own pattern on a shared control subset, plus extra controls
-    that vary from gate to gate; an overlapping run then gets one more gate
-    with an earlier gate's pattern or a sub-pattern of it."""
+    gate its own pattern on a shared control subset; without
+    ``same_controls`` each gate also gets extra controls that vary from gate
+    to gate.  An overlapping run then gets one more gate: with
+    ``same_controls`` an exact repeat of an earlier gate's pattern, else
+    that pattern or a sub-pattern of it."""
     target = int(rng.integers(num_qubits))
     others = [q for q in range(num_qubits) if q != target]
     shared = [int(q) for q in rng.permutation(others)[
         :int(rng.integers(len(others) + 1))]]
-    rest = [q for q in others if q not in shared]
+    rest = [] if same_controls else [q for q in others if q not in shared]
     count = int(rng.integers(1, min(8, 1 << len(shared)) + 1))
 
     def angle():
@@ -351,7 +366,7 @@ def random_ry_run(rng, num_qubits, rows, disjoint):
                       [controls[i] for i in rng.permutation(len(controls))]))
     if not disjoint:
         earlier = run[int(rng.integers(count))].controls
-        kept = [c for c in earlier if rng.random() < 0.7]
+        kept = [c for c in earlier if same_controls or rng.random() < 0.7]
         run.insert(int(rng.integers(count + 1)), ry(angle(), target, kept))
     return run
 
@@ -363,19 +378,18 @@ def random_amplitudes(rng, num_qubits, rows):
 
 
 class TestFusedRyRuns:
-    """A run of RYs on one target, applied in one pass when its amplitude
-    pairs are disjoint, against gate-by-gate application."""
+    """A run of RYs on one target and one set of control qubits, applied in
+    one pass when their patterns differ, against gate-by-gate application."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 5),
-           st.booleans())
-    def test_matches_gate_by_gate(self, seed, num_qubits, rows, disjoint):
+           st.booleans(), st.booleans())
+    def test_matches_gate_by_gate(self, seed, num_qubits, rows, disjoint,
+                                  same_controls):
         rng = np.random.default_rng(seed)
-        run = random_ry_run(rng, num_qubits, rows, disjoint)
+        run = random_ry_run(rng, num_qubits, rows, disjoint, same_controls)
         amps = random_amplitudes(rng, num_qubits, rows)
 
-        fused = StateVector(num_qubits, amps.copy())
-        assert _apply_disjoint_ry_run(fused, run) is disjoint
         gates = run + [h(run[0].target)] + run
         circuit = apply_circuit(StateVector(num_qubits, amps.copy()), gates)
         gate_by_gate = StateVector(num_qubits, amps.copy())
@@ -384,11 +398,13 @@ class TestFusedRyRuns:
         assert (circuit.amplitudes.tobytes()
                 == gate_by_gate.amplitudes.tobytes())
 
-        once = StateVector(num_qubits, amps.copy())
-        for gate in run:
-            apply_gate(once, gate)
-        expect = once if disjoint else StateVector(num_qubits, amps)
-        assert fused.amplitudes.tobytes() == expect.amplitudes.tobytes()
+        if same_controls and disjoint:
+            fused = StateVector(num_qubits, amps.copy())
+            _apply_ry_run(fused, run)
+            once = StateVector(num_qubits, amps.copy())
+            for gate in run:
+                apply_gate(once, gate)
+            assert fused.amplitudes.tobytes() == once.amplitudes.tobytes()
 
         for r in range(rows or 1):
             single = StateVector(num_qubits, (amps[r] if rows else amps).copy())
@@ -404,7 +420,35 @@ class TestFusedRyRuns:
                           [good, ry(np.zeros(3), 0, [(1, 1)])])
         with pytest.raises(ValueError, match="control qubit 5"):
             apply_circuit(new_state(3, rows=2),
-                          [good, ry(0.3, 0, [(1, 1), (5, 0)])])
+                          [ry(0.3, 0, [(1, 0), (5, 1)]),
+                           ry(0.3, 0, [(1, 1), (5, 0)])])
         with pytest.raises(ValueError, match="target qubit 4"):
             apply_circuit(new_state(3), [ry(0.1, 4, [(1, 0)]),
                                          ry(0.2, 4, [(1, 1)])])
+
+    @pytest.mark.parametrize("records, centroids, passes", [
+        ((5, 1, 4), (5, 1, 4), 1),  # q1:1 rows: one block, ancilla apart
+        ((5, 1, 4), (3, 4), 2),     # q1:k rows
+        ((6, 4), (3, 4), 2),        # qM:k
+    ])
+    def test_assignment_blocks_take_one_pass_each(self, monkeypatch, records,
+                                                  centroids, passes):
+        rng = np.random.default_rng(0)
+        plan = build_qc3(rng.uniform(0.1, 3.0, records),
+                         rng.uniform(0.1, 3.0, centroids))
+        fused, single = [], []
+
+        def count_run(state, run):
+            fused.append(len(run))
+            _apply_ry_run(state, run)
+
+        def count_gate(state, gate):
+            single.append(gate.kind)
+            return apply_gate(state, gate)
+
+        monkeypatch.setattr(simulator, "_apply_ry_run", count_run)
+        monkeypatch.setattr(simulator, "apply_gate", count_gate)
+        simulate(plan)
+        assert len(fused) == passes
+        assert sum(fused) == sum(g.kind == "ry" for g in plan.gates)
+        assert set(single) == {"h"}
