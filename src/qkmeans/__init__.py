@@ -30,10 +30,7 @@ from .clustering import (
 )
 from .data import Dataset, builtin, gen_aniso, gen_blobs, gen_moons, load_csv
 from .encoding import (
-    EncodingContext,
     PreparedVectors,
-    encode_vector,
-    isp,
     prepare_vectors,
     recover_distance,
     standardize,

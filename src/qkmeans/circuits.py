@@ -14,24 +14,35 @@ centroid(s) in the ancilla-1 branch, final H on the ancilla.  Decoding
 post-selects the encoding register qubit on 1 and the ancilla on 0, then
 discards patterns that do not address anything actually loaded
 (non-power-of-two record or cluster counts leave such slots empty).
+
+Each encoding branch is one uniformly controlled RY on the register qubit
+(Möttönen et al. 2004), held as an ``EncodingBlock``: its ancilla polarity,
+its address register and a zero-padded angle table.  ``simulate`` writes
+the leading H layer as a product state, applies each block as one
+broadcast 2x2 rotation with ``apply_gate``'s formula and coefficients, and
+the final H through ``apply_gate``.  ``CircuitPlan.gates`` expands the
+blocks into the per-slot gate list, which stays the source of truth: the
+block pass gives the same amplitude bytes as ``apply_gate`` run over it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingContext, encode_vector
 from .simulator import (
     Gate,
     Histogram,
     StateVector,
-    apply_circuit,
+    _apply_2x2,
+    _half_cos_sin,
+    apply_gate,
     h,
     new_state,
     probabilities,
+    ry,
 )
 
 
@@ -63,6 +74,11 @@ class Layout:
     def num_qubits(self) -> int:
         return 2 + len(self.index) + len(self.batch) + len(self.cluster)
 
+    @property
+    def hadamards(self) -> tuple[int, ...]:
+        """The qubits of the leading H layer: all but the register."""
+        return (self.ancilla,) + self.index + self.batch + self.cluster
+
 
 def circuit_layout(slots: int, records: int = 1, clusters: int = 1) -> Layout:
     """The layout of a circuit that loads ``records`` records against
@@ -82,16 +98,60 @@ def circuit_layout(slots: int, records: int = 1, clusters: int = 1) -> Layout:
                   tuple(range(register + 1, register + 1 + n_cluster)))
 
 
+@dataclass(frozen=True)
+class EncodingBlock:
+    """One amplitude-encoding branch as a uniformly controlled RY on the
+    register qubit, controlled by the index register, the ancilla at
+    polarity ``branch`` and the ``address`` register (batch for the
+    records, cluster for the centroids).
+
+    ``angles[..., a, slot]`` is the rotation for address pattern a and
+    index pattern slot, zero where nothing is loaded: shape
+    ``(2^len(address), slots)`` shared by every row, or with a leading axis
+    of one table per row."""
+
+    branch: int
+    address: tuple[int, ...]
+    angles: np.ndarray
+
+    def __post_init__(self):
+        if not np.isfinite(self.angles).all():
+            raise ValueError("encoding angles must be finite")
+
+    def gates(self, layout: Layout) -> list[Gate]:
+        """The block as one RY per slot that is nonzero in some row, address
+        pattern by address pattern, with one angle per row for a per-row
+        table."""
+        table = self.angles
+        used = np.any(table != 0.0, axis=tuple(range(table.ndim - 2)))
+        gates = []
+        for a, slot in zip(*np.nonzero(used)):
+            theta = table[..., a, slot]
+            controls = (_pattern(layout.index, slot)
+                        + ((layout.ancilla, self.branch),)
+                        + _pattern(self.address, a))
+            gates.append(ry(theta.copy() if theta.ndim else float(theta),
+                            layout.register, controls))
+        return gates
+
+
+def _pattern(qubits, value) -> tuple[tuple[int, int], ...]:
+    """Controls that fire when ``qubits`` (bit b on qubits[b]) hold
+    ``value``."""
+    return tuple((qb, (int(value) >> b) & 1) for b, qb in enumerate(qubits))
+
+
 @dataclass
 class CircuitPlan:
-    """An ordered gate list plus the register layout it acts on.
+    """The assignment circuit on its register layout: the leading H layer,
+    the record block, the centroid block and a final H on the ancilla.
 
     ``rows`` is None for one circuit; otherwise the plan is that many
-    circuits sharing the gate list, whose RY angles carry one value per
-    row."""
+    circuits sharing the skeleton, whose per-row tables carry one angle
+    table per row."""
 
     layout: Layout
-    gates: list[Gate] = field(default_factory=list)
+    blocks: tuple[EncodingBlock, ...]
     num_records: int = 1
     num_clusters: int = 1
     rows: int | None = None
@@ -99,6 +159,24 @@ class CircuitPlan:
     @property
     def num_qubits(self) -> int:
         return self.layout.num_qubits
+
+    @property
+    def gates(self) -> list[Gate]:
+        """The plan as the ordered gate list that ``apply_gate`` runs."""
+        layout = self.layout
+        gates = [h(q) for q in layout.hadamards]
+        for block in self.blocks:
+            gates.extend(block.gates(layout))
+        gates.append(h(layout.ancilla))
+        return gates
+
+
+def _table(angles: np.ndarray, address_qubits: int) -> np.ndarray:
+    """Angles ``(..., n, slots)`` zero-padded to 2^address_qubits rows."""
+    table = np.zeros(angles.shape[:-2] + (1 << address_qubits,
+                                          angles.shape[-1]))
+    table[..., :angles.shape[-2], :] = angles
+    return table
 
 
 def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
@@ -110,7 +188,7 @@ def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
     Record v's rotations carry v's bit pattern on the batch register (and
     are not controlled by the cluster register); centroid j's carry j's
     pattern on the cluster register only.  Records ``(B, M1, slots)`` build
-    B circuits at once on one shared gate list, against centroids
+    B circuits at once on one shared skeleton, against centroids
     ``(B, k, slots)``, or ``(k, slots)`` shared by every row.
     """
     records = np.asarray(records_angles, dtype=float)
@@ -125,24 +203,60 @@ def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
                          f"centroids {centroids.shape[-1]}")
     m1, k = records.shape[-2], centroids.shape[-2]
     layout = circuit_layout(records.shape[-1], m1, k)
-    plan = CircuitPlan(layout, num_records=m1, num_clusters=k,
+    blocks = tuple(
+        EncodingBlock(branch, address, _table(angles, len(address)))
+        for angles, branch, address in ((records, 0, layout.batch),
+                                        (centroids, 1, layout.cluster)))
+    return CircuitPlan(layout, blocks, num_records=m1, num_clusters=k,
                        rows=records.shape[0] if records.ndim == 3 else None)
-    plan.gates.append(h(layout.ancilla))
-    plan.gates.extend(h(q) for q in layout.index + layout.batch
-                      + layout.cluster)
-    for angles, branch, address in ((records, 0, layout.batch),
-                                    (centroids, 1, layout.cluster)):
-        for v in range(angles.shape[-2]):
-            pattern = tuple((qb, (v >> b) & 1) for b, qb in enumerate(address))
-            encode_vector(plan, angles[..., v, :], EncodingContext(
-                layout.index, layout.register,
-                ((layout.ancilla, branch),) + pattern))
-    plan.gates.append(h(layout.ancilla))
-    return plan
+
+
+def _apply_block(state: StateVector, plan: CircuitPlan,
+                 block: EncodingBlock) -> None:
+    """Apply ``block`` in place as one broadcast rotation.
+
+    In the layout view the ancilla axis is fixed to the block's branch and
+    the register axis splits into the pairs' halves; every pair then meets
+    the table entry of its address and index pattern.  With ``apply_gate``'s
+    formula and coefficients this equals the block's gates applied one by
+    one, bit for bit: a zero entry leaves a pair as it is unless an
+    amplitude is -0.0, and the H-layer state a block acts on holds none.
+    """
+    layout, table = plan.layout, block.angles
+    lead = state.amplitudes.shape[:-1]
+    n_address = 1 << len(block.address)
+    if table.shape[-2:] != (n_address, 1 << len(layout.index)):
+        raise ValueError(f"an angle table of shape {table.shape} does not "
+                         f"fit {len(block.address)} address and "
+                         f"{len(layout.index)} index qubits")
+    if table.ndim == 3 and table.shape[:1] != lead:
+        raise ValueError(f"{table.shape[0]} angle tables for a state of "
+                         f"shape {state.amplitudes.shape}")
+    view = _layout_view(plan, state.amplitudes)
+    # view[..., cluster, register, batch, index, ancilla]; halves drop the
+    # register and ancilla axes, so the table broadcasts as (cluster, batch,
+    # index) with the address axis at the block's register
+    spread = (n_address, 1) if block.address == layout.cluster else (
+        1, n_address)
+    # a shared table's gates carry float angles, so its coefficients are
+    # taken entry by entry; a per-row table's come at once
+    cos_sin = _half_cos_sin(table if table.ndim == 3
+                            else table.ravel().tolist())
+    c, s = np.reshape(cos_sin, (2,) + table.shape[:-2] + spread
+                      + table.shape[-1:])
+    halves = [(..., slice(None), bit, slice(None), slice(None), block.branch)
+              for bit in (0, 1)]
+    _apply_2x2(view, *halves, c, -s, s, c)
 
 
 def simulate(plan: CircuitPlan) -> StateVector:
-    return apply_circuit(new_state(plan.num_qubits, plan.rows), plan.gates)
+    """The plan's final state: the leading H layer written as a product
+    state, each encoding block in one pass, then the final H."""
+    layout = plan.layout
+    state = new_state(plan.num_qubits, plan.rows, layout.hadamards)
+    for block in plan.blocks:
+        _apply_block(state, plan, block)
+    return apply_gate(state, h(layout.ancilla))
 
 
 def _ordered_sum(values: np.ndarray) -> np.ndarray:
@@ -152,11 +266,11 @@ def _ordered_sum(values: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(values, -1, 0))
 
 
-def _layout_view(plan: CircuitPlan, hist: Histogram) -> np.ndarray:
-    """The weights with one axis per register, most significant first:
-    (rows..., cluster, register, batch, index, ancilla)."""
+def _layout_view(plan: CircuitPlan, values: np.ndarray) -> np.ndarray:
+    """Amplitudes or weights with one axis per register, most significant
+    first: (rows..., cluster, register, batch, index, ancilla)."""
     layout = plan.layout
-    return hist.weights.reshape(hist.weights.shape[:-1] + (
+    return values.reshape(values.shape[:-1] + (
         1 << len(layout.cluster), 2, 1 << len(layout.batch),
         1 << len(layout.index), 2))
 
@@ -178,7 +292,8 @@ def estimate_distance(plan: CircuitPlan, hist: Histogram):
     histogram gives one estimate and one kept count per row.
     """
     # QC1 has no cluster or batch register; keep register = 1
-    kept = _layout_view(plan, hist)[..., 0, 1, 0, :, :]  # (..., index, ancilla)
+    weights = _layout_view(plan, hist.weights)
+    kept = weights[..., 0, 1, 0, :, :]  # (..., index, ancilla)
     t_prime = _ordered_sum(kept.reshape(kept.shape[:-2] + (-1,)))
     _empty_rows(t_prime, "register post-selection")
     zeros = _ordered_sum(kept[..., 0])  # ancilla = 0
@@ -204,7 +319,8 @@ def assignment_histogram(plan: CircuitPlan, hist: Histogram) -> AssignmentHistog
     """Post-select register=1 and ancilla=0, then bucket the surviving counts
     by (record slot, cluster), discarding patterns beyond the loaded counts."""
     # register = 1, ancilla = 0
-    kept = _layout_view(plan, hist)[..., 1, :, :, 0]  # (..., j, v, index)
+    weights = _layout_view(plan, hist.weights)
+    kept = weights[..., 1, :, :, 0]  # (..., j, v, index)
     cells = _ordered_sum(kept)[..., :plan.num_clusters, :plan.num_records]
     counts = np.swapaxes(cells, -1, -2)
     total = hist.shots

@@ -212,7 +212,8 @@ def main():
 @click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--reps", type=int, default=1, show_default=True,
               help="Independent seeded repetitions.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              show_default=True,
               help="Worker processes for the repetitions.")
 @click.option("--out-dir", type=click.Path(), default="results",
               show_default=True)
@@ -292,7 +293,8 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
               default="kmeans", show_default=True)
 @click.option("--k-min", type=int, default=2, show_default=True)
 @click.option("--k-max", type=int, default=8, show_default=True)
-@click.option("--seeds-per-k", type=int, default=5, show_default=True,
+@click.option("--seeds-per-k", type=click.IntRange(min=1), default=5,
+              show_default=True,
               help="Runs per k; the best SSE wins.")
 @click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default="results",

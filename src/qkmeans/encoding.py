@@ -1,9 +1,9 @@
 """Classical-to-quantum data preparation.
 
 Pipeline: z-score standardization, inverse stereographic projection onto the
-unit sphere (one extra dimension), conversion to rotation angles, and the
-pattern-controlled RY sequences that write a vector's entries into the
-amplitudes of an index register (post-selected on a register qubit).
+unit sphere (one extra dimension), and conversion to the rotation angles
+that the circuit's encoding blocks write into the amplitudes of an index
+register (post-selected on a register qubit).
 
 The projection stores each row's pre-projection norm so original-space
 distances can be recovered from projected-space ones:
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .simulator import ry
 
 DISTANCE_SLACK = 1e-6
 
@@ -36,19 +34,13 @@ def standardize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (data - mean) / safe, mean, std
 
 
-def isp(x: np.ndarray) -> np.ndarray:
-    """Project an N-vector onto the unit sphere in N+1 dimensions.
+def isp_rows(matrix: np.ndarray) -> np.ndarray:
+    """Project each row of an M x N matrix onto the unit sphere in N+1
+    dimensions; returns M x (N+1).
 
     ISP(x) = (2 x / (|x|^2 + 1), (|x|^2 - 1)/(|x|^2 + 1)); the origin maps to
     the south pole and unit vectors land on the equator unchanged.
     """
-    x = np.asarray(x, dtype=float)
-    s = float(np.dot(x, x))
-    return np.append(2.0 * x / (s + 1.0), (s - 1.0) / (s + 1.0))
-
-
-def isp_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise ``isp`` for an M x N matrix; returns M x (N+1)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     s = np.sum(matrix * matrix, axis=1, keepdims=True)
     return np.hstack([2.0 * matrix / (s + 1.0), (s - 1.0) / (s + 1.0)])
@@ -92,44 +84,6 @@ def rotation_angles(unit_row: np.ndarray, slots: int) -> np.ndarray:
     return angles
 
 
-@dataclass(frozen=True)
-class EncodingContext:
-    """Where an amplitude-encoding block plugs into a larger circuit.
-
-    ``index_qubits[b]`` carries bit ``b`` of the slot index; ``extra_controls``
-    are additional (qubit, polarity) conditions (ancilla branch, cluster
-    pattern, batch pattern).
-    """
-
-    index_qubits: tuple[int, ...]
-    register_qubit: int
-    extra_controls: tuple[tuple[int, int], ...] = ()
-
-
-def encode_vector(plan, angles: np.ndarray, ctx: EncodingContext) -> None:
-    """Append the pattern-controlled rotations that write ``angles`` into the
-    register qubit's |1> branch, one controlled RY per nonzero slot.
-
-    The slot's bit pattern is expressed directly as control polarities on the
-    index qubits, so no X gates are emitted; zero-angle slots (padding or
-    zero entries) emit nothing.  Given (B, slots) rows of angles, each RY
-    carries one angle per row, and a slot is left out only when it is zero
-    in every row.
-    """
-    slots = 1 << len(ctx.index_qubits)
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape[-1] != slots:
-        raise ValueError(f"expected {slots} angles, got {angles.shape[-1]}")
-    used = np.any(angles != 0.0, axis=tuple(range(angles.ndim - 1)))
-    for slot in np.flatnonzero(used).tolist():
-        theta = angles[..., slot]
-        pattern = tuple(
-            (qb, (slot >> b) & 1) for b, qb in enumerate(ctx.index_qubits)
-        )
-        plan.gates.append(ry(theta.copy() if theta.ndim else float(theta),
-                             ctx.register_qubit, pattern + ctx.extra_controls))
-
-
 @dataclass
 class PreparedVectors:
     """Rows ready for encoding: unit-norm projections, the pre-projection
@@ -145,10 +99,6 @@ class PreparedVectors:
     @property
     def slots(self) -> int:
         return self.angles.shape[1]
-
-    @property
-    def index_size(self) -> int:
-        return self.slots.bit_length() - 1
 
 
 def prepare_vectors(std_rows: np.ndarray, slots: int | None = None) -> PreparedVectors:

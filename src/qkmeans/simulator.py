@@ -10,16 +10,11 @@ Conventions, used everywhere in this package:
 
 Multi-controlled gates are applied natively on the statevector (the control
 pattern selects the amplitude pairs), never decomposed.  ``apply_gate`` is
-the per-gate kernel and the source of truth.
-
-``apply_circuit`` also applies an amplitude-encoding block, a uniformly
-controlled rotation, in one pass.  Its RYs share one target and one set of
-control qubits and differ only in their polarity pattern, so no two of them
-act on a common amplitude pair: they commute, and a run of two or more
-consecutive such gates is applied in one gather/scatter pass with
-``apply_gate``'s checks, coefficients and elementwise formula, giving the
-same bytes as gate by gate.  Every other gate, a lone RY and a run that
-repeats a pattern go through ``apply_gate``.
+the per-gate kernel and the source of truth.  Its elementwise formula lives
+in ``_apply_2x2``, which the circuit layer's encoding-block pass shares, and
+its RY coefficients come from ``_half_cos_sin``.  ``new_state`` can start
+from a layer of H gates on |0...0>, written directly as the product state
+those gates give.
 
 A state may carry a leading batch axis: ``(B, 2^q)`` amplitudes are B
 circuits that share one gate list, and an RY angle may then be a length-B
@@ -28,9 +23,8 @@ array, one angle per row.  Histograms keep the same leading axis.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +40,12 @@ class Gate:
     polarity-annotated controls ``((qubit, polarity), ...)``.
 
     An RY angle is a float, or a 1-D array with one angle per row of a
-    batched state.  ``mask`` (the control qubits as bits) and ``base`` (the
-    basis-index bits their polarities set) are derived from ``controls``."""
+    batched state."""
 
     kind: str
     target: int
     theta: float | np.ndarray = 0.0
     controls: tuple[tuple[int, int], ...] = ()
-    mask: int = field(init=False, repr=False, compare=False)
-    base: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("h", "x", "ry"):
@@ -69,20 +60,16 @@ class Gate:
             raise ValueError("gate angle must be finite")
         if self.target < 0:
             raise ValueError(f"target qubit {self.target} is negative")
-        mask = base = 0
         for cq, pol in self.controls:
             if cq < 0:
                 raise ValueError(f"control qubit {cq} is negative")
             if pol not in (0, 1):
                 raise ValueError("control polarity must be 0 or 1")
-            mask |= 1 << cq
-            base |= pol << cq
-        if mask.bit_count() != len(self.controls):
+        control_qubits = {cq for cq, _ in self.controls}
+        if len(control_qubits) != len(self.controls):
             raise ValueError("control qubits must be pairwise distinct")
-        if mask >> self.target & 1:
+        if self.target in control_qubits:
             raise ValueError("target qubit cannot also be a control")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "base", base)
 
     @property
     def qubits(self) -> set[int]:
@@ -100,8 +87,13 @@ class Gate:
 
 
 def _half_cos_sin(theta):
-    """cos and sin of half an RY angle: ``math`` for a float, ``numpy`` for
-    per-row angles.  Every kernel takes its RY coefficients from here."""
+    """cos and sin of half an RY angle: ``numpy`` for per-row angles (an
+    array), ``math`` for a float and for each float of a list (the entries
+    of an angle table shared by every row, whose gates carry floats).
+    Every kernel takes its RY coefficients from here."""
+    if isinstance(theta, list):
+        half = [0.5 * t for t in theta]
+        return list(map(math.cos, half)), list(map(math.sin, half))
     half = 0.5 * theta
     if isinstance(half, np.ndarray):
         return np.cos(half), np.sin(half)
@@ -132,16 +124,31 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
-def new_state(num_qubits: int, rows: int | None = None) -> StateVector:
+def new_state(num_qubits: int, rows: int | None = None,
+              hadamards=()) -> StateVector:
     """Fresh |0...0> state on ``num_qubits`` qubits (1 <= q <= 26); with
-    ``rows``, a (rows, 2^q) array of them."""
+    ``rows``, a (rows, 2^q) array of them.
+
+    With ``hadamards``, the state is that after an H on each listed qubit,
+    written directly: the amplitudes with those qubits free and every other
+    qubit 0 hold the repeated product of ``_H_MATRIX[0, 0]`` that applying
+    the H gates one by one gives, bit for bit, and all others are 0."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(
             f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
         )
     lead = () if rows is None else (rows,)
     amps = np.zeros(lead + (1 << num_qubits,), dtype=np.complex128)
-    amps[..., 0] = 1.0
+    # one axis per qubit, most significant first, fixed to 0 unless H'd
+    index = [0] * num_qubits
+    amplitude = 1.0
+    for qubit in hadamards:
+        if not 0 <= qubit < num_qubits or index[num_qubits - 1 - qubit] != 0:
+            raise ValueError(f"cannot apply H to qubit {qubit} of "
+                             f"{num_qubits}")
+        index[num_qubits - 1 - qubit] = slice(None)
+        amplitude = _H_MATRIX[0, 0] * amplitude
+    amps.reshape(lead + (2,) * num_qubits)[(Ellipsis, *index)] = amplitude
     return StateVector(num_qubits, amps)
 
 
@@ -151,14 +158,28 @@ def _check(state: StateVector, gate: Gate) -> None:
     q = state.num_qubits
     if gate.target >= q:
         raise ValueError(f"target qubit {gate.target} out of range for {q} qubits")
-    if gate.mask >> q:
-        raise ValueError(f"control qubit {gate.mask.bit_length() - 1} out of "
-                         f"range for {q} qubits")
+    top = max((cq for cq, _ in gate.controls), default=-1)
+    if top >= q:
+        raise ValueError(f"control qubit {top} out of range for {q} qubits")
     if isinstance(gate.theta, np.ndarray):
         shape = state.amplitudes.shape
         if gate.theta.shape != shape[:-1]:
             raise ValueError(f"{gate.theta.shape[0]} gate angles for a state "
                              f"of shape {shape}")
+
+
+def _apply_2x2(view: np.ndarray, i0, i1, u00, u01, u10, u11) -> None:
+    """Apply the block [[u00, u01], [u10, u11]] in place to the amplitude
+    pairs ``view[i0]`` (the |0> halves) and ``view[i1]`` (the |1> halves).
+
+    This is the elementwise formula and operand order of every kernel, so
+    a pass that applies many commuting blocks at once, with coefficients
+    broadcast over the pairs, gives the same bytes as one gate at a time."""
+    a0 = view[i0]
+    a1 = view[i1]
+    new0 = u00 * a0 + u01 * a1
+    view[i1] = u10 * a0 + u11 * a1
+    view[i0] = new0
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -192,92 +213,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if np.ndim(u00):
         per_row = lead + (1,) * (q - 1 - len(gate.controls))
         u00, u01, u10, u11 = (u.reshape(per_row) for u in (u00, u01, u10, u11))
-    a0 = view[i0]
-    a1 = view[i1]
-    new0 = u00 * a0 + u01 * a1
-    view[i1] = u10 * a0 + u11 * a1
-    view[i0] = new0
-    return state
-
-
-def _pair_indices(num_qubits: int, target: int, controls: int,
-                  bases: list[int]) -> np.ndarray:
-    """The (2, gates, free) basis indices of the amplitude pairs that RYs on
-    ``target`` act on, for gates that share the control qubits set in the
-    bit mask ``controls``: each gate's polarity pattern (its base) plus
-    every combination of the free qubits, with the target bit 0, then 1."""
-    offsets = np.zeros(1, dtype=np.intp)
-    for fq in range(num_qubits):
-        if fq != target and not controls >> fq & 1:
-            offsets = np.concatenate((offsets, offsets | (1 << fq)))
-    idx0 = np.add.outer(np.array(bases, dtype=np.intp), offsets)
-    return np.stack((idx0, idx0 | (1 << target)))
-
-
-def _rotate_pairs(basis_first: np.ndarray, idx: np.ndarray, c: np.ndarray,
-                  s: np.ndarray) -> None:
-    """Apply RY blocks [[c, -s], [s, c]] with ``apply_gate``'s elementwise
-    formula to the amplitude pairs at ``idx`` (2, gates, free), in place.
-
-    ``basis_first`` views the amplitudes with the basis axis first; ``c``
-    and ``s`` are (gates, 1, rows...), one block per gate and row.  The four
-    products keep ``apply_gate``'s operand order and the two sums commute
-    exactly, so the bytes are the same, with two pair-sized buffers only.
-    """
-    (a0, a1) = gathered = basis_first[idx]
-    (new0, new1) = new = np.empty_like(gathered)
-    np.multiply(c, a0, out=new0)
-    np.multiply(c, a1, out=new1)
-    np.multiply(-s, a1, out=a1)
-    np.multiply(s, a0, out=a0)
-    new0 += a1  # c * a0 + (-s) * a1
-    new1 += a0  # s * a0 + c * a1
-    basis_first[idx] = new
-
-
-def _apply_ry_run(state: StateVector, run: list[Gate]) -> None:
-    """Apply RYs that share one target and one set of control qubits, each
-    with its own polarity pattern, in one gather/scatter pass.
-
-    Such gates act on disjoint amplitude pairs and so commute; with
-    ``apply_gate``'s coefficients and formula the pass equals applying them
-    one by one, bit for bit.
-    """
-    for gate in run:
-        _check(state, gate)
-    first = run[0]
-    idx = _pair_indices(state.num_qubits, first.target, first.mask,
-                        [gate.base for gate in run])
-    lead = state.amplitudes.shape[:-1]
-    per_row = any(isinstance(gate.theta, np.ndarray) for gate in run)
-    rows = lead if per_row else (1,) * len(lead)
-    # filled gate by gate, so that no per-gate objects pile up
-    cos_sin = np.empty((len(run), 2) + (lead if per_row else ()))
-    for i, gate in enumerate(run):
-        pair = _half_cos_sin(gate.theta)
-        # a float angle's pair spans every row
-        cos_sin[i] = np.reshape(pair, (2, -1)) if per_row else pair
-    c, s = np.moveaxis(cos_sin, 1, 0).reshape((2, len(run), 1) + rows)
-    _rotate_pairs(np.moveaxis(state.amplitudes, -1, 0), idx, c, s)
-
-
-def apply_circuit(state: StateVector, gates) -> StateVector:
-    """Apply ``gates`` in order, in place, and return the state.
-
-    Each maximal run of two or more consecutive RYs with one target, one
-    set of control qubits and pairwise different polarity patterns (an
-    encoding block) goes through ``_apply_ry_run``; every other gate goes
-    through ``apply_gate``.  The amplitudes are the same bytes either way.
-    """
-    for (kind, _, _), run in itertools.groupby(
-            gates, key=lambda gate: (gate.kind, gate.target, gate.mask)):
-        run = list(run)
-        if (kind == "ry" and len(run) > 1
-                and len({gate.base for gate in run}) == len(run)):
-            _apply_ry_run(state, run)
-        else:
-            for gate in run:
-                apply_gate(state, gate)
+    _apply_2x2(view, i0, i1, u00, u01, u10, u11)
     return state
 
 
@@ -317,7 +253,7 @@ class Histogram:
     state's leading batch axis if it had one.  Sampled measurements produce
     integer-valued weights summing to the shot count per row; analytic
     measurements produce the exact probabilities (weights summing to 1), so
-    post-selection and marginalization work identically in both modes.
+    post-selection works identically in both modes.
     """
 
     num_qubits: int
@@ -337,30 +273,13 @@ class Histogram:
             keep &= (basis >> qb) & 1 == bit
         return Histogram(self.num_qubits, np.where(keep, self.weights, 0.0))
 
-    def marginal(self, qubits) -> "Histogram":
-        """Sum weights over all qubits not listed; the result is indexed by
-        the sub-pattern on ``qubits`` in the given order (qubits[0] -> bit
-        0)."""
-        qubits = list(qubits)
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("duplicate qubit index in marginal")
-        q = self.num_qubits
-        lead = self.weights.shape[:-1]
-        view = self.weights.reshape(lead + (2,) * q)
-        # the listed qubits' axes, most significant first, then the rest
-        keep = [len(lead) + q - 1 - qb for qb in reversed(qubits)]
-        rest = [a for a in range(len(lead), view.ndim) if a not in keep]
-        moved = view.transpose(list(range(len(lead))) + keep + rest)
-        out = moved.reshape(lead + (1 << len(qubits), -1)).sum(axis=-1)
-        return Histogram(len(qubits), out)
-
 
 def measure(state: StateVector, mode: MeasureMode) -> Histogram:
     """Measure all qubits.
 
     Analytic mode returns the exact distribution; Sampled mode draws
     ``mode.shots`` i.i.d. outcomes per row, reproducibly for fixed seeds.
-    Partial measurement is realized downstream via ``postselect``/``marginal``.
+    Partial measurement is realized downstream, on the dense weights.
     """
     probs = probabilities(state)
     if isinstance(mode, Analytic):

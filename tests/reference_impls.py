@@ -5,8 +5,13 @@
 * The index-array statevector kernel, which gathers and scatters amplitude
   pairs through explicit int64 index arrays, one circuit at a time.
 * Three separate builders for the QC1, QC2 and QC3 circuits, each given
-  its register widths by the caller; the package builds all three as
-  instances of one QC3 builder, whose gate lists must equal theirs.
+  its register widths by the caller and emitting an explicit gate list,
+  one pattern-controlled RY per nonzero slot; the package builds all three
+  as instances of one QC3 builder, whose expanded gate lists must equal
+  theirs.
+* Single-vector forms of helpers the package now applies to whole arrays:
+  the inverse stereographic projection of one vector and the marginal of a
+  histogram over a subset of qubits.
 * The per-circuit assignment loops of q1:1, q1:k and qM:k: one circuit per
   (record, centroid) pair, record or batch, built by those builders, run
   through the index-array kernel and measured with a generator seeded per
@@ -15,11 +20,11 @@
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from qkmeans.circuits import (
-    CircuitPlan,
     EstimationFailure,
     Layout,
     decode_qc2,
@@ -27,8 +32,74 @@ from qkmeans.circuits import (
     estimate_distance,
 )
 from qkmeans.clustering import _recovered_nearest, derive_seed
-from qkmeans.encoding import EncodingContext, encode_vector, recover_distance
-from qkmeans.simulator import Histogram, h, new_state
+from qkmeans.encoding import recover_distance
+from qkmeans.simulator import Histogram, h, new_state, ry
+
+
+@dataclass
+class GatePlan:
+    """A circuit as an explicit gate list on a register layout.  The
+    package's decoders read only ``layout``, ``num_records`` and
+    ``num_clusters``, so they take such a plan too."""
+
+    layout: Layout
+    gates: list = field(default_factory=list)
+    num_records: int = 1
+    num_clusters: int = 1
+    rows: int | None = None
+
+    @property
+    def num_qubits(self) -> int:
+        return self.layout.num_qubits
+
+
+def encode_vector(plan, angles, index_qubits, register_qubit,
+                  extra_controls=()):
+    """Append the pattern-controlled rotations that write ``angles`` into the
+    register qubit's |1> branch, one controlled RY per nonzero slot.
+
+    The slot's bit pattern is expressed directly as control polarities on the
+    index qubits, so no X gates are emitted; zero-angle slots (padding or
+    zero entries) emit nothing.  Given (B, slots) rows of angles, each RY
+    carries one angle per row, and a slot is left out only when it is zero
+    in every row.
+    """
+    slots = 1 << len(index_qubits)
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape[-1] != slots:
+        raise ValueError(f"expected {slots} angles, got {angles.shape[-1]}")
+    used = np.any(angles != 0.0, axis=tuple(range(angles.ndim - 1)))
+    for slot in np.flatnonzero(used).tolist():
+        theta = angles[..., slot]
+        pattern = tuple(
+            (qb, (slot >> b) & 1) for b, qb in enumerate(index_qubits)
+        )
+        plan.gates.append(ry(theta.copy() if theta.ndim else float(theta),
+                             register_qubit, pattern + tuple(extra_controls)))
+
+
+def isp_reference(x):
+    """ISP of one N-vector onto the unit sphere in N+1 dimensions."""
+    x = np.asarray(x, dtype=float)
+    s = float(np.dot(x, x))
+    return np.append(2.0 * x / (s + 1.0), (s - 1.0) / (s + 1.0))
+
+
+def marginal_reference(hist, qubits):
+    """Sum weights over all qubits not listed; the result is indexed by the
+    sub-pattern on ``qubits`` in the given order (qubits[0] -> bit 0)."""
+    qubits = list(qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("duplicate qubit index in marginal")
+    q = hist.num_qubits
+    lead = hist.weights.shape[:-1]
+    view = hist.weights.reshape(lead + (2,) * q)
+    # the listed qubits' axes, most significant first, then the rest
+    keep = [len(lead) + q - 1 - qb for qb in reversed(qubits)]
+    rest = [a for a in range(len(lead), view.ndim) if a not in keep]
+    moved = view.transpose(list(range(len(lead))) + keep + rest)
+    out = moved.reshape(lead + (1 << len(qubits), -1)).sum(axis=-1)
+    return Histogram(len(qubits), out)
 
 
 def _layout_reference(n_index, n_batch=0, n_cluster=0):
@@ -67,13 +138,13 @@ def build_qc1_reference(record_angles, centroid_angles, n_index):
     if record_angles.shape != centroid_angles.shape:
         raise ValueError("record and centroid angles must have one shape")
     layout = _layout_reference(n_index)
-    plan = CircuitPlan(layout, rows=_rows_of(record_angles))
+    plan = GatePlan(layout, rows=_rows_of(record_angles))
     plan.gates.append(h(layout.ancilla))
     plan.gates.extend(h(q) for q in layout.index)
-    encode_vector(plan, record_angles, EncodingContext(
-        layout.index, layout.register, ((layout.ancilla, 0),)))
-    encode_vector(plan, centroid_angles, EncodingContext(
-        layout.index, layout.register, ((layout.ancilla, 1),)))
+    encode_vector(plan, record_angles, layout.index, layout.register,
+                  ((layout.ancilla, 0),))
+    encode_vector(plan, centroid_angles, layout.index, layout.register,
+                  ((layout.ancilla, 1),))
     plan.gates.append(h(layout.ancilla))
     return plan
 
@@ -87,16 +158,16 @@ def build_qc2_reference(record_angles, centroids_angles, n_index, n_cluster):
     if k > (1 << n_cluster):
         raise ValueError(f"{k} centroids do not fit in {n_cluster} cluster qubits")
     layout = _layout_reference(n_index, n_cluster=n_cluster)
-    plan = CircuitPlan(layout, num_clusters=k, rows=_rows_of(record_angles))
+    plan = GatePlan(layout, num_clusters=k, rows=_rows_of(record_angles))
     plan.gates.append(h(layout.ancilla))
     plan.gates.extend(h(q) for q in layout.index)
     plan.gates.extend(h(q) for q in layout.cluster)
-    encode_vector(plan, record_angles, EncodingContext(
-        layout.index, layout.register, ((layout.ancilla, 0),)))
+    encode_vector(plan, record_angles, layout.index, layout.register,
+                  ((layout.ancilla, 0),))
     for j in range(k):
         pattern = tuple((qb, (j >> b) & 1) for b, qb in enumerate(layout.cluster))
-        encode_vector(plan, centroids_angles[j], EncodingContext(
-            layout.index, layout.register, ((layout.ancilla, 1),) + pattern))
+        encode_vector(plan, centroids_angles[j], layout.index,
+                      layout.register, ((layout.ancilla, 1),) + pattern)
     plan.gates.append(h(layout.ancilla))
     return plan
 
@@ -113,19 +184,19 @@ def build_qc3_reference(records_angles, centroids_angles, n_index, n_batch,
     if k > (1 << n_cluster):
         raise ValueError(f"{k} centroids do not fit in {n_cluster} cluster qubits")
     layout = _layout_reference(n_index, n_batch=n_batch, n_cluster=n_cluster)
-    plan = CircuitPlan(layout, num_records=m1, num_clusters=k)
+    plan = GatePlan(layout, num_records=m1, num_clusters=k)
     plan.gates.append(h(layout.ancilla))
     plan.gates.extend(h(q) for q in layout.index)
     plan.gates.extend(h(q) for q in layout.batch)
     plan.gates.extend(h(q) for q in layout.cluster)
     for v in range(m1):
         pattern = tuple((qb, (v >> b) & 1) for b, qb in enumerate(layout.batch))
-        encode_vector(plan, records_angles[v], EncodingContext(
-            layout.index, layout.register, ((layout.ancilla, 0),) + pattern))
+        encode_vector(plan, records_angles[v], layout.index, layout.register,
+                      ((layout.ancilla, 0),) + pattern)
     for j in range(k):
         pattern = tuple((qb, (j >> b) & 1) for b, qb in enumerate(layout.cluster))
-        encode_vector(plan, centroids_angles[j], EncodingContext(
-            layout.index, layout.register, ((layout.ancilla, 1),) + pattern))
+        encode_vector(plan, centroids_angles[j], layout.index,
+                      layout.register, ((layout.ancilla, 1),) + pattern)
     plan.gates.append(h(layout.ancilla))
     return plan
 
@@ -191,7 +262,7 @@ def _decode_reference(plan, decode, shots, analytic, seed_key):
 
 
 def assign_q11_reference(records, centroids, params, rng_key=()):
-    n_index = records.index_size
+    n_index = records.slots.bit_length() - 1
     labels = np.empty(len(records), dtype=np.int64)
     for r in range(len(records)):
         dists = np.empty(len(centroids))
@@ -208,7 +279,7 @@ def assign_q11_reference(records, centroids, params, rng_key=()):
 
 
 def assign_q1k_reference(records, centroids, params, rng_key=()):
-    n_index = records.index_size
+    n_index = records.slots.bit_length() - 1
     k = len(centroids)
     n_cluster = max(k - 1, 0).bit_length()
     labels = np.empty(len(records), dtype=np.int64)
@@ -231,7 +302,8 @@ def assign_qmk_reference(records, centroids, params, rng_key=()):
     for b, start in enumerate(range(0, m, m1)):
         stop = min(start + m1, m)
         plan = build_qc3_reference(records.angles[start:stop],
-                                   centroids.angles, records.index_size,
+                                   centroids.angles,
+                                   records.slots.bit_length() - 1,
                                    n_batch, n_cluster)
         batch_labels = _decode_reference(
             plan, decode_qc3, m1 * k * params.shots_base, params.analytic,

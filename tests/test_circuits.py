@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkmeans.circuits import (
     CircuitPlan,
@@ -16,11 +18,21 @@ from qkmeans.circuits import (
     postselection_probability,
     simulate,
 )
-from qkmeans.simulator import Analytic, Histogram, Sampled, h, measure
+from qkmeans.encoding import prepare_vectors, recover_distance
+from qkmeans.simulator import (
+    Analytic,
+    Histogram,
+    Sampled,
+    h,
+    measure,
+    probabilities,
+)
 from reference_impls import (
+    GatePlan,
     build_qc1_reference,
     build_qc2_reference,
     build_qc3_reference,
+    marginal_reference,
 )
 
 
@@ -151,7 +163,7 @@ class TestBuildQc2:
 class TestDecodeQc2:
     def make_plan(self, k=3):
         layout = circuit_layout(2, clusters=4)
-        return CircuitPlan(layout, [h(layout.ancilla)], num_clusters=k)
+        return CircuitPlan(layout, (), num_clusters=k)
 
     def hist(self, plan, cluster_counts):
         # counts placed at register=1, ancilla=0, index=0
@@ -226,6 +238,18 @@ class TestDecodeQc3:
         labels = decode_qc3(plan, hist)
         assert len(labels) == 3
 
+    def test_counts_are_the_postselected_marginal(self):
+        rng = np.random.default_rng(17)
+        plan = build_qc3(angles_of(unit_rows(rng, 3, 4)),
+                         angles_of(unit_rows(rng, 3, 4)))
+        layout = plan.layout
+        hist = measure(simulate(plan), Analytic())
+        kept = hist.postselect([(layout.register, 1), (layout.ancilla, 0)])
+        marginal = marginal_reference(kept, layout.batch + layout.cluster)
+        cells = marginal.weights.reshape(4, 4)  # (cluster, batch)
+        counts = assignment_histogram(plan, hist).counts
+        assert counts == pytest.approx(cells[:3, :3].T, rel=1e-12)
+
     def test_unassigned_record_is_none(self):
         plan = build_qc3(np.zeros((2, 4)), np.zeros((2, 4)))
         # histogram whose kept counts only cover record slot 0
@@ -236,8 +260,7 @@ class TestDecodeQc3:
 
     def test_uniform_tie_gives_zero(self):
         layout = circuit_layout(2, records=2, clusters=2)
-        plan = CircuitPlan(layout, [h(layout.ancilla)],
-                           num_records=1, num_clusters=2)
+        plan = CircuitPlan(layout, (), num_records=1, num_clusters=2)
         b0 = 1 << layout.register
         b1 = b0 | (1 << layout.cluster[0])
         hist = histogram_of(layout.num_qubits, {b0: 7, b1: 7})
@@ -337,16 +360,16 @@ class TestPostselectionProbability:
 
 class TestCircuitStats:
     def test_empty_plan(self):
-        plan = CircuitPlan(circuit_layout(4))
+        plan = GatePlan(circuit_layout(4))
         stats = circuit_stats(plan)
         assert (stats.qubits, stats.gate_count, stats.depth) == (4, 0, 0)
 
     def test_sequential_on_same_qubit(self):
-        plan = CircuitPlan(circuit_layout(2), [h(0), h(0)])
+        plan = GatePlan(circuit_layout(2), [h(0), h(0)])
         assert circuit_stats(plan).depth == 2
 
     def test_parallel_on_disjoint_qubits(self):
-        plan = CircuitPlan(circuit_layout(2), [h(0), h(1)])
+        plan = GatePlan(circuit_layout(2), [h(0), h(1)])
         assert circuit_stats(plan).depth == 1
 
     def test_gate_count_is_plan_length(self):
@@ -458,3 +481,27 @@ class TestOneBuilder:
             build_qc3(np.zeros((3, 1, 4)), np.zeros((2, 1, 4)))
         with pytest.raises(ValueError):  # centroid rows without record rows
             build_qc3(np.zeros((1, 4)), np.zeros((3, 1, 4)))
+
+
+class TestDistanceProperty:
+    """Analytic QC1 through ``simulate`` against the closed forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+    def test_ancilla_rate_and_recovered_distance(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, dim)) * rng.uniform(0.1, 3.0)
+        prepared = prepare_vectors(np.stack([x, y]))
+        plan = qc1(*prepared.angles)
+        probs = probabilities(simulate(plan))
+        basis = np.arange(probs.shape[-1])
+        register = (basis >> plan.layout.register) & 1 == 1
+        ancilla_0 = (basis >> plan.layout.ancilla) & 1 == 0
+        p_zero = probs[register & ancilla_0].sum() / probs[register].sum()
+        d = np.linalg.norm(prepared.projected[0] - prepared.projected[1])
+        assert p_zero == pytest.approx(1.0 - d * d / 4.0, abs=1e-12)
+
+        d_proj, _ = estimate_distance(plan, measure(simulate(plan),
+                                                    Analytic()))
+        recovered = recover_distance(d_proj, *prepared.norms)
+        assert recovered == pytest.approx(np.linalg.norm(x - y), abs=1e-9)

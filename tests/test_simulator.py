@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkmeans import simulator
-from qkmeans.circuits import build_qc3, simulate
+from qkmeans import circuits
+from qkmeans.circuits import EncodingBlock, _apply_block, build_qc3, simulate
 from qkmeans.simulator import (
     Analytic,
     Gate,
     Histogram,
     Sampled,
     StateVector,
-    _apply_ry_run,
-    apply_circuit,
     apply_gate,
     h,
     measure,
@@ -23,9 +22,15 @@ from qkmeans.simulator import (
     ry,
     x,
 )
-from reference_impls import apply_gate_reference
+from reference_impls import apply_gate_reference, marginal_reference
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def apply_gates(state, gates):
+    for gate in gates:
+        apply_gate(state, gate)
+    return state
 
 
 def histogram_of(num_qubits, counts):
@@ -60,6 +65,25 @@ class TestNewState:
 
     def test_two_qubits(self):
         assert np.allclose(new_state(2).amplitudes, [1, 0, 0, 0])
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_hadamard_layer_equals_gates(self, rows):
+        rng = np.random.default_rng(5)
+        for num_qubits in range(1, 9):
+            for _ in range(4):
+                picked = rng.permutation(num_qubits)[
+                    :int(rng.integers(num_qubits + 1))].tolist()
+                written = new_state(num_qubits, rows, picked)
+                gates = apply_gates(new_state(num_qubits, rows),
+                                    [h(q) for q in picked])
+                assert (written.amplitudes.tobytes()
+                        == gates.amplitudes.tobytes())
+
+    def test_hadamard_layer_qubits_checked(self):
+        with pytest.raises(ValueError):
+            new_state(3, hadamards=[3])
+        with pytest.raises(ValueError):
+            new_state(3, hadamards=[1, 1])
 
     @pytest.mark.parametrize("bad", [0, 27, -1])
     def test_out_of_range(self, bad):
@@ -111,17 +135,12 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="target qubit -2"):
             h(-2)
 
-    def test_mask_and_base(self):
-        gate = ry(1.0, 2, [(0, 1), (4, 0), (3, 1)])
-        assert (gate.mask, gate.base) == (0b11001, 0b01001)
-        assert (h(1).mask, h(1).base) == (0, 0)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_norm_preserved_by_random_circuits(self, seed):
         rng = np.random.default_rng(seed)
         state = new_state(4)
-        apply_circuit(state, random_gates(rng, 4, 12))
+        apply_gates(state, random_gates(rng, 4, 12))
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
 
     def test_polarity_zero_equals_x_conjugation(self):
@@ -136,7 +155,7 @@ class TestApplyGate:
             apply_gate(a, ry(theta, 2, [(0, 0), (3, 1)]))
             b = new_state(4)
             b.amplitudes = amps.copy()
-            apply_circuit(b, [x(0), ry(theta, 2, [(0, 1), (3, 1)]), x(0)])
+            apply_gates(b, [x(0), ry(theta, 2, [(0, 1), (3, 1)]), x(0)])
             assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
 
 
@@ -225,15 +244,16 @@ class TestPostselect:
 class TestMarginal:
     def test_single_qubit(self):
         hist = histogram_of(2, {0b00: 1, 0b01: 2, 0b10: 3, 0b11: 4})
-        assert list(hist.marginal([1]).weights) == [3, 7]
+        assert list(marginal_reference(hist, [1]).weights) == [3, 7]
 
     def test_all_qubits_identity(self):
         hist = histogram_of(2, {0b00: 1, 0b01: 2, 0b10: 3, 0b11: 4})
-        assert np.array_equal(hist.marginal([0, 1]).weights, hist.weights)
+        assert np.array_equal(marginal_reference(hist, [0, 1]).weights,
+                              hist.weights)
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
-            histogram_of(2, {0: 1}).marginal([0, 0])
+            marginal_reference(histogram_of(2, {0: 1}), [0, 0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.dictionaries(st.integers(0, 15), st.integers(1, 100),
@@ -242,7 +262,7 @@ class TestMarginal:
     def test_matches_group_by(self, counts, order):
         qubits = order[:2]
         hist = histogram_of(4, {b: float(w) for b, w in counts.items()})
-        got = hist.marginal(qubits).weights
+        got = marginal_reference(hist, qubits).weights
         expect = np.zeros(4)
         for b, w in counts.items():
             key = ((b >> qubits[0]) & 1) | (((b >> qubits[1]) & 1) << 1)
@@ -288,7 +308,7 @@ class TestBatchedKernel:
                 + 1j * rng.standard_normal((rows, 1 << num_qubits)))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         batched = StateVector(num_qubits, amps.copy())
-        apply_circuit(batched, gates)
+        apply_gates(batched, gates)
         for r in range(rows):
             single = StateVector(num_qubits, amps[r].copy())
             for gate in gates:
@@ -296,7 +316,7 @@ class TestBatchedKernel:
             assert np.max(np.abs(batched.amplitudes[r]
                                  - single.amplitudes)) <= 1e-12
             unbatched = StateVector(num_qubits, amps[r].copy())
-            apply_circuit(unbatched, [row_gate(g, r) for g in gates])
+            apply_gates(unbatched, [row_gate(g, r) for g in gates])
             assert np.max(np.abs(unbatched.amplitudes
                                  - single.amplitudes)) <= 1e-12
 
@@ -327,128 +347,89 @@ class TestBatchedKernel:
         weights = rng.integers(0, 9, (3, 8)).astype(float)
         hist = Histogram(3, weights)
         kept = hist.postselect([(2, 1)])
-        margin = hist.marginal([2, 0])
+        margin = marginal_reference(hist, [2, 0])
         for r in range(3):
             row = Histogram(3, weights[r])
             assert np.array_equal(kept.weights[r],
                                   row.postselect([(2, 1)]).weights)
             assert np.array_equal(margin.weights[r],
-                                  row.marginal([2, 0]).weights)
+                                  marginal_reference(row, [2, 0]).weights)
         assert hist.shots == weights.sum()
 
 
-def random_ry_run(rng, num_qubits, rows, disjoint, same_controls):
-    """Up to 8 RYs on one target with controls of both polarities; with
-    ``rows``, float and per-row angles are mixed.  Disjoint runs give each
-    gate its own pattern on a shared control subset; without
-    ``same_controls`` each gate also gets extra controls that vary from gate
-    to gate.  An overlapping run then gets one more gate: with
-    ``same_controls`` an exact repeat of an earlier gate's pattern, else
-    that pattern or a sub-pattern of it."""
-    target = int(rng.integers(num_qubits))
-    others = [q for q in range(num_qubits) if q != target]
-    shared = [int(q) for q in rng.permutation(others)[
-        :int(rng.integers(len(others) + 1))]]
-    rest = [] if same_controls else [q for q in others if q not in shared]
-    count = int(rng.integers(1, min(8, 1 << len(shared)) + 1))
-
-    def angle():
-        if rows and rng.random() < 0.5:
-            return rng.uniform(-math.pi, math.pi, rows)
-        return float(rng.uniform(-math.pi, math.pi))
-
-    run = []
-    for pattern in rng.choice(1 << len(shared), size=count, replace=False):
-        controls = [(q, (int(pattern) >> b) & 1) for b, q in enumerate(shared)]
-        controls += [(q, int(rng.integers(2))) for q in rest
-                     if rng.random() < 0.5]
-        run.append(ry(angle(), target,
-                      [controls[i] for i in rng.permutation(len(controls))]))
-    if not disjoint:
-        earlier = run[int(rng.integers(count))].controls
-        kept = [c for c in earlier if same_controls or rng.random() < 0.7]
-        run.insert(int(rng.integers(count + 1)), ry(angle(), target, kept))
-    return run
-
-
-def random_amplitudes(rng, num_qubits, rows):
-    shape = ((rows,) if rows else ()) + (1 << num_qubits,)
-    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+def random_table(rng, shape):
+    """Angles with zero entries of both signs among random ones."""
+    pick = rng.integers(4, size=shape)
+    return np.where(pick == 0, 0.0, np.where(
+        pick == 1, -0.0, rng.uniform(-math.pi, math.pi, shape)))
 
 
 class TestFusedRyRuns:
-    """A run of RYs on one target and one set of control qubits, applied in
-    one pass when their patterns differ, against gate-by-gate application."""
+    """An encoding block is a run of RYs on the register qubit, one per
+    nonzero slot, fused into one uniformly controlled rotation: its
+    broadcast pass against the expanded gates applied one by one."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 5),
-           st.booleans(), st.booleans())
-    def test_matches_gate_by_gate(self, seed, num_qubits, rows, disjoint,
-                                  same_controls):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(1, 6),
+           st.integers(1, 5), st.integers(0, 5), st.booleans())
+    def test_matches_gate_by_gate(self, seed, n_index, m1, k, rows,
+                                  per_row_centroids):
         rng = np.random.default_rng(seed)
-        run = random_ry_run(rng, num_qubits, rows, disjoint, same_controls)
-        amps = random_amplitudes(rng, num_qubits, rows)
-
-        gates = run + [h(run[0].target)] + run
-        circuit = apply_circuit(StateVector(num_qubits, amps.copy()), gates)
-        gate_by_gate = StateVector(num_qubits, amps.copy())
-        for gate in gates:
-            apply_gate(gate_by_gate, gate)
-        assert (circuit.amplitudes.tobytes()
-                == gate_by_gate.amplitudes.tobytes())
-
-        if same_controls and disjoint:
-            fused = StateVector(num_qubits, amps.copy())
-            _apply_ry_run(fused, run)
-            once = StateVector(num_qubits, amps.copy())
-            for gate in run:
-                apply_gate(once, gate)
-            assert fused.amplitudes.tobytes() == once.amplitudes.tobytes()
+        slots = 1 << n_index
+        lead = (rows,) if rows else ()
+        records = random_table(rng, lead + (m1, slots))
+        centroids = random_table(
+            rng, (lead if per_row_centroids else ()) + (k, slots))
+        plan = build_qc3(records, centroids)
+        got = simulate(plan)
+        gate_by_gate = apply_gates(new_state(plan.num_qubits, plan.rows),
+                                   plan.gates)
+        assert got.amplitudes.tobytes() == gate_by_gate.amplitudes.tobytes()
 
         for r in range(rows or 1):
-            single = StateVector(num_qubits, (amps[r] if rows else amps).copy())
-            for gate in gates:
+            single = new_state(plan.num_qubits)
+            for gate in plan.gates:
                 apply_gate_reference(single, row_gate(gate, r))
-            row = circuit.amplitudes[r] if rows else circuit.amplitudes
+            row = got.amplitudes[r] if rows else got.amplitudes
             assert np.max(np.abs(row - single.amplitudes)) <= 1e-12
 
     def test_checks_every_gate(self):
-        good = ry(np.array([0.1, 0.2]), 0, [(1, 0)])
-        with pytest.raises(ValueError, match="gate angles"):
-            apply_circuit(new_state(3, rows=2),
-                          [good, ry(np.zeros(3), 0, [(1, 1)])])
-        with pytest.raises(ValueError, match="control qubit 5"):
-            apply_circuit(new_state(3, rows=2),
-                          [ry(0.3, 0, [(1, 0), (5, 1)]),
-                           ry(0.3, 0, [(1, 1), (5, 0)])])
-        with pytest.raises(ValueError, match="target qubit 4"):
-            apply_circuit(new_state(3), [ry(0.1, 4, [(1, 0)]),
-                                         ry(0.2, 4, [(1, 1)])])
+        """The block pass makes, per block, the checks each gate made."""
+        with pytest.raises(ValueError, match="finite"):
+            build_qc3([[0.1, np.nan]], [[0.2, 0.3]])
+        with pytest.raises(ValueError, match="finite"):
+            build_qc3([[0.1, 0.2]], [[0.2, np.inf]])
+        plan = build_qc3(np.full((2, 1, 4), 0.3), np.full((3, 4), 0.2))
+        records, centroids = plan.blocks
+        for table, message in ((np.zeros((2, 1, 8)), "does not fit"),
+                               (np.zeros((2, 2, 4)), "does not fit"),
+                               (np.zeros((3, 1, 4)), "3 angle tables")):
+            block = EncodingBlock(0, records.address, table)
+            with pytest.raises(ValueError, match=message):
+                simulate(dataclasses.replace(plan, blocks=(block, centroids)))
 
-    @pytest.mark.parametrize("records, centroids, passes", [
-        ((5, 1, 4), (5, 1, 4), 1),  # q1:1 rows: one block, ancilla apart
-        ((5, 1, 4), (3, 4), 2),     # q1:k rows
-        ((6, 4), (3, 4), 2),        # qM:k
+    @pytest.mark.parametrize("records, centroids, per_row", [
+        ((5, 1, 4), (5, 1, 4), 2),  # q1:1 rows
+        ((5, 1, 4), (3, 4), 1),     # q1:k rows
+        ((6, 4), (3, 4), 0),        # qM:k
     ])
     def test_assignment_blocks_take_one_pass_each(self, monkeypatch, records,
-                                                  centroids, passes):
+                                                  centroids, per_row):
         rng = np.random.default_rng(0)
         plan = build_qc3(rng.uniform(0.1, 3.0, records),
                          rng.uniform(0.1, 3.0, centroids))
-        fused, single = [], []
+        passes, single = [], []
 
-        def count_run(state, run):
-            fused.append(len(run))
-            _apply_ry_run(state, run)
+        def count_block(state, plan, block):
+            passes.append(block.angles.ndim == 3)
+            _apply_block(state, plan, block)
 
         def count_gate(state, gate):
             single.append(gate.kind)
             return apply_gate(state, gate)
 
-        monkeypatch.setattr(simulator, "_apply_ry_run", count_run)
-        monkeypatch.setattr(simulator, "apply_gate", count_gate)
+        monkeypatch.setattr(circuits, "_apply_block", count_block)
+        monkeypatch.setattr(circuits, "apply_gate", count_gate)
         simulate(plan)
-        assert len(fused) == passes
-        assert sum(fused) == sum(g.kind == "ry" for g in plan.gates)
-        assert set(single) == {"h"}
+        assert len(passes) == 2 and sum(passes) == per_row
+        assert single == ["h"]  # the final H; the leading layer is written

@@ -10,7 +10,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-from qkmeans import clustering, metrics
+import numpy as np
+import pytest
+
+from qkmeans import circuits, clustering, metrics
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,3 +41,21 @@ def test_kernel_probe_times_the_simulator(monkeypatch, capsys):
     probe.kernel()
     timings = json.loads(capsys.readouterr().out)
     assert timings.get("q4", 0.0) > 0.0, timings
+
+
+@pytest.mark.parametrize("records, centroids", [
+    ((5, 1, 4), (3, 4)),  # q1:k rows
+    ((6, 4), (3, 4)),     # qM:k
+])
+def test_simulate_counts_follow_the_gate_list(records, centroids):
+    """The benchmark counts a plan's gates with ``len(plan.gates)``; that
+    must stay the gate count ``circuit_stats`` reports."""
+    spans = load_bench("spans")
+    rng = np.random.default_rng(0)
+    plan = circuits.build_qc3(rng.uniform(0.1, 3.0, records),
+                              rng.uniform(0.1, 3.0, centroids))
+    tracer = spans.Tracer(circuits)
+    tracer._count_simulate((plan,), None, None)
+    gates = circuits.circuit_stats(plan).gate_count
+    assert tracer.counts["simulator.gates"] == gates
+    assert tracer.counts["simulator.amp_updates"] == gates << plan.num_qubits
