@@ -141,7 +141,7 @@ def _pattern(qubits, value) -> tuple[tuple[int, int], ...]:
     return tuple((qb, (int(value) >> b) & 1) for b, qb in enumerate(qubits))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitPlan:
     """The assignment circuit on its register layout: the leading H layer,
     the record block, the centroid block and a final H on the ancilla.
@@ -238,12 +238,8 @@ def _apply_block(state: StateVector, plan: CircuitPlan,
     # index) with the address axis at the block's register
     spread = (n_address, 1) if block.address == layout.cluster else (
         1, n_address)
-    # a shared table's gates carry float angles, so its coefficients are
-    # taken entry by entry; a per-row table's come at once
-    cos_sin = _half_cos_sin(table if table.ndim == 3
-                            else table.ravel().tolist())
-    c, s = np.reshape(cos_sin, (2,) + table.shape[:-2] + spread
-                      + table.shape[-1:])
+    c, s = (np.reshape(v, table.shape[:-2] + spread + table.shape[-1:])
+            for v in _half_cos_sin(table))
     halves = [(..., slice(None), bit, slice(None), slice(None), block.branch)
               for bit in (0, 1)]
     _apply_2x2(view, *halves, c, -s, s, c)
@@ -340,22 +336,20 @@ def decode_qc2(plan: CircuitPlan, hist: Histogram):
 
 def decode_qc3(plan: CircuitPlan, hist: Histogram) -> list[int | None]:
     """Per-record most frequent cluster; record slots with zero surviving
-    counts come back as None for the caller to reassign."""
+    counts come back as None for the caller to reassign.  A batched
+    histogram gives one flat list in (row, slot) order."""
     counts = assignment_histogram(plan, hist).counts
-    labels = np.argmax(counts, axis=-1)
+    labels = np.argmax(counts, axis=-1).ravel()
     return [int(label) if total > 0.0 else None
-            for label, total in zip(labels, counts.sum(axis=-1))]
+            for label, total in zip(labels, counts.sum(axis=-1).ravel())]
 
 
-def postselection_probability(plan: CircuitPlan, qubit: int | None = None,
-                              value: int = 1) -> float | np.ndarray:
-    """Exact probability that ``qubit`` (default: the encoding register)
-    measures ``value`` in the final state; one per row for a batched plan."""
-    if qubit is None:
-        qubit = plan.layout.register
+def postselection_probability(plan: CircuitPlan) -> float | np.ndarray:
+    """Exact probability that the encoding register measures 1 in the final
+    state; one per row for a batched plan."""
     probs = probabilities(simulate(plan))
     basis = np.arange(probs.shape[-1])
-    kept = probs[..., ((basis >> qubit) & 1) == value].sum(axis=-1)
+    kept = probs[..., ((basis >> plan.layout.register) & 1) == 1].sum(axis=-1)
     return float(kept) if plan.rows is None else kept
 
 

@@ -35,7 +35,7 @@ from .clustering import (
     kmeanspp_init,
     run as run_clustering,
 )
-from .encoding import prepare_vectors, standardize
+from .encoding import prepare_vectors, rotation_angles, standardize
 from .metrics import elbow as elbow_sweep
 from .metrics import pair_confusion, summarize_run
 from .simulator import MAX_QUBITS
@@ -358,7 +358,7 @@ def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
             rows = rng.standard_normal((count, slots))
             return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
-        centroid_angles = 2.0 * np.arcsin(np.clip(unit_rows(k), -1.0, 1.0))
+        centroid_angles = rotation_angles(unit_rows(k), slots)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         stem = f"postselect_slots{slots}_k{k}"
@@ -366,9 +366,8 @@ def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
         with csv_path.open("w") as fh:
             fh.write("m,p_register_1,p_theoretical\n")
             for m in range(m_min, m_max + 1):
-                record_angles = 2.0 * np.arcsin(
-                    np.clip(unit_rows(m), -1.0, 1.0))
-                plan = build_qc3(record_angles, centroid_angles)
+                plan = build_qc3(rotation_angles(unit_rows(m), slots),
+                                 centroid_angles)
                 p = postselection_probability(plan)
                 fh.write(f"{m},{p!r},{1.0 / slots!r}\n")
         _write_manifest(out, stem, "postselect", [csv_path])

@@ -11,6 +11,12 @@ Strategies:
 * ``q1k``       - one circuit per record scoring all k centroids at once.
 * ``qmk``       - one circuit per batch of ``m1`` records.
 
+The three quantum strategies differ only in the rows they hand to one
+driver, ``_assign_rows``: each row is one QC3 circuit loading M1 records
+against k centroids (1 and 1, 1 and k, or ``m1`` and k).  The driver runs
+the rows of an iteration in batched passes of build, simulate, measure and
+decode.
+
 All clustering happens in standardized feature space; the quantum strategies
 re-project the current centroids onto the sphere every iteration before
 encoding them.
@@ -174,69 +180,68 @@ def assign_delta(data: np.ndarray, centroids: np.ndarray, delta: float,
 MAX_BATCH_AMPLITUDES = 1 << 20
 
 
-def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
-    step = max(1, MAX_BATCH_AMPLITUDES >> num_qubits)
-    return [slice(start, min(start + step, rows))
-            for start in range(0, rows, step)]
+def _assign_rows(records: np.ndarray, centroids: np.ndarray, keys,
+                 shots: int, analytic: bool, decode) -> list:
+    """Build, simulate, measure and decode one assignment circuit per row:
+    records ``(B, M1, slots)`` against centroids ``(B, k, slots)``, or
+    ``(k, slots)`` shared by every row.  Returns the decoded values of all
+    rows in order.
 
-
-def _measure_with_retry(plan, decode, shots: int, analytic: bool, seed_keys):
-    """Simulate a plan, measure it and decode every row; rows whose
-    post-selection came up empty are drawn once more at 4x the shots, then
-    a failure propagates.  Row i draws from ``derive_seed(*seed_keys[i])``,
-    and its retry from ``derive_seed(*seed_keys[i], 1)``; a plan of one
-    circuit takes one key."""
-    state = simulate(plan)
-    if analytic:
-        return decode(plan, measure(state, Analytic()))
-    hist = measure(state, Sampled(
-        shots, tuple(derive_seed(*key) for key in seed_keys)))
-    try:
-        return decode(plan, hist)
-    except EstimationFailure as failure:
-        rows = failure.rows
-        retry = measure(
-            StateVector(state.num_qubits, state.amplitudes[rows]),
-            Sampled(4 * shots,
-                    tuple(derive_seed(*seed_keys[i], 1) for i in rows)))
-        hist.weights[rows] = retry.weights
-        return decode(plan, hist)
+    Rows run in passes of at most ``MAX_BATCH_AMPLITUDES`` amplitudes.
+    Sampled row i draws from ``derive_seed(*keys[i])``; rows whose
+    post-selection came up empty are drawn once more at 4x the shots from
+    ``derive_seed(*keys[i], 1)``, then a failure propagates."""
+    qubits = circuit_layout(records.shape[2], records.shape[1],
+                            centroids.shape[-2]).num_qubits
+    step = max(1, MAX_BATCH_AMPLITUDES >> qubits)
+    decoded = []
+    for start in range(0, len(records), step):
+        rows = slice(start, start + step)
+        plan = build_qc3(records[rows],
+                         centroids if centroids.ndim == 2 else centroids[rows])
+        state = simulate(plan)
+        if analytic:
+            decoded.extend(decode(plan, measure(state, Analytic())))
+            continue
+        row_keys = keys[rows]
+        hist = measure(state, Sampled(
+            shots, tuple(derive_seed(*key) for key in row_keys)))
+        try:
+            decoded.extend(decode(plan, hist))
+        except EstimationFailure as failure:
+            empty = failure.rows
+            retry = measure(
+                StateVector(state.num_qubits, state.amplitudes[empty]),
+                Sampled(4 * shots,
+                        tuple(derive_seed(*row_keys[i], 1) for i in empty)))
+            hist.weights[empty] = retry.weights
+            decoded.extend(decode(plan, hist))
+    return decoded
 
 
 def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, rng_key=()) -> np.ndarray:
     """One distance circuit per (record, centroid) pair, argmin over the
-    recovered original-space distances.  Pair (r, j) is row r*k + j of
-    one batched pass."""
+    recovered original-space distances.  Pair (r, j) is row r*k + j."""
     k = len(centroids)
-    r_of, j_of = np.divmod(np.arange(len(records) * k), k)
-    dists = np.empty(len(r_of))
-    qubits = circuit_layout(records.slots).num_qubits
-    for rows in _row_chunks(len(r_of), qubits):
-        r, j = r_of[rows], j_of[rows]
-        plan = build_qc3(records.angles[r, None], centroids.angles[j, None])
-        d_proj, _ = _measure_with_retry(
-            plan, estimate_distance, params.shots_base, params.analytic,
-            [(*rng_key, int(a), int(b)) for a, b in zip(r, j)])
-        dists[rows] = recover_distance(
-            d_proj, records.norms[r], centroids.norms[j])
+    r, j = np.divmod(np.arange(len(records) * k), k)
+    d_proj = _assign_rows(
+        records.angles[r, None], centroids.angles[j, None],
+        [(*rng_key, int(a), int(b)) for a, b in zip(r, j)],
+        params.shots_base, params.analytic,
+        lambda plan, hist: estimate_distance(plan, hist)[0])
+    dists = recover_distance(d_proj, records.norms[r], centroids.norms[j])
     return np.argmin(dists.reshape(len(records), k), axis=1)
 
 
 def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, rng_key=()) -> np.ndarray:
-    """One multi-centroid circuit per record, all records in one batched
-    pass."""
-    k = len(centroids)
-    shots = k * params.shots_base
-    labels = np.empty(len(records), dtype=np.int64)
-    qubits = circuit_layout(records.slots, clusters=k).num_qubits
-    for rows in _row_chunks(len(records), qubits):
-        plan = build_qc3(records.angles[rows, None], centroids.angles)
-        labels[rows] = _measure_with_retry(
-            plan, decode_qc2, shots, params.analytic,
-            [(*rng_key, r) for r in range(len(records))[rows]])
-    return labels
+    """One multi-centroid circuit per record: record r is row r."""
+    labels = _assign_rows(
+        records.angles[:, None], centroids.angles,
+        [(*rng_key, r) for r in range(len(records))],
+        len(centroids) * params.shots_base, params.analytic, decode_qc2)
+    return np.array(labels, dtype=np.int64)
 
 
 def _recovered_nearest(records: PreparedVectors, centroids: PreparedVectors,
@@ -255,28 +260,24 @@ def _recovered_nearest(records: PreparedVectors, centroids: PreparedVectors,
 def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, rng_key=()) -> np.ndarray:
     """Batched assignment: contiguous batches of ``m1`` records, one circuit
-    per batch; unassigned slots fall back to the classical nearest centroid.
+    per batch, batch b being row b; unassigned slots fall back to the
+    classical nearest centroid.
 
-    Every circuit has ``m1`` record slots: a short last batch leaves its
-    unused slots empty (zero angles load nothing), and its plan counts only
-    the records it holds."""
+    The records are zero-padded to whole batches: a short last batch leaves
+    its unused slots empty (zero angles load nothing), and their labels are
+    dropped."""
     m = len(records)
     m1 = params.m1 if params.m1 is not None else m
-    shots = m1 * len(centroids) * params.shots_base
-    labels = np.empty(m, dtype=np.int64)
-    for b, start in enumerate(range(0, m, m1)):
-        held = min(m1, m - start)
-        batch = np.zeros((m1, records.slots))
-        batch[:held] = records.angles[start:start + held]
-        plan = build_qc3(batch, centroids.angles)
-        plan.num_records = held
-        batch_labels = _measure_with_retry(
-            plan, decode_qc3, shots, params.analytic, [(*rng_key, b)])
-        for v, label in enumerate(batch_labels):
-            if label is None:
-                label = _recovered_nearest(records, centroids, start + v)
-            labels[start + v] = label
-    return labels
+    batches = -(-m // m1)
+    padded = np.zeros((batches * m1, records.slots))
+    padded[:m] = records.angles
+    labels = _assign_rows(
+        padded.reshape(batches, m1, records.slots), centroids.angles,
+        [(*rng_key, b) for b in range(batches)],
+        m1 * len(centroids) * params.shots_base, params.analytic, decode_qc3)
+    return np.array([
+        _recovered_nearest(records, centroids, r) if label is None else label
+        for r, label in enumerate(labels[:m])], dtype=np.int64)
 
 
 def _update_centroids(data: np.ndarray, labels: np.ndarray,

@@ -209,6 +209,8 @@ def select_features(ds: Dataset, names=None, top_variance: int | None = None
         cols = [ds.feature_names.index(n) for n in names]
         new_names = list(names)
     else:
+        if top_variance < 1:
+            raise ValueError(f"top_variance must be >= 1, got {top_variance}")
         if top_variance > ds.num_features:
             raise ValueError(f"cannot keep {top_variance} of "
                              f"{ds.num_features} features")

@@ -70,17 +70,19 @@ def num_slots(dim: int) -> int:
     return 1 << max(1, (dim - 1).bit_length())
 
 
-def rotation_angles(unit_row: np.ndarray, slots: int) -> np.ndarray:
-    """Angles 2*arcsin(entry) for each slot, zero in the padding slots.
+def rotation_angles(unit_rows: np.ndarray, slots: int) -> np.ndarray:
+    """Angles 2*arcsin(entry) for each slot of a vector or of each row of a
+    matrix, zero in the padding slots.
 
     With this convention the register-qubit |1> branch carries amplitude
     exactly equal to the entry.
     """
-    unit_row = np.asarray(unit_row, dtype=float)
-    if len(unit_row) > slots:
+    unit_rows = np.asarray(unit_rows, dtype=float)
+    width = unit_rows.shape[-1]
+    if width > slots:
         raise ValueError("vector longer than the slot count")
-    angles = np.zeros(slots)
-    angles[: len(unit_row)] = 2.0 * np.arcsin(np.clip(unit_row, -1.0, 1.0))
+    angles = np.zeros(unit_rows.shape[:-1] + (slots,))
+    angles[..., :width] = 2.0 * np.arcsin(np.clip(unit_rows, -1.0, 1.0))
     return angles
 
 
@@ -108,6 +110,5 @@ def prepare_vectors(std_rows: np.ndarray, slots: int | None = None) -> PreparedV
     norms = np.linalg.norm(std_rows, axis=1)
     if slots is None:
         slots = num_slots(projected.shape[1])
-    angles = np.vstack([rotation_angles(row, slots) for row in projected])
-    return PreparedVectors(projected, norms, angles)
+    return PreparedVectors(projected, norms, rotation_angles(projected, slots))
 

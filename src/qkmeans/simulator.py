@@ -87,17 +87,10 @@ class Gate:
 
 
 def _half_cos_sin(theta):
-    """cos and sin of half an RY angle: ``numpy`` for per-row angles (an
-    array), ``math`` for a float and for each float of a list (the entries
-    of an angle table shared by every row, whose gates carry floats).
-    Every kernel takes its RY coefficients from here."""
-    if isinstance(theta, list):
-        half = [0.5 * t for t in theta]
-        return list(map(math.cos, half)), list(map(math.sin, half))
+    """cos and sin of half an RY angle, or elementwise of an array of
+    angles.  Every kernel takes its RY coefficients from here."""
     half = 0.5 * theta
-    if isinstance(half, np.ndarray):
-        return np.cos(half), np.sin(half)
-    return math.cos(half), math.sin(half)
+    return np.cos(half), np.sin(half)
 
 
 def h(target: int, controls=()) -> Gate:
@@ -119,9 +112,6 @@ class StateVector:
 
     num_qubits: int
     amplitudes: np.ndarray
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
 def new_state(num_qubits: int, rows: int | None = None,

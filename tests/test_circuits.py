@@ -266,6 +266,25 @@ class TestDecodeQc3:
         hist = histogram_of(layout.num_qubits, {b0: 7, b1: 7})
         assert decode_qc3(plan, hist) == [0]
 
+    def test_batched_is_the_row_decodes_concatenated(self):
+        # 3 rows of 3 records (the last with an empty slot) against shared
+        # centroids; 4 shots per row leave some slots without a kept shot
+        rng = np.random.default_rng(21)
+        records = angles_of(unit_rows(rng, 9, 4)).reshape(3, 3, 4)
+        records[2, 2] = 0.0
+        centroids = angles_of(unit_rows(rng, 2, 4))
+        plan = build_qc3(records, centroids)
+        seeds = (3, 4, 5)
+        hist = measure(simulate(plan), Sampled(4, seeds))
+        want = []
+        for row, seed in zip(records, seeds):
+            single = build_qc3(row, centroids)
+            want += decode_qc3(single, measure(simulate(single),
+                                               Sampled(4, seed)))
+        got = decode_qc3(plan, hist)
+        assert got == want
+        assert None in got
+
 
 class TestOracleEquivalence:
     def test_qc2_qc3_match_classical_argmin(self):

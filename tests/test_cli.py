@@ -94,6 +94,18 @@ class TestRunCommand:
         assert err["error"] == "ValueError"
         assert "nope" in err["message"]
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_top_variance_below_one(self, runner, tmp_path, count):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--dataset", "wine", "--top-variance", count,
+            "--out-dir", str(out)])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert f"top_variance must be >= 1, got {count}" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["run", "--dataset", "iris", "--algorithm", "q11"],
         ["elbow", "--dataset", "iris", "--algorithm", "q11", "--k-min", "2",

@@ -379,16 +379,36 @@ class TestBatchedAssignmentContract:
         from qkmeans import clustering
         from qkmeans.data import builtin
         data = builtin("iris").matrix
-        for strategy in (Strategy.Q11, Strategy.Q1K):
+        for strategy, m1 in ((Strategy.Q11, None), (Strategy.Q1K, None),
+                             (Strategy.QMK, 16)):
             params = ClusteringParams(k=3, assignment=strategy, seed=9,
-                                      max_ite=2, shots_base=64)
+                                      max_ite=2, shots_base=64, m1=m1)
             whole = run(data, params)
             with monkeypatch.context() as patch:
-                # 7 rows of 16 or 64 amplitudes: several uneven chunks
+                # 7 rows of 16 or 64 amplitudes: several uneven passes;
+                # a qmk row of 1024 amplitudes runs alone
                 patch.setattr(clustering, "MAX_BATCH_AMPLITUDES", 7 * 64)
                 chunked = run(data, params)
             for a, b in zip(whole.history, chunked.history):
                 assert np.array_equal(a.labels, b.labels)
+
+    def test_qmk_batches_run_in_one_pass(self, monkeypatch):
+        # iris in batches of 16: 10 circuits of 10 qubits, one pass each
+        # iteration
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+        rows = []
+
+        def counting(plan):
+            rows.append(plan.rows)
+            return simulate(plan)
+
+        simulate = clustering.simulate
+        monkeypatch.setattr(clustering, "simulate", counting)
+        params = ClusteringParams(k=3, assignment=Strategy.QMK, m1=16,
+                                  shots_base=8, seed=4, max_ite=3)
+        result = run(builtin("iris").matrix, params)
+        assert rows == [10] * result.n_ite
 
     def test_retry_redraws_only_empty_rows(self, monkeypatch):
         # 4 shots per circuit leave about a third of the QC1 rows with no

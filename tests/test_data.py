@@ -180,6 +180,11 @@ class TestSelectFeatures:
         with pytest.raises(ValueError):
             select_features(base)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_top_variance_below_one(self, count):
+        with pytest.raises(ValueError, match=f"got {count}"):
+            select_features(load_wine(), top_variance=count)
+
 
 class TestBuiltin:
     def test_registry_names(self):

@@ -106,6 +106,13 @@ class TestAngles:
         with pytest.raises(ValueError):
             rotation_angles(np.ones(5), 4)
 
+    def test_matrix_is_its_rows(self):
+        rows = prepare_vectors(np.random.default_rng(3).normal(
+            size=(20, 3))).projected
+        angles = rotation_angles(rows, 8)
+        for row, got in zip(rows, angles):
+            assert got.tobytes() == rotation_angles(row, 8).tobytes()
+
     def test_num_slots(self):
         assert num_slots(1) == 2
         assert num_slots(2) == 2

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkmeans import circuits, clustering, metrics
+from qkmeans import circuits, clustering, metrics, simulator
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -59,3 +59,20 @@ def test_simulate_counts_follow_the_gate_list(records, centroids):
     gates = circuits.circuit_stats(plan).gate_count
     assert tracer.counts["simulator.gates"] == gates
     assert tracer.counts["simulator.amp_updates"] == gates << plan.num_qubits
+
+
+def test_decode_fallbacks_count_the_empty_slots():
+    """A batched qM:k decode returns one flat label list; the benchmark's
+    fallback counter must count every None in it."""
+    spans = load_bench("spans")
+    rng = np.random.default_rng(1)
+    records = rng.uniform(0.1, 3.0, (3, 4, 4))
+    records[2, 3] = 0.0  # the short last batch's empty slot
+    plan = circuits.build_qc3(records, rng.uniform(0.1, 3.0, (3, 4)))
+    hist = simulator.measure(circuits.simulate(plan),
+                             simulator.Sampled(4, (7, 8, 9)))
+    labels = circuits.decode_qc3(plan, hist)
+    assert len(labels) == 12 and None in labels
+    tracer = spans.Tracer(circuits)
+    tracer._count_decode((plan, hist), labels, None)
+    assert tracer.counts["circuits.decode.fallbacks"] == labels.count(None)
