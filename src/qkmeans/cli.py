@@ -80,9 +80,9 @@ def _dataset_options(fn):
                       help="Comma-separated feature names to keep.")(fn)
     fn = click.option("--top-variance", type=int, default=None,
                       help="Keep this many highest-variance features.")(fn)
-    fn = click.option("--m", type=int, default=None,
+    fn = click.option("--m", type=click.IntRange(min=1), default=None,
                       help="Synthetic dataset size.")(fn)
-    fn = click.option("--sample", type=int, default=None,
+    fn = click.option("--sample", type=click.IntRange(min=1), default=None,
                       help="Random subsample size.")(fn)
     return fn
 
@@ -98,11 +98,11 @@ def _resolve_dataset(dataset, dataset_csv, label_column, features,
         if label is not None and label.isdigit():
             label = int(label)
         ds = datasets.load_csv(dataset_csv, label_column=label)
-    if features is not None:
-        ds = datasets.select_features(ds, names=[f.strip() for f in
-                                                 features.split(",")])
-    elif top_variance is not None:
-        ds = datasets.select_features(ds, top_variance=top_variance)
+    if features is not None or top_variance is not None:
+        names = (None if features is None
+                 else [f.strip() for f in features.split(",")])
+        ds = datasets.select_features(ds, names=names,
+                                      top_variance=top_variance)
     if sample is not None and sample < len(ds):
         ds = datasets.subsample(ds, sample, derive_seed(seed, 0x5A))
     return ds
@@ -418,7 +418,7 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
 @main.command("gen")
 @click.option("--dataset", required=True,
               help="Built-in dataset name to materialize.")
-@click.option("--m", type=int, default=None)
+@click.option("--m", type=click.IntRange(min=1), default=None)
 @click.option("--std", type=float, default=None,
               help="Blob spread override.")
 @click.option("--noise", type=float, default=None,

@@ -148,9 +148,53 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centroids
 
 
-def _sq_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = data[:, None, :] - centroids[None, :, :]
-    return np.sum(diff * diff, axis=2)
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``,
+    shape ``(len(a), len(b))``.
+
+    The squared differences are formed one feature column at a time and
+    summed in the order numpy's pairwise sum adds a row, so the result is
+    byte-equal to ``np.sum(diff * diff, axis=2)`` over the full
+    ``(len(a), len(b), d)`` difference array, which is never built.
+    """
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], b.shape[0]))
+    return _pairwise_columns(a, b, 0, a.shape[1])
+
+
+def _pairwise_columns(a: np.ndarray, b: np.ndarray, lo: int,
+                      hi: int) -> np.ndarray:
+    """Sum of the squared column differences over features ``lo..hi-1``:
+    left to right below 8 features, eight interleaved partial sums up to
+    128, and two halves split at a multiple of 8 above that."""
+    n = hi - lo
+    if n < 8:
+        return _column_run(a, b, range(lo, hi))
+    if n > 128:
+        mid = lo + n // 2 - (n // 2) % 8
+        total = _pairwise_columns(a, b, lo, mid)
+        total += _pairwise_columns(a, b, mid, hi)
+        return total
+    end = hi - n % 8
+    partial = [_column_run(a, b, range(lo + j, end, 8)) for j in range(8)]
+    for width in (1, 2, 4):  # ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))
+        for j in range(0, 8, 2 * width):
+            partial[j] += partial[j + width]
+    return _column_run(a, b, range(end, hi), partial[0])
+
+
+def _column_run(a: np.ndarray, b: np.ndarray, features: range,
+                total: np.ndarray | None = None) -> np.ndarray:
+    """Add the squared column differences of ``features`` left to right,
+    onto ``total`` if given."""
+    for f in features:
+        diff = np.subtract.outer(a[:, f], b[:, f])
+        diff *= diff
+        if total is None:
+            total = diff
+        else:
+            total += diff
+    return total
 
 
 def assign_classical(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:

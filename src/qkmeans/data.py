@@ -245,15 +245,17 @@ def builtin(name: str, m: int | None = None, seed: int = 0,
             std=None, noise: float | None = None) -> Dataset:
     """Named dataset registry used by the command-line harness.
 
-    ``std``/``noise`` override the generator defaults where they apply.
-    Real datasets come pre-selected to their experiment feature sets: iris
-    keeps sepal length / petal length / petal width, wine keeps its 7
-    highest-variance features.
+    ``m``/``std``/``noise`` override the generator defaults where they
+    apply.  Real datasets come pre-selected to their experiment feature
+    sets: iris keeps sepal length / petal length / petal width, wine keeps
+    its 7 highest-variance features.
     """
     key = name.lower()
-    m = m if m is not None else SYNTHETIC_SIZE
-    if key in ("iris", "wine") and (std is not None or noise is not None):
+    if key in ("iris", "wine") and (m is not None or std is not None
+                                    or noise is not None):
         raise ValueError(f"{name} takes no generator parameters")
+    if m is None:
+        m = 16 if key == "blobs3" else SYNTHETIC_SIZE
     if key == "blobs":
         return gen_blobs(m, BLOB_CENTERS,
                          std if std is not None else BLOBS_STD, seed)
@@ -266,7 +268,7 @@ def builtin(name: str, m: int | None = None, seed: int = 0,
     if key == "moon":
         return gen_moons(m, noise if noise is not None else 0.05, seed)
     if key == "blobs3":
-        return gen_blobs(m if m != SYNTHETIC_SIZE else 16, BLOBS3_CENTERS,
+        return gen_blobs(m, BLOBS3_CENTERS,
                          std if std is not None else 0.8, seed,
                          name="blobs3")
     if key == "iris":

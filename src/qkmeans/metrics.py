@@ -8,7 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringParams, ClusteringRun, derive_seed, run
+from .clustering import (
+    ClusteringParams,
+    ClusteringRun,
+    _sq_distances,
+    derive_seed,
+    run,
+)
 from .encoding import standardize
 
 
@@ -22,7 +28,8 @@ def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-# Elements of the (rows, M, d) difference block silhouette holds at a time.
+# Silhouette computes _SILHOUETTE_BLOCK // (M * d) rows (at least one) of
+# the M x M distance matrix at a time.
 _SILHOUETTE_BLOCK = 1 << 20
 
 
@@ -32,8 +39,10 @@ def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
     ``a`` is the mean distance to the other members of the point's own
     cluster, ``b`` the smallest mean distance to any other cluster.
     Singleton clusters contribute 0 for their lone point.  Distances are
-    computed a block of rows at a time, and each block's per-cluster sums
-    come from one product with the one-hot cluster matrix.
+    computed a block of rows at a time by ``_sq_distances``, which sums the
+    squared differences one feature column at a time in numpy's pairwise
+    order; each block's per-cluster sums come from one product with the
+    one-hot cluster matrix.
     """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -47,8 +56,7 @@ def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
     scores = np.zeros(m)
     for start in range(0, m, step):
         rows = slice(start, min(start + step, m))
-        diff = data[rows, None, :] - data[None, :, :]
-        sums = np.sqrt(np.sum(diff * diff, axis=2)) @ one_hot
+        sums = np.sqrt(_sq_distances(data[rows], data)) @ one_hot
         own = cluster[rows]
         at = np.arange(len(own))
         a = sums[at, own] / np.maximum(sizes[own] - 1, 1)

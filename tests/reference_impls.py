@@ -9,6 +9,10 @@
   one pattern-controlled RY per nonzero slot; the package builds all three
   as instances of one QC3 builder, whose expanded gate lists must equal
   theirs.
+* The row-blocked silhouette as it was before distances were summed by
+  feature columns: each block reduces its full ``(rows, M, d)`` difference
+  array with ``np.sum(..., axis=2)``.  The package must match it byte for
+  byte.
 * Single-vector forms of helpers the package now applies to whole arrays:
   the inverse stereographic projection of one vector and the marginal of a
   histogram over a subset of qubits.
@@ -337,6 +341,33 @@ def silhouette_reference(data, labels):
         denom = max(a, b)
         scores.append((b - a) / denom if denom > 0 else 0.0)
     return sum(scores) / m
+
+
+def silhouette_blocked_reference(data, labels, block=1 << 20):
+    """Mean silhouette a block of rows at a time, ``block`` elements of the
+    ``(rows, M, d)`` difference array per block."""
+    data = np.asarray(data, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    unique, cluster = np.unique(labels, return_inverse=True)
+    m = data.shape[0]
+    one_hot = (cluster[:, None] == np.arange(len(unique))).astype(float)
+    sizes = one_hot.sum(axis=0)
+    step = max(1, block // max(1, m * data.shape[1]))
+    scores = np.zeros(m)
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        diff = data[rows, None, :] - data[None, :, :]
+        sums = np.sqrt(np.sum(diff * diff, axis=2)) @ one_hot
+        own = cluster[rows]
+        at = np.arange(len(own))
+        a = sums[at, own] / np.maximum(sizes[own] - 1, 1)
+        means = sums / sizes
+        means[at, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        np.divide(b - a, denom, out=scores[rows],
+                  where=(denom > 0) & (sizes[own] > 1))
+    return float(scores.mean())
 
 
 def v_measure_reference(labels_true, labels_pred):

@@ -107,6 +107,55 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
+        ["run", "--dataset", "iris"],
+        ["elbow", "--dataset", "iris", "--k-min", "2", "--k-max", "2"],
+        ["stats", "--dataset", "iris", "--variant", "q11", "--k", "3"],
+    ])
+    def test_features_with_top_variance(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        extra = [] if command[0] == "stats" else ["--out-dir", str(out)]
+        result = runner.invoke(main, command + [
+            "--features", "sepal length,petal width", "--top-variance", "0",
+            *extra])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert "exactly one of names / top_variance" in err["message"]
+        assert not out.exists()
+
+    def test_nine_feature_silhouette_matches_reference(self, runner,
+                                                       tmp_path):
+        import numpy as np
+        from qkmeans.clustering import ClusteringParams, run
+        from qkmeans.data import Dataset, load_csv, save_csv
+        from qkmeans.encoding import standardize
+        from reference_impls import silhouette_blocked_reference
+        # 150 records: enough that a left-to-right sum over the 9 columns
+        # changes the score's last bits
+        rng = np.random.default_rng(1)
+        centers = rng.normal(scale=4.0, size=(3, 9))
+        truth = rng.integers(0, 3, 150)
+        matrix = centers[truth] + rng.normal(size=(150, 9))
+        csv_path = tmp_path / "nine.csv"
+        save_csv(Dataset("nine", matrix, truth, None), csv_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--dataset-csv", str(csv_path), "--label-column", "label",
+            "--algorithm", "kmeans", "--reps", "2", "--seed", "3",
+            "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        [json_path] = out.glob("*_kmeans.json")
+        artifact = json.loads(json_path.read_text())
+        assert artifact["config"]["dataset"]["features"] == 9
+        ds = load_csv(csv_path, label_column="label")
+        std, _, _ = standardize(ds.matrix)
+        for rep in artifact["repetitions"]:
+            labels = run(ds.matrix, ClusteringParams(k=3, seed=rep["seed"])
+                         ).labels
+            assert rep["metrics"]["sil"] == silhouette_blocked_reference(
+                std, labels)
+
+    @pytest.mark.parametrize("command", [
         ["run", "--dataset", "iris", "--algorithm", "q11"],
         ["elbow", "--dataset", "iris", "--algorithm", "q11", "--k-min", "2",
          "--k-max", "2", "--seeds-per-k", "1"],
@@ -138,7 +187,7 @@ class TestNegativeSeed:
 
 
 class TestCountsBelowOne:
-    """Worker and seed counts below 1 are usage errors, refused before any
+    """Worker, seed, record and sample counts below 1 are usage errors, refused before any
     work and before any output."""
 
     @pytest.mark.parametrize("command, option, value", [
@@ -146,12 +195,24 @@ class TestCountsBelowOne:
         (["run", "--dataset", "blobs3"], "--jobs", "-3"),
         (["elbow", "--dataset", "blobs3", "--k-min", "2", "--k-max", "2"],
          "--seeds-per-k", "0"),
+        (["run", "--dataset", "iris"], "--sample", "0"),
+        (["run", "--dataset", "iris"], "--sample", "-5"),
+        (["run", "--dataset", "blobs"], "--m", "0"),
+        (["run", "--dataset", "blobs"], "--m", "-3"),
+        (["elbow", "--dataset", "blobs", "--k-min", "2", "--k-max", "2"],
+         "--m", "0"),
+        (["elbow", "--dataset", "iris", "--k-min", "2", "--k-max", "2"],
+         "--sample", "0"),
+        (["stats", "--dataset", "iris", "--variant", "q11", "--k", "3"],
+         "--sample", "0"),
+        (["stats", "--dataset", "blobs", "--variant", "q11", "--k", "3"],
+         "--m", "-3"),
     ])
     def test_rejected_before_any_output(self, runner, tmp_path, command,
                                         option, value):
         out = tmp_path / "out"
-        result = runner.invoke(main, command + [option, value,
-                                                "--out-dir", str(out)])
+        extra = [] if command[0] == "stats" else ["--out-dir", str(out)]
+        result = runner.invoke(main, command + [option, value, *extra])
         assert result.exit_code == 2, result.output
         assert option in result.output
         assert result.exception is None or isinstance(result.exception,

@@ -7,6 +7,7 @@ from qkmeans.circuits import EstimationFailure, estimate_distance
 from qkmeans.clustering import (
     ClusteringParams,
     Strategy,
+    _sq_distances,
     assign_classical,
     assign_delta,
     assign_q11,
@@ -74,6 +75,27 @@ class TestAssignClassical:
         for i, row in enumerate(data):
             dists = [np.linalg.norm(row - c) for c in centroids]
             assert labels[i] == int(np.argmin(dists))
+
+
+class TestSqDistances:
+    """Summed by feature columns in numpy's pairwise order, the distances
+    are byte-equal to reducing the full difference array."""
+
+    @pytest.mark.parametrize("d", [*range(1, 21), 130, 257])
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (37, 3), (9, 37)])
+    def test_bytes_match_full_reduction(self, d, rows, cols):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(rows, d)) * rng.uniform(0.01, 100.0, size=d)
+        b = rng.normal(size=(cols, d))
+        diff = a[:, None, :] - b[None, :, :]
+        expected = np.sum(diff * diff, axis=2)
+        got = _sq_distances(a, b)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_no_features(self):
+        assert _sq_distances(np.zeros((3, 0)), np.zeros((2, 0))).tolist() == [
+            [0.0, 0.0]] * 3
 
 
 class TestAssignDelta:

@@ -197,6 +197,13 @@ class TestBuiltin:
         ds = builtin("blobs3", seed=0)
         assert len(ds) == 16 and ds.num_classes == 2
 
+    @pytest.mark.parametrize("name", ["blobs", "blobs3", "moon"])
+    def test_explicit_m_is_kept(self, name):
+        # the synthetic default size too, given explicitly
+        from qkmeans.data import SYNTHETIC_SIZE
+        for m in (SYNTHETIC_SIZE, 20):
+            assert len(builtin(name, m=m, seed=0)) == m
+
     def test_iris_preselected(self):
         assert builtin("iris").matrix.shape == (150, 3)
 
@@ -206,6 +213,14 @@ class TestBuiltin:
     def test_unknown(self):
         with pytest.raises(ValueError):
             builtin("nope")
+
+    @pytest.mark.parametrize("name", ["iris", "wine"])
+    @pytest.mark.parametrize("override", [{"m": 5}, {"std": 1.0},
+                                          {"noise": 0.1}])
+    def test_real_datasets_take_no_generator_parameters(self, name,
+                                                        override):
+        with pytest.raises(ValueError, match="no generator parameters"):
+            builtin(name, **override)
 
     def test_subsample(self):
         ds = subsample(builtin("blobs", seed=0), 150, 3)

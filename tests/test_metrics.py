@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qkmeans.metrics import (
 )
 from reference_impls import (
     pair_confusion_reference,
+    silhouette_blocked_reference,
     silhouette_reference,
     v_measure_reference,
 )
@@ -92,6 +95,38 @@ class TestSilhouette:
         labels[7] = 9  # a singleton cluster
         assert silhouette(data, labels) == pytest.approx(
             silhouette_reference(data, labels), abs=1e-9)
+
+
+class TestSilhouetteBytes:
+    """Summing distances by feature columns leaves every score byte-equal to
+    the blocked silhouette over the full difference array."""
+
+    @pytest.mark.parametrize("d", [*range(1, 21), 130])
+    @pytest.mark.parametrize("rows", [1, 4, 10, None])
+    def test_matches_blocked_reference(self, monkeypatch, d, rows):
+        # 37 records: no block size here divides them; None keeps the
+        # default block, which takes all rows at once
+        from qkmeans import metrics
+        rng = np.random.default_rng(d)
+        data = rng.normal(size=(37, d)) * rng.uniform(0.1, 10.0, size=d)
+        labels = rng.integers(0, 3, 37)
+        labels[5] = 7  # a singleton cluster
+        block = metrics._SILHOUETTE_BLOCK if rows is None else rows * 37 * d
+        monkeypatch.setattr(metrics, "_SILHOUETTE_BLOCK", block)
+        assert silhouette(data, labels) == silhouette_blocked_reference(
+            data, labels, block)
+
+    def test_blobs_peak_memory(self):
+        from qkmeans.data import BLOB_CENTERS, gen_blobs
+        ds = gen_blobs(2048, BLOB_CENTERS, 1.0, seed=5)
+        std, _, _ = standardize(ds.matrix)
+        tracemalloc.start()
+        try:
+            silhouette(std, ds.ground_truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
 
 
 class TestVMeasure:
