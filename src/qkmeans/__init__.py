@@ -18,6 +18,7 @@ from .circuits import (
 from .clustering import (
     ClusteringParams,
     ClusteringRun,
+    SeedDomain,
     Strategy,
     assign_classical,
     assign_delta,

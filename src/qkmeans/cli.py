@@ -30,6 +30,7 @@ from .circuits import (
 )
 from .clustering import (
     ClusteringParams,
+    SeedDomain,
     Strategy,
     derive_seed,
     kmeanspp_init,
@@ -42,8 +43,8 @@ from .simulator import MAX_QUBITS
 
 SCHEMA_VERSION = 1
 
-# Seeds are mixed into derived seeds as 63-bit words, where a negative seed
-# would alias a positive one; every --seed is refused below 0 up front.
+# derive_seed takes key parts in [0, 2^64); every --seed is refused below 0
+# up front, before any work starts.
 SEED = click.IntRange(min=0)
 
 ALGORITHMS = {
@@ -104,7 +105,8 @@ def _resolve_dataset(dataset, dataset_csv, label_column, features,
         ds = datasets.select_features(ds, names=names,
                                       top_variance=top_variance)
     if sample is not None and sample < len(ds):
-        ds = datasets.subsample(ds, sample, derive_seed(seed, 0x5A))
+        ds = datasets.subsample(ds, sample,
+                                derive_seed(seed, SeedDomain.SUBSAMPLE))
     return ds
 
 
@@ -236,7 +238,7 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
         params_dict = dataclasses.asdict(params)
         payloads = [
             (ds.matrix, ds.ground_truth, params_dict,
-             derive_seed(seed, 0x5EED, rep))
+             derive_seed(seed, SeedDomain.REPETITION, rep))
             for rep in range(reps)
         ]
         if jobs > 1:

@@ -49,9 +49,33 @@ from . import simulator
 from .simulator import Analytic, Sampled, StateVector, measure
 
 
+class SeedDomain(enum.IntEnum):
+    """What a derived seed is for: the word after the root seed in every
+    ``derive_seed`` key, so two uses never share a stream.  k-Means++ draws
+    from the root seed itself."""
+
+    ASSIGN = 1
+    RETRY = 2
+    DELTA = 3
+    SUBSAMPLE = 4
+    REPETITION = 5
+    ELBOW = 6
+
+
 def derive_seed(*parts: int) -> int:
-    """Deterministically mix integer parts into one 64-bit seed."""
-    entropy = [int(p) & 0x7FFFFFFFFFFFFFFF for p in parts]
+    """Deterministically mix integer parts, each in [0, 2^64), into one
+    64-bit seed.
+
+    The key is encoded as 64-bit words with its length first, so keys that
+    differ in length or in any part give different entropy.  ``SeedSequence``
+    alone pads short entropy with zeros and splits a part >= 2^32 into two
+    32-bit words, so (0, 1, 2) and (0, 1, 2, 0) would collide, and so would
+    (2^32 + 5,) and (5, 1)."""
+    key = [int(p) for p in parts]
+    for p in key:
+        if not 0 <= p < 1 << 64:
+            raise ValueError(f"seed key parts must be in [0, 2**64), got {p}")
+    entropy = np.array([len(key), *key], dtype=np.uint64)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -224,20 +248,25 @@ def assign_delta(data: np.ndarray, centroids: np.ndarray, delta: float,
 MAX_BATCH_AMPLITUDES = 1 << 20
 
 
-def _assign_rows(records: np.ndarray, centroids: np.ndarray, keys,
-                 shots: int, analytic: bool, decode) -> list:
+def _assign_rows(records: np.ndarray, centroids: np.ndarray, seed: int,
+                 ite: int, shots: int, analytic: bool, decode) -> list:
     """Build, simulate, measure and decode one assignment circuit per row:
     records ``(B, M1, slots)`` against centroids ``(B, k, slots)``, or
     ``(k, slots)`` shared by every row.  Returns the decoded values of all
     rows in order.
 
     Rows run in passes of at most ``MAX_BATCH_AMPLITUDES`` amplitudes.
-    Sampled row i draws from ``derive_seed(*keys[i])``; rows whose
-    post-selection came up empty are drawn once more at 4x the shots from
-    ``derive_seed(*keys[i], 1)``, then a failure propagates."""
+    Sampled rows draw in row order from one generator keyed
+    ``(seed, ASSIGN, ite)``, which carries on from pass to pass, so the
+    draws do not depend on the pass size.  Rows whose post-selection came up
+    empty are drawn once more at 4x the shots, in row order, from a second
+    generator keyed ``(seed, RETRY, ite)``; then a failure propagates."""
     qubits = circuit_layout(records.shape[2], records.shape[1],
                             centroids.shape[-2]).num_qubits
     step = max(1, MAX_BATCH_AMPLITUDES >> qubits)
+    rng = None if analytic else np.random.default_rng(
+        derive_seed(seed, SeedDomain.ASSIGN, ite))
+    retry_rng = None
     decoded = []
     for start in range(0, len(records), step):
         rows = slice(start, start + step)
@@ -247,31 +276,30 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray, keys,
         if analytic:
             decoded.extend(decode(plan, measure(state, Analytic())))
             continue
-        row_keys = keys[rows]
-        hist = measure(state, Sampled(
-            shots, tuple(derive_seed(*key) for key in row_keys)))
+        hist = measure(state, Sampled(shots, rng))
         try:
             decoded.extend(decode(plan, hist))
         except EstimationFailure as failure:
+            if retry_rng is None:
+                retry_rng = np.random.default_rng(
+                    derive_seed(seed, SeedDomain.RETRY, ite))
             empty = failure.rows
             retry = measure(
                 StateVector(state.num_qubits, state.amplitudes[empty]),
-                Sampled(4 * shots,
-                        tuple(derive_seed(*row_keys[i], 1) for i in empty)))
+                Sampled(4 * shots, retry_rng))
             hist.weights[empty] = retry.weights
             decoded.extend(decode(plan, hist))
     return decoded
 
 
 def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
-               params: ClusteringParams, rng_key=()) -> np.ndarray:
+               params: ClusteringParams, ite: int = 0) -> np.ndarray:
     """One distance circuit per (record, centroid) pair, argmin over the
     recovered original-space distances.  Pair (r, j) is row r*k + j."""
     k = len(centroids)
     r, j = np.divmod(np.arange(len(records) * k), k)
     d_proj = _assign_rows(
-        records.angles[r, None], centroids.angles[j, None],
-        [(*rng_key, int(a), int(b)) for a, b in zip(r, j)],
+        records.angles[r, None], centroids.angles[j, None], params.seed, ite,
         params.shots_base, params.analytic,
         lambda plan, hist: estimate_distance(plan, hist)[0])
     dists = recover_distance(d_proj, records.norms[r], centroids.norms[j])
@@ -279,11 +307,10 @@ def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
 
 
 def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
-               params: ClusteringParams, rng_key=()) -> np.ndarray:
+               params: ClusteringParams, ite: int = 0) -> np.ndarray:
     """One multi-centroid circuit per record: record r is row r."""
     labels = _assign_rows(
-        records.angles[:, None], centroids.angles,
-        [(*rng_key, r) for r in range(len(records))],
+        records.angles[:, None], centroids.angles, params.seed, ite,
         len(centroids) * params.shots_base, params.analytic, decode_qc2)
     return np.array(labels, dtype=np.int64)
 
@@ -302,7 +329,7 @@ def _recovered_nearest(records: PreparedVectors, centroids: PreparedVectors,
 
 
 def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
-               params: ClusteringParams, rng_key=()) -> np.ndarray:
+               params: ClusteringParams, ite: int = 0) -> np.ndarray:
     """Batched assignment: contiguous batches of ``m1`` records, one circuit
     per batch, batch b being row b; unassigned slots fall back to the
     classical nearest centroid.
@@ -317,8 +344,8 @@ def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
     padded[:m] = records.angles
     labels = _assign_rows(
         padded.reshape(batches, m1, records.slots), centroids.angles,
-        [(*rng_key, b) for b in range(batches)],
-        m1 * len(centroids) * params.shots_base, params.analytic, decode_qc3)
+        params.seed, ite, m1 * len(centroids) * params.shots_base,
+        params.analytic, decode_qc3)
     return np.array([
         _recovered_nearest(records, centroids, r) if label is None else label
         for r, label in enumerate(labels[:m])], dtype=np.int64)
@@ -342,14 +369,13 @@ def _dispatch(strategy: Strategy, std: np.ndarray, records, centroids_std,
         return assign_classical(std, centroids_std)
     if strategy is Strategy.DELTA:
         return assign_delta(std, centroids_std, params.delta,
-                            derive_seed(params.seed, 0xDE, ite))
+                            derive_seed(params.seed, SeedDomain.DELTA, ite))
     centroids = prepare_vectors(centroids_std, slots=records.slots)
-    rng_key = (params.seed, ite)
     if strategy is Strategy.Q11:
-        return assign_q11(records, centroids, params, rng_key)
+        return assign_q11(records, centroids, params, ite)
     if strategy is Strategy.Q1K:
-        return assign_q1k(records, centroids, params, rng_key)
-    return assign_qmk(records, centroids, params, rng_key)
+        return assign_q1k(records, centroids, params, ite)
+    return assign_qmk(records, centroids, params, ite)
 
 
 def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:

@@ -11,6 +11,7 @@ import numpy as np
 from .clustering import (
     ClusteringParams,
     ClusteringRun,
+    SeedDomain,
     _sq_distances,
     derive_seed,
     run,
@@ -178,8 +179,8 @@ def elbow(data: np.ndarray, k_range, params: ClusteringParams,
     for k in k_range:
         best = None
         for s in range(n_seeds):
-            p = dataclasses.replace(params, k=k,
-                                    seed=derive_seed(params.seed, k, s))
+            seed = derive_seed(params.seed, SeedDomain.ELBOW, k, s)
+            p = dataclasses.replace(params, k=k, seed=seed)
             result = run(data, p)
             value = sse(std, result.labels, result.centroids)
             if best is None or value < best:

@@ -221,11 +221,13 @@ class Analytic:
 class Sampled:
     """t i.i.d. shots drawn from the final-state distribution.
 
-    ``seed`` is one seed, or for a batched state a sequence with one seed
-    per row; each row draws from its own generator."""
+    ``seed`` is a seed or a ``numpy.random.Generator``.  A generator is drawn
+    from and advanced, so successive measurements continue one stream; a
+    batched state draws its rows from it in row order, each row as a 1-D
+    ``multinomial`` of that generator would."""
 
     shots: int
-    seed: int | tuple[int, ...] = 0
+    seed: int | np.random.Generator = 0
 
     def __post_init__(self):
         if self.shots < 1:
@@ -268,18 +270,13 @@ def measure(state: StateVector, mode: MeasureMode) -> Histogram:
     """Measure all qubits.
 
     Analytic mode returns the exact distribution; Sampled mode draws
-    ``mode.shots`` i.i.d. outcomes per row, reproducibly for fixed seeds.
-    Partial measurement is realized downstream, on the dense weights.
+    ``mode.shots`` i.i.d. outcomes per row, reproducibly for a fixed seed
+    or generator state.  Partial measurement is realized downstream, on the
+    dense weights.
     """
     probs = probabilities(state)
     if isinstance(mode, Analytic):
         return Histogram(state.num_qubits, probs)
-    seeds = [mode.seed] if np.ndim(mode.seed) == 0 else list(mode.seed)
-    rows = probs.reshape(-1, probs.shape[-1])
-    if len(seeds) != rows.shape[0]:
-        raise ValueError(f"{len(seeds)} seeds for {rows.shape[0]} rows")
-    draws = np.empty(rows.shape)
-    for i, (row, seed) in enumerate(zip(rows, seeds)):
-        draws[i] = np.random.default_rng(seed).multinomial(
-            mode.shots, row / row.sum())
-    return Histogram(state.num_qubits, draws.reshape(probs.shape))
+    draws = np.random.default_rng(mode.seed).multinomial(
+        mode.shots, probs / probs.sum(axis=-1, keepdims=True))
+    return Histogram(state.num_qubits, draws.astype(float))

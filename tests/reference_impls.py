@@ -18,9 +18,11 @@
   histogram over a subset of qubits.
 * The per-circuit assignment loops of q1:1, q1:k and qM:k: one circuit per
   (record, centroid) pair, record or batch, built by those builders, run
-  through the index-array kernel and measured with a generator seeded per
-  circuit.  They reuse the package's decoders on single circuits, and
-  define the sampled streams a batched assignment must reproduce.
+  through the index-array kernel and measured one circuit at a time with a
+  1-D ``multinomial``: in circuit order from the iteration's assign
+  generator, and the 4x redraws of empty circuits from its retry generator.
+  They reuse the package's decoders on single circuits, and define the
+  sampled streams a batched assignment must reproduce.
 """
 
 import math
@@ -35,7 +37,7 @@ from qkmeans.circuits import (
     decode_qc3,
     estimate_distance,
 )
-from qkmeans.clustering import _recovered_nearest, derive_seed
+from qkmeans.clustering import SeedDomain, _recovered_nearest, derive_seed
 from qkmeans.encoding import recover_distance
 from qkmeans.simulator import Histogram, h, new_state, ry
 
@@ -243,30 +245,38 @@ def simulate_reference(plan):
     return state
 
 
-def measure_reference(state, shots=None, seed=None):
+def measure_reference(state, shots=None, rng=None):
     """Exact probabilities when ``shots`` is None, else ``shots`` draws from
-    a generator seeded with ``seed``."""
+    the generator ``rng``."""
     probs = np.abs(state.amplitudes) ** 2
     if shots is None:
         return Histogram(state.num_qubits, probs)
-    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    draws = rng.multinomial(shots, probs / probs.sum())
     return Histogram(state.num_qubits, draws.astype(float))
 
 
-def _decode_reference(plan, decode, shots, analytic, seed_key):
+def _streams(params, ite):
+    """The assign and retry generators of one iteration's assignment."""
+    if params.analytic:
+        return None
+    return tuple(np.random.default_rng(derive_seed(params.seed, domain, ite))
+                 for domain in (SeedDomain.ASSIGN, SeedDomain.RETRY))
+
+
+def _decode_reference(plan, decode, shots, streams):
     state = simulate_reference(plan)
-    if analytic:
+    if streams is None:
         return decode(plan, measure_reference(state))
+    assign_rng, retry_rng = streams
     try:
-        return decode(plan, measure_reference(
-            state, shots, derive_seed(*seed_key)))
+        return decode(plan, measure_reference(state, shots, assign_rng))
     except EstimationFailure:
-        return decode(plan, measure_reference(
-            state, 4 * shots, derive_seed(*seed_key, 1)))
+        return decode(plan, measure_reference(state, 4 * shots, retry_rng))
 
 
-def assign_q11_reference(records, centroids, params, rng_key=()):
+def assign_q11_reference(records, centroids, params, ite=0):
     n_index = records.slots.bit_length() - 1
+    streams = _streams(params, ite)
     labels = np.empty(len(records), dtype=np.int64)
     for r in range(len(records)):
         dists = np.empty(len(centroids))
@@ -274,44 +284,43 @@ def assign_q11_reference(records, centroids, params, rng_key=()):
             plan = build_qc1_reference(records.angles[r],
                                        centroids.angles[j], n_index)
             d_proj, _ = _decode_reference(
-                plan, estimate_distance, params.shots_base, params.analytic,
-                (*rng_key, r, j))
+                plan, estimate_distance, params.shots_base, streams)
             dists[j] = recover_distance(
                 d_proj, records.norms[r], centroids.norms[j])
         labels[r] = int(np.argmin(dists))
     return labels
 
 
-def assign_q1k_reference(records, centroids, params, rng_key=()):
+def assign_q1k_reference(records, centroids, params, ite=0):
     n_index = records.slots.bit_length() - 1
+    streams = _streams(params, ite)
     k = len(centroids)
     n_cluster = max(k - 1, 0).bit_length()
     labels = np.empty(len(records), dtype=np.int64)
     for r in range(len(records)):
         plan = build_qc2_reference(records.angles[r], centroids.angles,
                                    n_index, n_cluster)
-        labels[r] = _decode_reference(
-            plan, decode_qc2, k * params.shots_base, params.analytic,
-            (*rng_key, r))
+        labels[r] = _decode_reference(plan, decode_qc2,
+                                      k * params.shots_base, streams)
     return labels
 
 
-def assign_qmk_reference(records, centroids, params, rng_key=()):
+def assign_qmk_reference(records, centroids, params, ite=0):
     m = len(records)
+    streams = _streams(params, ite)
     m1 = params.m1 if params.m1 is not None else m
     k = len(centroids)
     n_cluster = max(k - 1, 0).bit_length()
     n_batch = max(m1 - 1, 0).bit_length()
     labels = np.empty(m, dtype=np.int64)
-    for b, start in enumerate(range(0, m, m1)):
+    for start in range(0, m, m1):
         stop = min(start + m1, m)
         plan = build_qc3_reference(records.angles[start:stop],
                                    centroids.angles,
                                    records.slots.bit_length() - 1,
                                    n_batch, n_cluster)
         batch_labels = _decode_reference(
-            plan, decode_qc3, m1 * k * params.shots_base, params.analytic,
-            (*rng_key, b))
+            plan, decode_qc3, m1 * k * params.shots_base, streams)
         for v, label in enumerate(batch_labels):
             if label is None:
                 label = _recovered_nearest(records, centroids, start + v)

@@ -19,6 +19,7 @@ from qkmeans.circuits import (
 )
 from qkmeans.clustering import (
     ClusteringParams,
+    SeedDomain,
     Strategy,
     derive_seed,
     run,
@@ -52,7 +53,8 @@ def angles_of(rows):
 
 
 def table_dataset(name, seed=0):
-    return subsample(builtin(name, seed=seed), 150, derive_seed(seed, 0x5A))
+    return subsample(builtin(name, seed=seed), 150,
+                     derive_seed(seed, SeedDomain.SUBSAMPLE))
 
 
 def medians(values):

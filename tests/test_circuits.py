@@ -274,13 +274,13 @@ class TestDecodeQc3:
         records[2, 2] = 0.0
         centroids = angles_of(unit_rows(rng, 2, 4))
         plan = build_qc3(records, centroids)
-        seeds = (3, 4, 5)
-        hist = measure(simulate(plan), Sampled(4, seeds))
+        hist = measure(simulate(plan), Sampled(4, 3))
+        rng = np.random.default_rng(3)  # the rows' draws, one by one
         want = []
-        for row, seed in zip(records, seeds):
+        for row in records:
             single = build_qc3(row, centroids)
             want += decode_qc3(single, measure(simulate(single),
-                                               Sampled(4, seed)))
+                                               Sampled(4, rng)))
         got = decode_qc3(plan, hist)
         assert got == want
         assert None in got
@@ -422,12 +422,13 @@ class TestBatchedCircuits:
         rng = np.random.default_rng(15)
         records, centroids = unit_rows(rng, 6, 4), unit_rows(rng, 3, 4)
         plan = qc2(angles_of(records), angles_of(centroids))
-        hist = measure(simulate(plan), Sampled(300, seed=tuple(range(6))))
+        hist = measure(simulate(plan), Sampled(300, seed=0))
         labels = decode_qc2(plan, hist)
         buckets = assignment_histogram(plan, hist)
+        rng = np.random.default_rng(0)  # the rows' draws, one by one
         for r in range(6):
             single = qc2(angles_of(records[r]), angles_of(centroids))
-            alone = measure(simulate(single), Sampled(300, seed=r))
+            alone = measure(simulate(single), Sampled(300, seed=rng))
             assert labels[r] == decode_qc2(single, alone)
             assert np.array_equal(buckets.counts[r, 0],
                                   assignment_histogram(single, alone).counts[0])

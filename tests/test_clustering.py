@@ -6,6 +6,7 @@ import pytest
 from qkmeans.circuits import EstimationFailure, estimate_distance
 from qkmeans.clustering import (
     ClusteringParams,
+    SeedDomain,
     Strategy,
     _sq_distances,
     assign_classical,
@@ -149,7 +150,7 @@ class TestQuantumAssignments:
                                     prepared.norms[:2].copy(),
                                     prepared.angles[:2].copy())
         params = self.params(k=2, analytic=False, shots_base=256)
-        labels = assign_q11(prepared, centroids, params, rng_key=(1,))
+        labels = assign_q11(prepared, centroids, params, ite=1)
         assert labels[0] == 0 and labels[1] == 1
 
     def test_q1k_analytic_equals_classical_on_unit_rows(self):
@@ -285,7 +286,8 @@ class TestReportedBehavior:
 
     def test_q11_blobs_full_similarity(self):
         from qkmeans.data import builtin, subsample
-        ds = subsample(builtin("blobs", seed=0), 150, derive_seed(0, 0x5A))
+        ds = subsample(builtin("blobs", seed=0), 150,
+                       derive_seed(0, SeedDomain.SUBSAMPLE))
         sims = []
         for rep in range(5):
             result = run(ds.matrix, ClusteringParams(
@@ -295,7 +297,8 @@ class TestReportedBehavior:
 
     def test_q1k_blobs_similarity(self):
         from qkmeans.data import builtin, subsample
-        ds = subsample(builtin("blobs", seed=0), 150, derive_seed(0, 0x5A))
+        ds = subsample(builtin("blobs", seed=0), 150,
+                       derive_seed(0, SeedDomain.SUBSAMPLE))
         sims = []
         for rep in range(5):
             result = run(ds.matrix, ClusteringParams(
@@ -321,11 +324,32 @@ class TestDeriveSeed:
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
         assert derive_seed(0) != derive_seed(1)
 
+    def test_trailing_zero_is_part_of_the_key(self):
+        # SeedSequence pads short entropy with zeros
+        assert derive_seed(0, 1, 2) != derive_seed(0, 1, 2, 0)
+        assert derive_seed(0) != derive_seed(0, 0)
+
+    def test_wide_part_is_one_word(self):
+        # SeedSequence splits a part >= 2^32 into two 32-bit words
+        assert derive_seed(2**32 + 5) != derive_seed(5, 1)
+        assert derive_seed(2**64 - 1) != derive_seed(2**32 - 1, 2**32 - 1)
+
+    def test_domains_separate_streams(self):
+        seeds = {derive_seed(7, domain, 1) for domain in SeedDomain}
+        assert len(seeds) == len(SeedDomain)
+        assert derive_seed(7, SeedDomain.ASSIGN, 1) == derive_seed(7, 1, 1)
+
+    @pytest.mark.parametrize("part", [-1, 2**64])
+    def test_out_of_range_part(self, part):
+        with pytest.raises(ValueError):
+            derive_seed(0, part)
+
 
 class TestBatchedAssignmentContract:
     """``run`` with the batched assignment step reproduces, iteration by
     iteration, the per-circuit loops of ``reference_impls``: the same
-    circuits, the same per-circuit seeds, so the same sampled streams."""
+    circuits drawn in the same order from the same assign and retry
+    generators, so the same sampled streams."""
 
     @staticmethod
     def runs_agree(monkeypatch, data, params, name):
@@ -389,9 +413,9 @@ class TestBatchedAssignmentContract:
         rows, records = unit_prepared(rng, 8, 4)
         crows, centroids = unit_prepared(rng, 2, 4)
         params = ClusteringParams(k=2, m1=8, shots_base=1, seed=0)
-        got = assign_qmk(records, centroids, params, rng_key=(2,))
+        got = assign_qmk(records, centroids, params, ite=2)
         want = reference_impls.assign_qmk_reference(records, centroids,
-                                                    params, rng_key=(2,))
+                                                    params, ite=2)
         assert np.array_equal(got, want)
         assert fallbacks
         nearest = assign_classical(rows, crows)
@@ -413,6 +437,60 @@ class TestBatchedAssignmentContract:
                 chunked = run(data, params)
             for a, b in zip(whole.history, chunked.history):
                 assert np.array_equal(a.labels, b.labels)
+
+    def test_chunked_retries_match_one_pass(self, monkeypatch):
+        # a QC1 row of unit vectors keeps a quarter of its shots: 8 shots
+        # leave about a tenth of the 90 rows with none, so several 5-row
+        # passes redraw some of their rows from the retry generator, whose
+        # 32 shots then come up empty with odds of about 1 in 10^4
+        import reference_impls
+        from qkmeans import clustering
+        rng = np.random.default_rng(12)
+        _, records = unit_prepared(rng, 30, 4)
+        _, centroids = unit_prepared(rng, 3, 4)
+        params = ClusteringParams(k=3, shots_base=8, seed=0)
+
+        def estimates(amplitudes):
+            """Labels, and per pass the decoded distances or None for a
+            pass that had to redraw."""
+            decoded = []
+
+            def recording(plan, hist):
+                try:
+                    result = estimate_distance(plan, hist)
+                except EstimationFailure:
+                    decoded.append(None)
+                    raise
+                decoded.append(result[0])
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(clustering, "MAX_BATCH_AMPLITUDES", amplitudes)
+                patch.setattr(clustering, "estimate_distance", recording)
+                labels = assign_q11(records, centroids, params, ite=1)
+            return labels, decoded
+
+        whole, one_pass = estimates(90 * 16)
+        chunked, passes = estimates(5 * 16)
+        assert len(one_pass) == 2 and one_pass[0] is None
+        assert sum(d is None for d in passes) >= 2
+        assert np.array_equal(
+            one_pass[1], np.concatenate([d for d in passes if d is not None]))
+        assert np.array_equal(whole, chunked)
+
+        # the per-circuit loop decodes the same distances, circuit by circuit
+        looped = []
+
+        def recording(plan, hist):
+            result = estimate_distance(plan, hist)
+            looped.append(result[0])
+            return result
+
+        monkeypatch.setattr(reference_impls, "estimate_distance", recording)
+        labels = reference_impls.assign_q11_reference(records, centroids,
+                                                      params, ite=1)
+        assert np.array_equal(one_pass[1], np.ravel(looped))
+        assert np.array_equal(whole, labels)
 
     def test_qmk_batches_run_in_one_pass(self, monkeypatch):
         # iris in batches of 16: 10 circuits of 10 qubits, one pass each
@@ -451,9 +529,9 @@ class TestBatchedAssignmentContract:
         _, records = unit_prepared(rng, 6, 4)
         _, centroids = unit_prepared(rng, 2, 4)
         params = ClusteringParams(k=2, shots_base=4, seed=0)
-        got = assign_q11(records, centroids, params, rng_key=(3,))
+        got = assign_q11(records, centroids, params, ite=3)
         want = reference_impls.assign_q11_reference(records, centroids,
-                                                    params, rng_key=(3,))
+                                                    params, ite=3)
         assert np.array_equal(got, want)
         assert failures and failures[0] > 0
 

@@ -331,16 +331,21 @@ class TestBatchedKernel:
         with pytest.raises(ValueError):
             ry(np.zeros((2, 2)), 0)
 
-    def test_sampled_rows_use_their_own_seeds(self):
+    def test_sampled_rows_draw_in_order_from_one_generator(self):
         state = apply_gate(new_state(3, rows=2), ry(np.array([0.3, 2.0]), 1))
         apply_gate(state, h(0))
-        hist = measure(state, Sampled(500, seed=(11, 12)))
-        for r, seed in enumerate((11, 12)):
+        hist = measure(state, Sampled(500, seed=11))
+        rng = np.random.default_rng(11)
+        for r in range(2):
+            probs = probabilities(StateVector(3, state.amplitudes[r]))
+            alone = rng.multinomial(500, probs / probs.sum())
+            assert np.array_equal(hist.weights[r], alone)
+        # a generator carries on from one measurement to the next
+        rng = np.random.default_rng(11)
+        for r in range(2):
             single = StateVector(3, state.amplitudes[r].copy())
-            alone = measure(single, Sampled(500, seed=seed))
+            alone = measure(single, Sampled(500, seed=rng))
             assert np.array_equal(hist.weights[r], alone.weights)
-        with pytest.raises(ValueError):
-            measure(state, Sampled(500, seed=11))
 
     def test_histogram_rows_postselect_and_marginal(self):
         rng = np.random.default_rng(1)

@@ -70,7 +70,7 @@ def test_decode_fallbacks_count_the_empty_slots():
     records[2, 3] = 0.0  # the short last batch's empty slot
     plan = circuits.build_qc3(records, rng.uniform(0.1, 3.0, (3, 4)))
     hist = simulator.measure(circuits.simulate(plan),
-                             simulator.Sampled(4, (7, 8, 9)))
+                             simulator.Sampled(4, 7))
     labels = circuits.decode_qc3(plan, hist)
     assert len(labels) == 12 and None in labels
     tracer = spans.Tracer(circuits)
