@@ -172,52 +172,65 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centroids
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_distances(a: np.ndarray, b: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``a`` and ``b``,
-    shape ``(len(a), len(b))``.
+    shape ``(len(a), len(b))``, written into ``out`` if given.
 
     The squared differences are formed one feature column at a time and
     summed in the order numpy's pairwise sum adds a row, so the result is
     byte-equal to ``np.sum(diff * diff, axis=2)`` over the full
-    ``(len(a), len(b), d)`` difference array, which is never built.
+    ``(len(a), len(b), d)`` difference array, which is never built.  The
+    first column of each partial sum is written in place; later columns go
+    through one reused temporary.
     """
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[0]))
     if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
-    return _pairwise_columns(a, b, 0, a.shape[1])
+        out[...] = 0.0
+        return out
+    scratch = np.empty_like(out) if a.shape[1] > 1 else None
+    return _pairwise_columns(a, b, 0, a.shape[1], out, scratch)
 
 
-def _pairwise_columns(a: np.ndarray, b: np.ndarray, lo: int,
-                      hi: int) -> np.ndarray:
-    """Sum of the squared column differences over features ``lo..hi-1``:
-    left to right below 8 features, eight interleaved partial sums up to
-    128, and two halves split at a multiple of 8 above that."""
+def _pairwise_columns(a: np.ndarray, b: np.ndarray, lo: int, hi: int,
+                      total: np.ndarray,
+                      scratch: np.ndarray | None) -> np.ndarray:
+    """Write into ``total`` the sum of the squared column differences over
+    features ``lo..hi-1``: left to right below 8 features, eight
+    interleaved partial sums up to 128, and two halves split at a multiple
+    of 8 above that."""
     n = hi - lo
     if n < 8:
-        return _column_run(a, b, range(lo, hi))
+        return _column_run(a, b, range(lo, hi), total, scratch)
     if n > 128:
         mid = lo + n // 2 - (n // 2) % 8
-        total = _pairwise_columns(a, b, lo, mid)
-        total += _pairwise_columns(a, b, mid, hi)
+        _pairwise_columns(a, b, lo, mid, total, scratch)
+        total += _pairwise_columns(a, b, mid, hi, np.empty_like(total),
+                                   scratch)
         return total
     end = hi - n % 8
-    partial = [_column_run(a, b, range(lo + j, end, 8)) for j in range(8)]
+    partial = [total] + [np.empty_like(total) for _ in range(7)]
+    for j in range(8):
+        _column_run(a, b, range(lo + j, end, 8), partial[j], scratch)
     for width in (1, 2, 4):  # ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))
         for j in range(0, 8, 2 * width):
             partial[j] += partial[j + width]
-    return _column_run(a, b, range(end, hi), partial[0])
+    return _column_run(a, b, range(end, hi), total, scratch, add=True)
 
 
 def _column_run(a: np.ndarray, b: np.ndarray, features: range,
-                total: np.ndarray | None = None) -> np.ndarray:
-    """Add the squared column differences of ``features`` left to right,
-    onto ``total`` if given."""
+                total: np.ndarray, scratch: np.ndarray | None,
+                add: bool = False) -> np.ndarray:
+    """Sum the squared column differences of ``features`` left to right
+    into ``total``, onto its contents if ``add``, else over them."""
     for f in features:
-        diff = np.subtract.outer(a[:, f], b[:, f])
+        diff = scratch if add else total
+        np.subtract.outer(a[:, f], b[:, f], out=diff)
         diff *= diff
-        if total is None:
-            total = diff
-        else:
+        if add:
             total += diff
+        add = True
     return total
 
 
@@ -260,7 +273,9 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray, seed: int,
     ``(seed, ASSIGN, ite)``, which carries on from pass to pass, so the
     draws do not depend on the pass size.  Rows whose post-selection came up
     empty are drawn once more at 4x the shots, in row order, from a second
-    generator keyed ``(seed, RETRY, ite)``; then a failure propagates."""
+    generator keyed ``(seed, RETRY, ite)``.  Rows still empty after that
+    raise ``EstimationFailure`` naming the iteration, how many rows of the
+    pass are empty and the retry's shots per row."""
     qubits = circuit_layout(records.shape[2], records.shape[1],
                             centroids.shape[-2]).num_qubits
     step = max(1, MAX_BATCH_AMPLITUDES >> qubits)
@@ -270,7 +285,8 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray, seed: int,
     decoded = []
     for start in range(0, len(records), step):
         rows = slice(start, start + step)
-        plan = build_qc3(records[rows],
+        batch = records[rows]
+        plan = build_qc3(batch,
                          centroids if centroids.ndim == 2 else centroids[rows])
         state = simulate(plan)
         if analytic:
@@ -288,7 +304,14 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray, seed: int,
                 StateVector(state.num_qubits, state.amplitudes[empty]),
                 Sampled(4 * shots, retry_rng))
             hist.weights[empty] = retry.weights
-            decoded.extend(decode(plan, hist))
+            try:
+                decoded.extend(decode(plan, hist))
+            except EstimationFailure as again:
+                raise EstimationFailure(
+                    f"iteration {ite}: {again} in {len(again.rows)} of "
+                    f"{len(batch)} rows of a pass, even redrawn at "
+                    f"{4 * shots} shots per row; use a larger shots_base",
+                    again.rows) from again
     return decoded
 
 

@@ -30,8 +30,13 @@ def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
 
 
 # Silhouette computes _SILHOUETTE_BLOCK // (M * d) rows (at least one) of
-# the M x M distance matrix at a time.
+# the M x M distance matrix at a time, and sums each block per cluster with
+# one matrix product.  That row count must stay fixed: OpenBLAS picks a
+# different kernel for products under 128 rows, which changes the bytes.
 _SILHOUETTE_BLOCK = 1 << 20
+# Within a block, distances are formed _SILHOUETTE_TILE // M rows (at least
+# one) at a time: a tile of 256 KiB, so the elementwise passes run in cache.
+_SILHOUETTE_TILE = 1 << 15
 
 
 def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
@@ -39,11 +44,13 @@ def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
 
     ``a`` is the mean distance to the other members of the point's own
     cluster, ``b`` the smallest mean distance to any other cluster.
-    Singleton clusters contribute 0 for their lone point.  Distances are
-    computed a block of rows at a time by ``_sq_distances``, which sums the
-    squared differences one feature column at a time in numpy's pairwise
-    order; each block's per-cluster sums come from one product with the
-    one-hot cluster matrix.
+    Singleton clusters contribute 0 for their lone point.  Distances fill
+    one reused block buffer of rows, a cache-sized tile of rows at a time,
+    through ``_sq_distances``, which sums the squared differences one
+    feature column at a time in numpy's pairwise order; each block's
+    per-cluster sums then come from one product with the one-hot cluster
+    matrix.  At 2048 records of 2 features the buffer is 4 MiB, and the
+    ``tracemalloc`` peak of a call 4.5 MiB.
     """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -54,10 +61,18 @@ def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
     one_hot = (cluster[:, None] == np.arange(len(unique))).astype(float)
     sizes = one_hot.sum(axis=0)
     step = max(1, _SILHOUETTE_BLOCK // max(1, m * data.shape[1]))
+    tile = max(1, _SILHOUETTE_TILE // m)
+    buffer = np.empty((min(step, m), m))
     scores = np.zeros(m)
     for start in range(0, m, step):
         rows = slice(start, min(start + step, m))
-        sums = np.sqrt(_sq_distances(data[rows], data)) @ one_hot
+        dist = buffer[:rows.stop - start]
+        for lo in range(0, len(dist), tile):
+            part = dist[lo:lo + tile]
+            _sq_distances(data[start + lo:start + lo + len(part)], data,
+                          out=part)
+            np.sqrt(part, out=part)
+        sums = dist @ one_hot
         own = cluster[rows]
         at = np.arange(len(own))
         a = sums[at, own] / np.maximum(sizes[own] - 1, 1)

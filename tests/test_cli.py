@@ -171,6 +171,20 @@ class TestRunCommand:
         assert err["error"] == "EstimationFailure"
         assert not out.exists()
 
+    def test_estimation_failure_names_the_remedy(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--dataset", "iris", "--algorithm", "q11", "--shots", "4",
+            "--out-dir", str(out)])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "EstimationFailure"
+        assert err["message"].startswith("iteration ")
+        assert "of 450 rows of a pass" in err["message"]
+        assert "16 shots per row" in err["message"]
+        assert "larger shots_base" in err["message"]
+        assert not out.exists()
+
 
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", [

@@ -98,6 +98,17 @@ class TestSqDistances:
         assert _sq_distances(np.zeros((3, 0)), np.zeros((2, 0))).tolist() == [
             [0.0, 0.0]] * 3
 
+    @pytest.mark.parametrize("d", [*range(0, 21), 130, 257])
+    def test_out_matches_allocating_call(self, d):
+        # the buffer starts out holding garbage; every element is overwritten
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(11, d)) * rng.uniform(0.01, 100.0, size=d)
+        b = rng.normal(size=(23, d))
+        buf = np.full((11, 23), np.nan)
+        got = _sq_distances(a, b, out=buf)
+        assert got is buf
+        assert buf.tobytes() == _sq_distances(a, b).tobytes()
+
 
 class TestAssignDelta:
     def test_zero_delta_is_classical(self):
@@ -534,6 +545,22 @@ class TestBatchedAssignmentContract:
                                                     params, ite=3)
         assert np.array_equal(got, want)
         assert failures and failures[0] > 0
+
+    def test_empty_after_retry_names_iteration_rows_and_shots(self):
+        # q1:1 on iris at 4 shots: 450 rows a pass, and a 16-shot retry
+        # still leaves a row without a register=1 shot
+        from qkmeans.data import builtin
+        params = ClusteringParams(k=3, assignment=Strategy.Q11, shots_base=4,
+                                  max_ite=2, seed=0)
+        with pytest.raises(EstimationFailure) as failure:
+            run(builtin("iris").matrix, params)
+        message = str(failure.value)
+        empty = len(failure.value.rows)
+        assert message.startswith("iteration 1: no shots survived")
+        assert f" {empty} of 450 rows of a pass" in message
+        assert "16 shots per row" in message
+        assert "larger shots_base" in message
+        assert isinstance(failure.value.__cause__, EstimationFailure)
 
 
 class TestQubitLimit:

@@ -128,6 +128,46 @@ class TestSilhouetteBytes:
             tracemalloc.stop()
         assert peak < 14 * 2**20
 
+    def test_blobs_peak_memory_holds_one_block(self):
+        # one reused 4 MiB block buffer plus one tile's temporaries; a
+        # fresh array per elementwise pass would need 8 MiB
+        std, labels = _benchmark_blobs()
+        tracemalloc.start()
+        try:
+            silhouette(std, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("case", ["blobs2048x2", "normal4096x3"])
+    @pytest.mark.parametrize("tile_rows", [None, 1, 7, 24])
+    def test_benchmark_scale_matches_blocked_reference(self, monkeypatch,
+                                                       case, tile_rows):
+        # the default block is 256 rows at 2048x2 and 85 rows at 4096x3;
+        # 24 divides neither, and None keeps the default tile
+        from qkmeans import metrics
+        if case == "blobs2048x2":
+            data, labels = _benchmark_blobs()
+        else:
+            rng = np.random.default_rng(3)
+            data = rng.normal(size=(4096, 3)) * [0.5, 2.0, 7.0]
+            labels = rng.integers(0, 4, 4096)
+            labels[100] = 9  # a singleton cluster
+        if tile_rows is not None:
+            monkeypatch.setattr(metrics, "_SILHOUETTE_TILE",
+                                tile_rows * len(data))
+        assert silhouette(data, labels) == silhouette_blocked_reference(
+            data, labels)
+
+
+def _benchmark_blobs():
+    """The benchmark's qmk records, standardized, with their true labels."""
+    from qkmeans.data import BLOB_CENTERS, gen_blobs
+    ds = gen_blobs(2048, BLOB_CENTERS, 1.0, seed=5)
+    std, _, _ = standardize(ds.matrix)
+    return std, ds.ground_truth
+
 
 class TestVMeasure:
     def test_identical(self):
