@@ -63,10 +63,8 @@ REFERENCE_COMPLEXITY_IRIS_K3 = {
     "qmk": {"qubits": 23, "gates": 5065, "depth": 3064, "shots": 460800},
 }
 
-
-def _fail(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
-    sys.exit(1)
+# Per-repetition metrics, in artifact and CSV column order.
+METRICS = ("ite", "sim", "sse", "sil", "vm")
 
 
 def _dataset_options(fn):
@@ -144,9 +142,8 @@ def _build_params(algorithm, k, shots, m1, delta, sc_thresh, max_ite,
 
 
 def _repetition_task(payload):
-    matrix, truth, params_dict, rep_seed = payload
-    params = ClusteringParams(**params_dict)
-    params = dataclasses.replace(params, seed=rep_seed)
+    """One repetition: ``params`` already carry the repetition's seed."""
+    matrix, truth, params = payload
     started = time.perf_counter()
     result = run_clustering(matrix, params)
     cluster_seconds = time.perf_counter() - started
@@ -160,7 +157,7 @@ def _repetition_task(payload):
     metrics_seconds = time.perf_counter() - started
 
     return {
-        "seed": rep_seed,
+        "seed": params.seed,
         "metrics": {
             "ite": report.n_ite,
             "sim": report.avg_similarity,
@@ -177,7 +174,7 @@ def _repetition_task(payload):
 
 def _aggregate(repetitions):
     out = {}
-    for key in ("ite", "sim", "sse", "sil", "vm"):
+    for key in METRICS:
         values = [rep["metrics"][key] for rep in repetitions
                   if rep["metrics"][key] is not None]
         if values:
@@ -188,8 +185,26 @@ def _aggregate(repetitions):
     return out
 
 
-def _write_manifest(out_dir: Path, stem: str, command: str, files):
-    manifest_path = out_dir / "manifest.json"
+def _write_table(out_dir: str, stem: str, command: str, header: str, rows,
+                 artifact: dict | None = None) -> None:
+    """Write ``stem.json`` (if an artifact is given) and ``stem.csv`` into
+    ``out_dir``, record both in its ``manifest.json`` and report them.  A
+    float cell is written as its repr, None as an empty cell, anything else
+    as its str."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    if artifact is not None:
+        files.append(out / f"{stem}.json")
+        files[-1].write_text(json.dumps(artifact, indent=2) + "\n")
+    files.append(out / f"{stem}.csv")
+    with files[-1].open("w") as fh:
+        fh.write(header + "\n")
+        for cells in rows:
+            fh.write(",".join("" if c is None else repr(c)
+                              if isinstance(c, float) else str(c)
+                              for c in cells) + "\n")
+    manifest_path = out / "manifest.json"
     manifest = {"schema_version": SCHEMA_VERSION, "entries": {}}
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
@@ -197,9 +212,23 @@ def _write_manifest(out_dir: Path, stem: str, command: str, files):
                                  "files": [f.name for f in files]}
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")
+    click.echo("wrote " + " and ".join(str(f) for f in files))
 
 
-@click.group()
+class _Harness(click.Group):
+    """Reports every refusal or failure of a command, I/O included, as one
+    JSON line ``{"error", "message"}`` on stderr with exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, KeyError, OSError, EstimationFailure) as exc:
+            sys.stderr.write(json.dumps({"error": type(exc).__name__,
+                                         "message": str(exc)}) + "\n")
+            sys.exit(1)
+
+
+@click.group(cls=_Harness)
 def main():
     """Hybrid quantum k-Means experiment harness."""
 
@@ -212,8 +241,8 @@ def main():
 @click.option("--algorithm", type=click.Choice(sorted(ALGORITHMS)),
               default="kmeans", show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--reps", type=int, default=1, show_default=True,
-              help="Independent seeded repetitions.")
+@click.option("--reps", type=click.IntRange(min=1), default=1,
+              show_default=True, help="Independent seeded repetitions.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1,
               show_default=True,
               help="Worker processes for the repetitions.")
@@ -223,69 +252,45 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
             sample, k, shots, m1, delta, sc_thresh, max_ite, analytic,
             algorithm, seed, reps, jobs, out_dir):
     """Run seeded clustering repetitions and write a JSON artifact + CSV."""
-    try:
-        if reps < 1:
-            raise ValueError("--reps must be >= 1")
-        started = time.perf_counter()
-        ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
-                              top_variance, m, sample, seed)
-        k = _default_k(ds, k)
-        params = _build_params(algorithm, k, shots, m1, delta, sc_thresh,
-                               max_ite, analytic, seed)
-        params.validate(*ds.matrix.shape)
-        dataset_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
+                          top_variance, m, sample, seed)
+    params = _build_params(algorithm, _default_k(ds, k), shots, m1, delta,
+                           sc_thresh, max_ite, analytic, seed)
+    params.validate(*ds.matrix.shape)
+    dataset_seconds = time.perf_counter() - started
 
-        params_dict = dataclasses.asdict(params)
-        payloads = [
-            (ds.matrix, ds.ground_truth, params_dict,
-             derive_seed(seed, SeedDomain.REPETITION, rep))
-            for rep in range(reps)
-        ]
-        if jobs > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                repetitions = pool.map(_repetition_task, payloads)
-        else:
-            repetitions = [_repetition_task(p) for p in payloads]
+    payloads = [
+        (ds.matrix, ds.ground_truth, dataclasses.replace(
+            params, seed=derive_seed(seed, SeedDomain.REPETITION, rep)))
+        for rep in range(reps)
+    ]
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            repetitions = pool.map(_repetition_task, payloads)
+    else:
+        repetitions = [_repetition_task(p) for p in payloads]
 
-        config = {
+    artifact = {
+        "schema_version": SCHEMA_VERSION,
+        "config": {
             "dataset": {"name": ds.name, "records": len(ds),
                         "features": ds.num_features, "sample": sample,
                         "source": dataset or dataset_csv},
             "algorithm": algorithm,
-            "params": {key: (value.value if isinstance(value, Strategy)
-                             else value)
-                       for key, value in params_dict.items()},
+            "params": dataclasses.asdict(params),
             "reps": reps,
-        }
-        artifact = {
-            "schema_version": SCHEMA_VERSION,
-            "config": config,
-            "repetitions": repetitions,
-            "aggregate": _aggregate(repetitions),
-            "timing": {"dataset_seconds": dataset_seconds},
-        }
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = f"{ds.name}_{algorithm}"
-        json_path = out / f"{stem}.json"
-        json_path.write_text(json.dumps(artifact, indent=2) + "\n")
-        csv_path = out / f"{stem}.csv"
-        with csv_path.open("w") as fh:
-            fh.write("rep,seed,ite,sim,sse,sil,vm,tp,fp,fn,tn\n")
-            for rep, result in enumerate(repetitions):
-                mt = result["metrics"]
-                pc = result["pair_confusion_vs_classical"]
-                cells = [rep, result["seed"], mt["ite"], mt["sim"],
-                         mt["sse"], mt["sil"], mt["vm"], pc["tp"], pc["fp"],
-                         pc["fn"], pc["tn"]]
-                fh.write(",".join("" if c is None else repr(c)
-                                  if isinstance(c, float) else str(c)
-                                  for c in cells) + "\n")
-        _write_manifest(out, stem, "run", [json_path, csv_path])
-        click.echo(f"wrote {json_path} and {csv_path}")
-    except (ValueError, KeyError, EstimationFailure) as exc:
-        _fail(type(exc).__name__, str(exc))
+        },
+        "repetitions": repetitions,
+        "aggregate": _aggregate(repetitions),
+        "timing": {"dataset_seconds": dataset_seconds},
+    }
+    rows = [(rep, result["seed"], *(result["metrics"][key] for key in METRICS),
+             *(result["pair_confusion_vs_classical"][key]
+               for key in ("tp", "fp", "fn", "tn")))
+            for rep, result in enumerate(repetitions)]
+    _write_table(out_dir, f"{ds.name}_{algorithm}", "run",
+                 "rep,seed,ite,sim,sse,sil,vm,tp,fp,fn,tn", rows, artifact)
 
 
 @main.command("elbow")
@@ -305,29 +310,20 @@ def cmd_elbow(dataset, dataset_csv, label_column, features, top_variance, m,
               sample, shots, m1, delta, sc_thresh, max_ite, analytic,
               algorithm, k_min, k_max, seeds_per_k, seed, out_dir):
     """SSE-vs-k sweep (best of several seeds per k) written as CSV."""
-    try:
-        ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
-                              top_variance, m, sample, seed)
-        if k_max > len(ds):
-            raise ValueError(f"--k-max {k_max} exceeds {len(ds)} records")
-        if k_min < 1 or k_min > k_max:
-            raise ValueError("need 1 <= k-min <= k-max")
-        params = _build_params(algorithm, k_min, shots, m1, delta, sc_thresh,
-                               max_ite, analytic, seed)
-        curve = elbow_sweep(ds.matrix, range(k_min, k_max + 1), params,
-                            n_seeds=seeds_per_k)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = f"{ds.name}_{algorithm}_elbow"
-        csv_path = out / f"{stem}.csv"
-        with csv_path.open("w") as fh:
-            fh.write("k,sse\n")
-            for kk, value in curve:
-                fh.write(f"{kk},{value!r}\n")
-        _write_manifest(out, stem, "elbow", [csv_path])
-        click.echo(f"wrote {csv_path}")
-    except (ValueError, KeyError, EstimationFailure) as exc:
-        _fail(type(exc).__name__, str(exc))
+    ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
+                          top_variance, m, sample, seed)
+    if k_max > len(ds):
+        raise ValueError(f"--k-max {k_max} exceeds {len(ds)} records")
+    if k_min < 1 or k_min > k_max:
+        raise ValueError("need 1 <= k-min <= k-max")
+    params = _build_params(algorithm, k_min, shots, m1, delta, sc_thresh,
+                           max_ite, analytic, seed)
+    # qubits only grow with k: if any run of the sweep is refused, k_max is
+    dataclasses.replace(params, k=k_max).validate(*ds.matrix.shape)
+    curve = elbow_sweep(ds.matrix, range(k_min, k_max + 1), params,
+                        n_seeds=seeds_per_k)
+    _write_table(out_dir, f"{ds.name}_{algorithm}_elbow", "elbow", "k,sse",
+                 curve)
 
 
 @main.command("postselect")
@@ -342,40 +338,30 @@ def cmd_elbow(dataset, dataset_csv, label_column, features, top_variance, m,
 def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
     """Exact register post-selection probability P(r=1) while the number of
     encoded records varies; random unit vectors as data."""
-    try:
-        if slots < 2 or slots & (slots - 1):
-            raise ValueError("--slots must be a power of two >= 2")
-        if k < 1:
-            raise ValueError(f"--k must be >= 1, got {k}")
-        if not 1 <= m_min <= m_max:
-            raise ValueError(f"need 1 <= --m-min <= --m-max, got --m-min "
-                             f"{m_min} and --m-max {m_max}")
-        qubits = circuit_layout(slots, m_max, k).num_qubits
-        if qubits > MAX_QUBITS:
-            raise ValueError(f"--m-max {m_max} needs {qubits} qubits, more "
-                             f"than MAX_QUBITS = {MAX_QUBITS}")
-        rng = np.random.default_rng(seed)
+    if slots < 2 or slots & (slots - 1):
+        raise ValueError("--slots must be a power of two >= 2")
+    if k < 1:
+        raise ValueError(f"--k must be >= 1, got {k}")
+    if not 1 <= m_min <= m_max:
+        raise ValueError(f"need 1 <= --m-min <= --m-max, got --m-min "
+                         f"{m_min} and --m-max {m_max}")
+    qubits = circuit_layout(slots, m_max, k).num_qubits
+    if qubits > MAX_QUBITS:
+        raise ValueError(f"--m-max {m_max} needs {qubits} qubits, more "
+                         f"than MAX_QUBITS = {MAX_QUBITS}")
+    rng = np.random.default_rng(seed)
 
-        def unit_rows(count):
-            rows = rng.standard_normal((count, slots))
-            return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    def unit_rows(count):
+        rows = rng.standard_normal((count, slots))
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
-        centroid_angles = rotation_angles(unit_rows(k), slots)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = f"postselect_slots{slots}_k{k}"
-        csv_path = out / f"{stem}.csv"
-        with csv_path.open("w") as fh:
-            fh.write("m,p_register_1,p_theoretical\n")
-            for m in range(m_min, m_max + 1):
-                plan = build_qc3(rotation_angles(unit_rows(m), slots),
-                                 centroid_angles)
-                p = postselection_probability(plan)
-                fh.write(f"{m},{p!r},{1.0 / slots!r}\n")
-        _write_manifest(out, stem, "postselect", [csv_path])
-        click.echo(f"wrote {csv_path}")
-    except (ValueError, KeyError) as exc:
-        _fail(type(exc).__name__, str(exc))
+    centroid_angles = rotation_angles(unit_rows(k), slots)
+    rows = ((m, postselection_probability(build_qc3(
+                rotation_angles(unit_rows(m), slots), centroid_angles)),
+             1.0 / slots)
+            for m in range(m_min, m_max + 1))
+    _write_table(out_dir, f"postselect_slots{slots}_k{k}", "postselect",
+                 "m,p_register_1,p_theoretical", rows)
 
 
 @main.command("stats")
@@ -390,31 +376,28 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
     """Circuit complexity (qubits / gates / depth) of one assignment circuit
     built for this dataset, with external reference figures echoed when the
     configuration matches the published iris k=3 one."""
-    try:
-        ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
-                              top_variance, m, sample, seed)
-        k = _default_k(ds, k)
-        std, _, _ = standardize(ds.matrix)
-        records = prepare_vectors(std)
-        centroids = prepare_vectors(kmeanspp_init(std, k, seed),
-                                    slots=records.slots)
-        if variant != "qmk":
-            m1 = 1
-        elif m1 is None:
-            m1 = len(ds)
-        elif not 1 <= m1 <= len(ds):
-            raise ValueError(f"--m1 must be in [1, {len(ds)}], got {m1}")
-        plan = build_qc3(records.angles[:m1],
-                         centroids.angles[:1 if variant == "q11" else k])
-        stats = circuit_stats(plan)
-        row = {"variant": variant, "qubits": stats.qubits,
-               "gates": stats.gate_count, "depth": stats.depth}
-        if (ds.name == "iris" and k == 3
-                and (variant != "qmk" or m1 == len(ds))):
-            row["reference"] = REFERENCE_COMPLEXITY_IRIS_K3[variant]
-        click.echo(json.dumps(row, indent=2))
-    except (ValueError, KeyError) as exc:
-        _fail(type(exc).__name__, str(exc))
+    ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
+                          top_variance, m, sample, seed)
+    k = _default_k(ds, k)
+    std, _, _ = standardize(ds.matrix)
+    records = prepare_vectors(std)
+    centroids = prepare_vectors(kmeanspp_init(std, k, seed),
+                                slots=records.slots)
+    if variant != "qmk":
+        m1 = 1
+    elif m1 is None:
+        m1 = len(ds)
+    elif not 1 <= m1 <= len(ds):
+        raise ValueError(f"--m1 must be in [1, {len(ds)}], got {m1}")
+    plan = build_qc3(records.angles[:m1],
+                     centroids.angles[:1 if variant == "q11" else k])
+    stats = circuit_stats(plan)
+    row = {"variant": variant, "qubits": stats.qubits,
+           "gates": stats.gate_count, "depth": stats.depth}
+    if (ds.name == "iris" and k == 3
+            and (variant != "qmk" or m1 == len(ds))):
+        row["reference"] = REFERENCE_COMPLEXITY_IRIS_K3[variant]
+    click.echo(json.dumps(row, indent=2))
 
 
 @main.command("gen")
@@ -429,12 +412,9 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen(dataset, m, std, noise, seed, out):
     """Materialize a generator output (with its ground-truth column) as CSV."""
-    try:
-        ds = datasets.builtin(dataset, m=m, seed=seed, std=std, noise=noise)
-        datasets.save_csv(ds, out)
-        click.echo(f"wrote {out}")
-    except (ValueError, KeyError, OSError) as exc:
-        _fail(type(exc).__name__, str(exc))
+    ds = datasets.builtin(dataset, m=m, seed=seed, std=std, noise=noise)
+    datasets.save_csv(ds, out)
+    click.echo(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -261,12 +261,12 @@ def assign_delta(data: np.ndarray, centroids: np.ndarray, delta: float,
 MAX_BATCH_AMPLITUDES = 1 << 20
 
 
-def _assign_rows(records: np.ndarray, centroids: np.ndarray, seed: int,
-                 ite: int, shots: int, analytic: bool, decode) -> list:
+def _assign_rows(records: np.ndarray, centroids: np.ndarray,
+                 params: ClusteringParams, ite: int, decode) -> list:
     """Build, simulate, measure and decode one assignment circuit per row:
     records ``(B, M1, slots)`` against centroids ``(B, k, slots)``, or
     ``(k, slots)`` shared by every row.  Returns the decoded values of all
-    rows in order.
+    rows in order.  A sampled row draws ``M1 * k * shots_base`` shots.
 
     Rows run in passes of at most ``MAX_BATCH_AMPLITUDES`` amplitudes.
     Sampled rows draw in row order from one generator keyed
@@ -276,11 +276,12 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray, seed: int,
     generator keyed ``(seed, RETRY, ite)``.  Rows still empty after that
     raise ``EstimationFailure`` naming the iteration, how many rows of the
     pass are empty and the retry's shots per row."""
-    qubits = circuit_layout(records.shape[2], records.shape[1],
-                            centroids.shape[-2]).num_qubits
+    m1, k = records.shape[1], centroids.shape[-2]
+    qubits = circuit_layout(records.shape[2], m1, k).num_qubits
     step = max(1, MAX_BATCH_AMPLITUDES >> qubits)
-    rng = None if analytic else np.random.default_rng(
-        derive_seed(seed, SeedDomain.ASSIGN, ite))
+    shots = m1 * k * params.shots_base
+    rng = None if params.analytic else np.random.default_rng(
+        derive_seed(params.seed, SeedDomain.ASSIGN, ite))
     retry_rng = None
     decoded = []
     for start in range(0, len(records), step):
@@ -289,7 +290,7 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray, seed: int,
         plan = build_qc3(batch,
                          centroids if centroids.ndim == 2 else centroids[rows])
         state = simulate(plan)
-        if analytic:
+        if params.analytic:
             decoded.extend(decode(plan, measure(state, Analytic())))
             continue
         hist = measure(state, Sampled(shots, rng))
@@ -298,7 +299,7 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray, seed: int,
         except EstimationFailure as failure:
             if retry_rng is None:
                 retry_rng = np.random.default_rng(
-                    derive_seed(seed, SeedDomain.RETRY, ite))
+                    derive_seed(params.seed, SeedDomain.RETRY, ite))
             empty = failure.rows
             retry = measure(
                 StateVector(state.num_qubits, state.amplitudes[empty]),
@@ -322,8 +323,7 @@ def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
     k = len(centroids)
     r, j = np.divmod(np.arange(len(records) * k), k)
     d_proj = _assign_rows(
-        records.angles[r, None], centroids.angles[j, None], params.seed, ite,
-        params.shots_base, params.analytic,
+        records.angles[r, None], centroids.angles[j, None], params, ite,
         lambda plan, hist: estimate_distance(plan, hist)[0])
     dists = recover_distance(d_proj, records.norms[r], centroids.norms[j])
     return np.argmin(dists.reshape(len(records), k), axis=1)
@@ -332,9 +332,8 @@ def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
 def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, ite: int = 0) -> np.ndarray:
     """One multi-centroid circuit per record: record r is row r."""
-    labels = _assign_rows(
-        records.angles[:, None], centroids.angles, params.seed, ite,
-        len(centroids) * params.shots_base, params.analytic, decode_qc2)
+    labels = _assign_rows(records.angles[:, None], centroids.angles, params,
+                          ite, decode_qc2)
     return np.array(labels, dtype=np.int64)
 
 
@@ -365,10 +364,8 @@ def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
     batches = -(-m // m1)
     padded = np.zeros((batches * m1, records.slots))
     padded[:m] = records.angles
-    labels = _assign_rows(
-        padded.reshape(batches, m1, records.slots), centroids.angles,
-        params.seed, ite, m1 * len(centroids) * params.shots_base,
-        params.analytic, decode_qc3)
+    labels = _assign_rows(padded.reshape(batches, m1, records.slots),
+                          centroids.angles, params, ite, decode_qc3)
     return np.array([
         _recovered_nearest(records, centroids, r) if label is None else label
         for r, label in enumerate(labels[:m])], dtype=np.int64)

@@ -221,6 +221,8 @@ class TestCountsBelowOne:
          "--sample", "0"),
         (["stats", "--dataset", "blobs", "--variant", "q11", "--k", "3"],
          "--m", "-3"),
+        (["run", "--dataset", "blobs3"], "--reps", "0"),
+        (["run", "--dataset", "blobs3"], "--reps", "-2"),
     ])
     def test_rejected_before_any_output(self, runner, tmp_path, command,
                                         option, value):
@@ -232,6 +234,27 @@ class TestCountsBelowOne:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         assert not out.exists()
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("command, option", [
+        (["run", "--dataset", "blobs3"], "--out-dir"),
+        (["elbow", "--dataset", "blobs3", "--k-min", "2", "--k-max", "2"],
+         "--out-dir"),
+        (["postselect", "--m-max", "2"], "--out-dir"),
+        (["gen", "--dataset", "blobs3"], "--out"),
+    ])
+    def test_unwritable_path_is_machine_readable(self, runner, tmp_path,
+                                                 command, option):
+        import builtins
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        result = runner.invoke(main, command + [option,
+                                                str(blocker / "sub")])
+        assert result.exit_code == 1, result.output
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert issubclass(getattr(builtins, err["error"]), OSError), err
+        assert blocker.read_text() == ""
 
 
 class TestElbowCommand:
@@ -252,6 +275,30 @@ class TestElbowCommand:
             "--k-max", "2", "--out-dir", str(out)])
         assert result.exit_code == 2
         assert "--k" in result.output
+        assert not out.exists()
+
+    def test_widest_k_refused_before_any_run(self, runner, tmp_path,
+                                             monkeypatch):
+        # iris qmk at m1 16: 10 qubits up to k 4, 11 from k 5 on
+        from qkmeans import metrics, simulator
+        monkeypatch.setattr(simulator, "MAX_QUBITS", 10)
+        run, runs = metrics.run, []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "run", counted)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "elbow", "--dataset", "iris", "--algorithm", "qmk", "--m1", "16",
+            "--analytic", "--k-min", "2", "--k-max", "8", "--seeds-per-k",
+            "2", "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert "11 qubits" in err["message"]
+        assert runs == []
         assert not out.exists()
 
     def test_k_max_over_m(self, runner, tmp_path):

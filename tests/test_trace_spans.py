@@ -76,3 +76,56 @@ def test_decode_fallbacks_count_the_empty_slots():
     tracer = spans.Tracer(circuits)
     tracer._count_decode((plan, hist), labels, None)
     assert tracer.counts["circuits.decode.fallbacks"] == labels.count(None)
+
+
+def _weight(hist, conditions):
+    """Total weight of the outcomes whose (qubit, bit) conditions all
+    hold, read straight off the dense weights with bit masks."""
+    basis = np.arange(hist.weights.shape[-1])
+    keep = np.ones(basis.shape, dtype=bool)
+    for qubit, bit in conditions:
+        keep &= (basis >> qubit) & 1 == bit
+    return float(hist.weights[..., keep].sum())
+
+
+def test_estimate_counts_the_register_postselection():
+    """The QC1 kept counter reads ``Histogram.postselect`` and the retry
+    counter ``circuits.EstimationFailure``, both through getattr defaults;
+    a rename would zero them without an error."""
+    spans = load_bench("spans")
+    rng = np.random.default_rng(2)
+    plan = circuits.build_qc3(rng.uniform(0.1, 3.0, (5, 1, 4)),
+                              rng.uniform(0.1, 3.0, (5, 1, 4)))
+    hist = simulator.measure(circuits.simulate(plan),
+                             simulator.Sampled(64, 3))
+    result = circuits.estimate_distance(plan, hist)
+    tracer = spans.Tracer(circuits)
+    tracer._count_estimate((plan, hist), result, None)
+    kept = _weight(hist, [(plan.layout.register, 1)])
+    assert 0 < kept < 5 * 64
+    assert tracer.counts["circuits.decode.kept"] == kept
+    assert tracer.counts["circuits.decode.requested"] == 5 * 64
+    assert tracer.counts["circuits.decode.retries"] == 0
+    tracer._count_estimate((plan, hist), None,
+                           circuits.EstimationFailure("empty", [0]))
+    assert tracer.counts["circuits.decode.retries"] == 1
+
+
+def test_decode_counts_the_assignment_postselection():
+    """The QC3 kept counter reads ``circuits.assignment_histogram`` through
+    a getattr default.  Every cluster and batch pattern is loaded here
+    (k 2, M1 4), so the kept shots are the whole register-1/ancilla-0
+    weight."""
+    spans = load_bench("spans")
+    rng = np.random.default_rng(4)
+    plan = circuits.build_qc3(rng.uniform(0.1, 3.0, (3, 4, 4)),
+                              rng.uniform(0.1, 3.0, (2, 4)))
+    hist = simulator.measure(circuits.simulate(plan),
+                             simulator.Sampled(256, 5))
+    tracer = spans.Tracer(circuits)
+    tracer._count_decode((plan, hist), circuits.decode_qc3(plan, hist), None)
+    kept = _weight(hist, [(plan.layout.register, 1),
+                          (plan.layout.ancilla, 0)])
+    assert 0 < kept < 3 * 256
+    assert tracer.counts["circuits.decode.kept"] == kept
+    assert tracer.counts["circuits.decode.requested"] == 3 * 256
