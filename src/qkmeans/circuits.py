@@ -347,9 +347,8 @@ def decode_qc3(plan: CircuitPlan, hist: Histogram) -> list[int | None]:
 def postselection_probability(plan: CircuitPlan) -> float | np.ndarray:
     """Exact probability that the encoding register measures 1 in the final
     state; one per row for a batched plan."""
-    probs = probabilities(simulate(plan))
-    basis = np.arange(probs.shape[-1])
-    kept = probs[..., ((basis >> plan.layout.register) & 1) == 1].sum(axis=-1)
+    kept = _layout_view(plan, probabilities(simulate(plan)))[..., 1, :, :, :]
+    kept = kept.reshape(kept.shape[:-4] + (-1,)).sum(axis=-1)
     return float(kept) if plan.rows is None else kept
 
 

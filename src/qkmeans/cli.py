@@ -32,6 +32,7 @@ from .clustering import (
     ClusteringParams,
     SeedDomain,
     Strategy,
+    circuit_shape,
     derive_seed,
     kmeanspp_init,
     run as run_clustering,
@@ -39,13 +40,15 @@ from .clustering import (
 from .encoding import prepare_vectors, rotation_angles, standardize
 from .metrics import elbow as elbow_sweep
 from .metrics import pair_confusion, summarize_run
-from .simulator import MAX_QUBITS
+from .simulator import require_qubits
 
 SCHEMA_VERSION = 1
 
 # derive_seed takes key parts in [0, 2^64); every --seed is refused below 0
 # up front, before any work starts.
 SEED = click.IntRange(min=0)
+# Every count option is refused below 1 by the parser, as a usage error.
+COUNT = click.IntRange(min=1)
 
 ALGORITHMS = {
     "kmeans": Strategy.CLASSICAL,
@@ -79,9 +82,9 @@ def _dataset_options(fn):
                       help="Comma-separated feature names to keep.")(fn)
     fn = click.option("--top-variance", type=int, default=None,
                       help="Keep this many highest-variance features.")(fn)
-    fn = click.option("--m", type=click.IntRange(min=1), default=None,
+    fn = click.option("--m", type=COUNT, default=None,
                       help="Synthetic dataset size.")(fn)
-    fn = click.option("--sample", type=click.IntRange(min=1), default=None,
+    fn = click.option("--sample", type=COUNT, default=None,
                       help="Random subsample size.")(fn)
     return fn
 
@@ -117,16 +120,17 @@ def _default_k(ds: datasets.Dataset, k: int | None) -> int:
 
 
 def _params_options(fn):
-    fn = click.option("--shots", type=int, default=1024, show_default=True,
+    fn = click.option("--shots", type=COUNT, default=1024, show_default=True,
                       help="Base shot count t (scaled by k and M1 for the "
                            "multi-vector circuits).")(fn)
-    fn = click.option("--m1", type=int, default=None,
+    fn = click.option("--m1", type=COUNT, default=None,
                       help="Records per circuit for qmk (default: all).")(fn)
     fn = click.option("--delta", type=float, default=0.0, show_default=True,
                       help="Noise radius for the delta algorithm.")(fn)
     fn = click.option("--sc-thresh", type=float, default=1e-4,
                       show_default=True)(fn)
-    fn = click.option("--max-ite", type=int, default=5, show_default=True)(fn)
+    fn = click.option("--max-ite", type=COUNT, default=5,
+                      show_default=True)(fn)
     fn = click.option("--analytic", is_flag=True,
                       help="Exact probabilities instead of sampled shots.")(fn)
     return fn
@@ -236,14 +240,14 @@ def main():
 @main.command("run")
 @_dataset_options
 @_params_options
-@click.option("--k", type=int, default=None,
+@click.option("--k", type=COUNT, default=None,
               help="Number of clusters (default: #classes).")
 @click.option("--algorithm", type=click.Choice(sorted(ALGORITHMS)),
               default="kmeans", show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--reps", type=click.IntRange(min=1), default=1,
+@click.option("--reps", type=COUNT, default=1,
               show_default=True, help="Independent seeded repetitions.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1,
+@click.option("--jobs", type=COUNT, default=1,
               show_default=True,
               help="Worker processes for the repetitions.")
 @click.option("--out-dir", type=click.Path(), default="results",
@@ -298,9 +302,9 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
 @_params_options
 @click.option("--algorithm", type=click.Choice(sorted(ALGORITHMS)),
               default="kmeans", show_default=True)
-@click.option("--k-min", type=int, default=2, show_default=True)
-@click.option("--k-max", type=int, default=8, show_default=True)
-@click.option("--seeds-per-k", type=click.IntRange(min=1), default=5,
+@click.option("--k-min", type=COUNT, default=2, show_default=True)
+@click.option("--k-max", type=COUNT, default=8, show_default=True)
+@click.option("--seeds-per-k", type=COUNT, default=5,
               show_default=True,
               help="Runs per k; the best SSE wins.")
 @click.option("--seed", type=SEED, default=0, show_default=True)
@@ -312,14 +316,11 @@ def cmd_elbow(dataset, dataset_csv, label_column, features, top_variance, m,
     """SSE-vs-k sweep (best of several seeds per k) written as CSV."""
     ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
                           top_variance, m, sample, seed)
-    if k_max > len(ds):
-        raise ValueError(f"--k-max {k_max} exceeds {len(ds)} records")
-    if k_min < 1 or k_min > k_max:
-        raise ValueError("need 1 <= k-min <= k-max")
+    if k_min > k_max:
+        raise ValueError(f"need --k-min <= --k-max, got --k-min {k_min} and "
+                         f"--k-max {k_max}")
     params = _build_params(algorithm, k_min, shots, m1, delta, sc_thresh,
                            max_ite, analytic, seed)
-    # qubits only grow with k: if any run of the sweep is refused, k_max is
-    dataclasses.replace(params, k=k_max).validate(*ds.matrix.shape)
     curve = elbow_sweep(ds.matrix, range(k_min, k_max + 1), params,
                         n_seeds=seeds_per_k)
     _write_table(out_dir, f"{ds.name}_{algorithm}_elbow", "elbow", "k,sse",
@@ -327,28 +328,23 @@ def cmd_elbow(dataset, dataset_csv, label_column, features, top_variance, m,
 
 
 @main.command("postselect")
-@click.option("--slots", type=int, default=4, show_default=True,
+@click.option("--slots", type=click.IntRange(min=2), default=4,
+              show_default=True,
               help="Feature slots per vector (power of two).")
-@click.option("--k", type=int, default=2, show_default=True)
-@click.option("--m-min", type=int, default=1, show_default=True)
-@click.option("--m-max", type=int, default=32, show_default=True)
+@click.option("--k", type=COUNT, default=2, show_default=True)
+@click.option("--m-min", type=COUNT, default=1, show_default=True)
+@click.option("--m-max", type=COUNT, default=32, show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default="results",
               show_default=True)
 def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
     """Exact register post-selection probability P(r=1) while the number of
     encoded records varies; random unit vectors as data."""
-    if slots < 2 or slots & (slots - 1):
-        raise ValueError("--slots must be a power of two >= 2")
-    if k < 1:
-        raise ValueError(f"--k must be >= 1, got {k}")
-    if not 1 <= m_min <= m_max:
-        raise ValueError(f"need 1 <= --m-min <= --m-max, got --m-min "
-                         f"{m_min} and --m-max {m_max}")
-    qubits = circuit_layout(slots, m_max, k).num_qubits
-    if qubits > MAX_QUBITS:
-        raise ValueError(f"--m-max {m_max} needs {qubits} qubits, more "
-                         f"than MAX_QUBITS = {MAX_QUBITS}")
+    if m_min > m_max:
+        raise ValueError(f"need --m-min <= --m-max, got --m-min {m_min} and "
+                         f"--m-max {m_max}")
+    require_qubits(circuit_layout(slots, m_max, k).num_qubits,
+                   f"--m-max {m_max}")
     rng = np.random.default_rng(seed)
 
     def unit_rows(count):
@@ -368,8 +364,8 @@ def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
 @_dataset_options
 @click.option("--variant", type=click.Choice(["q11", "q1k", "qmk"]),
               default="q11", show_default=True)
-@click.option("--k", type=int, default=None)
-@click.option("--m1", type=int, default=None)
+@click.option("--k", type=COUNT, default=None)
+@click.option("--m1", type=COUNT, default=None)
 @click.option("--seed", type=SEED, default=0, show_default=True)
 def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
               sample, variant, k, m1, seed):
@@ -378,23 +374,19 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
     configuration matches the published iris k=3 one."""
     ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
                           top_variance, m, sample, seed)
-    k = _default_k(ds, k)
+    params = ClusteringParams(k=_default_k(ds, k),
+                              assignment=ALGORITHMS[variant], m1=m1, seed=seed)
+    params.validate(*ds.matrix.shape)
     std, _, _ = standardize(ds.matrix)
     records = prepare_vectors(std)
-    centroids = prepare_vectors(kmeanspp_init(std, k, seed),
+    centroids = prepare_vectors(kmeanspp_init(std, params.k, seed),
                                 slots=records.slots)
-    if variant != "qmk":
-        m1 = 1
-    elif m1 is None:
-        m1 = len(ds)
-    elif not 1 <= m1 <= len(ds):
-        raise ValueError(f"--m1 must be in [1, {len(ds)}], got {m1}")
-    plan = build_qc3(records.angles[:m1],
-                     centroids.angles[:1 if variant == "q11" else k])
-    stats = circuit_stats(plan)
+    m1, loaded = circuit_shape(params, len(ds))
+    stats = circuit_stats(build_qc3(records.angles[:m1],
+                                    centroids.angles[:loaded]))
     row = {"variant": variant, "qubits": stats.qubits,
            "gates": stats.gate_count, "depth": stats.depth}
-    if (ds.name == "iris" and k == 3
+    if (ds.name == "iris" and params.k == 3
             and (variant != "qmk" or m1 == len(ds))):
         row["reference"] = REFERENCE_COMPLEXITY_IRIS_K3[variant]
     click.echo(json.dumps(row, indent=2))
@@ -403,7 +395,7 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
 @main.command("gen")
 @click.option("--dataset", required=True,
               help="Built-in dataset name to materialize.")
-@click.option("--m", type=click.IntRange(min=1), default=None)
+@click.option("--m", type=COUNT, default=None)
 @click.option("--std", type=float, default=None,
               help="Blob spread override.")
 @click.option("--noise", type=float, default=None,

@@ -120,16 +120,23 @@ class ClusteringParams:
         if self.m1 is not None and not 1 <= self.m1 <= num_records:
             raise ValueError(f"m1 must be in [1, {num_records}], got {self.m1}")
         if self.assignment in QUANTUM_STRATEGIES:
-            records = ((self.m1 or num_records)
-                       if self.assignment is Strategy.QMK else 1)
-            clusters = 1 if self.assignment is Strategy.Q11 else self.k
-            qubits = circuit_layout(num_slots(num_features + 1), records,
-                                    clusters).num_qubits
-            if qubits > simulator.MAX_QUBITS:
-                raise ValueError(
-                    f"{self.assignment.value} needs {qubits} qubits for "
-                    f"{num_records} records of {num_features} features, more "
-                    f"than MAX_QUBITS = {simulator.MAX_QUBITS}")
+            layout = circuit_layout(num_slots(num_features + 1),
+                                    *circuit_shape(self, num_records))
+            simulator.require_qubits(
+                layout.num_qubits, f"{self.assignment.value} on {num_records} "
+                f"records of {num_features} features")
+
+
+def circuit_shape(params: ClusteringParams,
+                  num_records: int) -> tuple[int, int]:
+    """The records and centroids one assignment circuit loads: 1 and 1 for
+    q11, 1 and k for q1k, and ``m1`` (all ``num_records`` if unset) and k
+    for qmk."""
+    if params.assignment is Strategy.Q11:
+        return 1, 1
+    if params.assignment is Strategy.Q1K:
+        return 1, params.k
+    return (num_records if params.m1 is None else params.m1), params.k
 
 
 @dataclass
@@ -360,7 +367,7 @@ def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
     its unused slots empty (zero angles load nothing), and their labels are
     dropped."""
     m = len(records)
-    m1 = params.m1 if params.m1 is not None else m
+    m1, _ = circuit_shape(params, m)
     batches = -(-m // m1)
     padded = np.zeros((batches * m1, records.slots))
     padded[:m] = records.angles

@@ -188,8 +188,17 @@ def summarize_run(data: np.ndarray, result: ClusteringRun,
 
 def elbow(data: np.ndarray, k_range, params: ClusteringParams,
           n_seeds: int = 5) -> list[tuple[int, float]]:
-    """SSE-vs-k curve, taking the best of ``n_seeds`` seeded runs per k."""
+    """SSE-vs-k curve, taking the best of ``n_seeds`` seeded runs per k.
+    Before any run, the widest k must validate (qubits only grow with k)
+    and fit the distinct standardized records k-Means++ can seed from."""
     std, _, _ = standardize(data)
+    k_range = list(k_range)
+    if k_range:
+        widest = max(k_range)
+        dataclasses.replace(params, k=widest).validate(*std.shape)
+        distinct = len(np.unique(std, axis=0))
+        if widest > distinct:
+            raise ValueError(f"k {widest} exceeds {distinct} distinct records")
     curve = []
     for k in k_range:
         best = None

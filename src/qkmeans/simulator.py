@@ -116,17 +116,16 @@ class StateVector:
 
 def new_state(num_qubits: int, rows: int | None = None,
               hadamards=()) -> StateVector:
-    """Fresh |0...0> state on ``num_qubits`` qubits (1 <= q <= 26); with
-    ``rows``, a (rows, 2^q) array of them.
+    """Fresh |0...0> state on ``num_qubits`` qubits, at least 1 and at most
+    ``MAX_QUBITS``; with ``rows``, a (rows, 2^q) array of them.
 
     With ``hadamards``, the state is that after an H on each listed qubit,
     written directly: the amplitudes with those qubits free and every other
     qubit 0 hold the repeated product of ``_H_MATRIX[0, 0]`` that applying
     the H gates one by one gives, bit for bit, and all others are 0."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(
-            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
+    if num_qubits < 1:
+        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+    require_qubits(num_qubits, "a state")
     lead = () if rows is None else (rows,)
     amps = np.zeros(lead + (1 << num_qubits,), dtype=np.complex128)
     # one axis per qubit, most significant first, fixed to 0 unless H'd
@@ -140,6 +139,14 @@ def new_state(num_qubits: int, rows: int | None = None,
         amplitude = _H_MATRIX[0, 0] * amplitude
     amps.reshape(lead + (2,) * num_qubits)[(Ellipsis, *index)] = amplitude
     return StateVector(num_qubits, amps)
+
+
+def require_qubits(qubits: int, what: str) -> None:
+    """Refuse ``what``, before any work, if its ``qubits`` exceed the
+    current ``MAX_QUBITS``."""
+    if qubits > MAX_QUBITS:
+        raise ValueError(f"{what} needs {qubits} qubits, more than "
+                         f"MAX_QUBITS = {MAX_QUBITS}")
 
 
 def _check(state: StateVector, gate: Gate) -> None:

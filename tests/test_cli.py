@@ -201,8 +201,8 @@ class TestNegativeSeed:
 
 
 class TestCountsBelowOne:
-    """Worker, seed, record and sample counts below 1 are usage errors, refused before any
-    work and before any output."""
+    """Every count option below 1, and --slots below 2, is a usage error,
+    refused before any work and before any output."""
 
     @pytest.mark.parametrize("command, option, value", [
         (["run", "--dataset", "blobs3"], "--jobs", "0"),
@@ -223,6 +223,18 @@ class TestCountsBelowOne:
          "--m", "-3"),
         (["run", "--dataset", "blobs3"], "--reps", "0"),
         (["run", "--dataset", "blobs3"], "--reps", "-2"),
+        (["postselect", "--slots", "4"], "--k", "0"),
+        (["postselect", "--slots", "4", "--k", "2"], "--m-min", "0"),
+        (["run", "--dataset", "iris", "--algorithm", "q11"], "--shots", "0"),
+        (["run", "--dataset", "iris"], "--max-ite", "0"),
+        (["run", "--dataset", "iris"], "--k", "0"),
+        (["run", "--dataset", "iris", "--algorithm", "qmk"], "--m1", "0"),
+        (["elbow", "--dataset", "iris"], "--k-min", "0"),
+        (["elbow", "--dataset", "iris", "--k-min", "1"], "--k-max", "0"),
+        (["stats", "--dataset", "iris", "--variant", "q1k"], "--k", "0"),
+        (["stats", "--dataset", "iris", "--variant", "qmk"], "--m1", "0"),
+        (["postselect", "--slots", "4"], "--m-max", "0"),
+        (["postselect", "--k", "2"], "--slots", "1"),
     ])
     def test_rejected_before_any_output(self, runner, tmp_path, command,
                                         option, value):
@@ -234,6 +246,29 @@ class TestCountsBelowOne:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         assert not out.exists()
+
+
+class TestOptionTypes:
+    def test_every_integer_option_has_a_floor(self):
+        import click
+        floors = {"--seed": 0, "--slots": 2}
+        checked = 0
+        for command in main.commands.values():
+            for param in command.params:
+                if not isinstance(param.type, click.types.IntParamType):
+                    continue
+                name = param.opts[0]
+                if name == "--top-variance":
+                    # exempt: select_features refuses it with a message
+                    # that the tests pin ("top_variance must be >= 1"),
+                    # and it conflicts with --features whatever its value
+                    continue
+                where = f"{command.name} {name}"
+                assert isinstance(param.type, click.IntRange), where
+                assert param.type.min == floors.get(name, 1), where
+                assert not param.type.min_open, where
+                checked += 1
+        assert checked >= 20
 
 
 class TestOutputErrors:
@@ -301,6 +336,30 @@ class TestElbowCommand:
         assert runs == []
         assert not out.exists()
 
+    def test_k_over_distinct_records_refused_before_any_run(
+            self, runner, tmp_path, monkeypatch):
+        from qkmeans import metrics
+        run, runs = metrics.run, []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "run", counted)
+        source = tmp_path / "dupes.csv"
+        rows = ["0,0", "0,3", "4,0", "4,3"] * 2  # 8 records, 4 distinct
+        source.write_text("a,b\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "elbow", "--dataset-csv", str(source), "--k-min", "2",
+            "--k-max", "6", "--seeds-per-k", "2", "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert "k 6" in err["message"] and "4 distinct" in err["message"]
+        assert runs == []
+        assert not out.exists()
+
     def test_k_max_over_m(self, runner, tmp_path):
         result = runner.invoke(main, [
             "elbow", "--dataset", "blobs3", "--k-max", "99",
@@ -330,8 +389,6 @@ class TestPostselectCommand:
         assert result.exit_code == 1
 
     @pytest.mark.parametrize("args, named", [
-        (["--k", "0"], "--k"),
-        (["--m-min", "0"], "--m-min"),
         (["--m-min", "5", "--m-max", "2"], "--m-max"),
         # 2 + 2 index + 22 batch + 1 cluster = 27 qubits
         (["--m-max", str(2 ** 21 + 1)], "27 qubits"),
@@ -344,6 +401,21 @@ class TestPostselectCommand:
         err = json.loads(result.stderr.splitlines()[-1])
         assert err["error"] == "ValueError"
         assert named in err["message"]
+        assert not out.exists()
+
+    def test_qubit_limit_follows_simulator(self, runner, tmp_path,
+                                           monkeypatch):
+        # 1 ancilla + 2 index + 4 batch + 1 register + 1 cluster = 9 qubits
+        from qkmeans import simulator
+        monkeypatch.setattr(simulator, "MAX_QUBITS", 6)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["postselect", "--slots", "4", "--k",
+                                      "2", "--m-max", "16", "--out-dir",
+                                      str(out)])
+        assert result.exit_code == 1, result.output
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert "--m-max 16 needs 9 qubits" in err["message"]
         assert not out.exists()
 
 
@@ -387,6 +459,28 @@ class TestStatsCommand:
         result = runner.invoke(main, [
             "stats", "--dataset", "iris", "--variant", "qmk", "--m1", "151"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("variant", ["q11", "q1k"])
+    def test_m1_out_of_range_for_every_variant(self, runner, variant):
+        # refused as run refuses it, though one q11/q1k circuit loads 1
+        result = runner.invoke(main, [
+            "stats", "--dataset", "iris", "--variant", variant, "--m1",
+            "999"])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert "m1 must be in [1, 150]" in err["message"]
+
+    def test_qubit_limit_follows_simulator(self, runner, monkeypatch):
+        # iris qmk k 3 over all 150 records: 14 qubits
+        from qkmeans import simulator
+        monkeypatch.setattr(simulator, "MAX_QUBITS", 10)
+        result = runner.invoke(main, [
+            "stats", "--dataset", "iris", "--variant", "qmk", "--k", "3"])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert "needs 14 qubits" in err["message"]
+        assert "MAX_QUBITS = 10" in err["message"]
 
     def test_iris_qmk_full(self, runner):
         result = runner.invoke(main, [

@@ -14,6 +14,7 @@ from qkmeans.clustering import (
     assign_q11,
     assign_q1k,
     assign_qmk,
+    circuit_shape,
     derive_seed,
     kmeanspp_init,
     run,
@@ -590,6 +591,19 @@ class TestQubitLimit:
             monkeypatch.setattr(simulator, "MAX_QUBITS", qubits - 1)
             with pytest.raises(ValueError, match=f"needs {qubits} qubits"):
                 params.validate(150, 3)
+
+
+class TestCircuitShape:
+    @pytest.mark.parametrize("strategy, m1, shape", [
+        (Strategy.Q11, None, (1, 1)),
+        (Strategy.Q11, 16, (1, 1)),
+        (Strategy.Q1K, None, (1, 3)),
+        (Strategy.QMK, None, (150, 3)),
+        (Strategy.QMK, 16, (16, 3)),
+    ])
+    def test_records_and_centroids_per_circuit(self, strategy, m1, shape):
+        params = ClusteringParams(k=3, assignment=strategy, m1=m1)
+        assert circuit_shape(params, 150) == shape
 
 
 class TestSeedValidation:

@@ -248,6 +248,21 @@ class TestElbow:
                       n_seeds=8)
         assert curve[0][1] == pytest.approx(0.0, abs=1e-18)
 
+    def test_widest_k_checked_before_any_run(self, monkeypatch):
+        from qkmeans import metrics
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the up-front checks")
+
+        monkeypatch.setattr(metrics, "run", never)
+        data = np.repeat(np.arange(8.0).reshape(4, 2), 2, axis=0)
+        params = ClusteringParams(k=2, seed=0)
+        with pytest.raises(ValueError, match="k 5 exceeds 4 distinct"):
+            elbow(data, range(2, 6), params)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 8\], got 9"):
+            elbow(data, [9, 2], params)
+        assert elbow(data, range(3, 3), params) == []
+
     def test_sse_non_increasing(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=(60, 2))
