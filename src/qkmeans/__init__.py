@@ -51,7 +51,6 @@ from .simulator import (
     Gate,
     Histogram,
     Sampled,
-    StateVector,
     apply_gate,
     h,
     measure,

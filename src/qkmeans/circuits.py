@@ -35,7 +35,6 @@ import numpy as np
 from .simulator import (
     Gate,
     Histogram,
-    StateVector,
     _apply_2x2,
     _half_cos_sin,
     apply_gate,
@@ -211,7 +210,7 @@ def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
                        rows=records.shape[0] if records.ndim == 3 else None)
 
 
-def _apply_block(state: StateVector, plan: CircuitPlan,
+def _apply_block(amps: np.ndarray, plan: CircuitPlan,
                  block: EncodingBlock) -> None:
     """Apply ``block`` in place as one broadcast rotation.
 
@@ -223,7 +222,7 @@ def _apply_block(state: StateVector, plan: CircuitPlan,
     amplitude is -0.0, and the H-layer state a block acts on holds none.
     """
     layout, table = plan.layout, block.angles
-    lead = state.amplitudes.shape[:-1]
+    lead = amps.shape[:-1]
     n_address = 1 << len(block.address)
     if table.shape[-2:] != (n_address, 1 << len(layout.index)):
         raise ValueError(f"an angle table of shape {table.shape} does not "
@@ -231,8 +230,8 @@ def _apply_block(state: StateVector, plan: CircuitPlan,
                          f"{len(layout.index)} index qubits")
     if table.ndim == 3 and table.shape[:1] != lead:
         raise ValueError(f"{table.shape[0]} angle tables for a state of "
-                         f"shape {state.amplitudes.shape}")
-    view = _layout_view(plan, state.amplitudes)
+                         f"shape {amps.shape}")
+    view = _layout_view(plan, amps)
     # view[..., cluster, register, batch, index, ancilla]; halves drop the
     # register and ancilla axes, so the table broadcasts as (cluster, batch,
     # index) with the address axis at the block's register
@@ -245,14 +244,14 @@ def _apply_block(state: StateVector, plan: CircuitPlan,
     _apply_2x2(view, *halves, c, -s, s, c)
 
 
-def simulate(plan: CircuitPlan) -> StateVector:
-    """The plan's final state: the leading H layer written as a product
-    state, each encoding block in one pass, then the final H."""
+def simulate(plan: CircuitPlan) -> np.ndarray:
+    """The plan's final amplitudes: the leading H layer written as a
+    product state, each encoding block in one pass, then the final H."""
     layout = plan.layout
-    state = new_state(plan.num_qubits, plan.rows, layout.hadamards)
+    amps = new_state(plan.num_qubits, plan.rows, layout.hadamards)
     for block in plan.blocks:
-        _apply_block(state, plan, block)
-    return apply_gate(state, h(layout.ancilla))
+        _apply_block(amps, plan, block)
+    return apply_gate(amps, h(layout.ancilla))
 
 
 def _ordered_sum(values: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from .encoding import (
     standardize,
 )
 from . import simulator
-from .simulator import Analytic, Sampled, StateVector, measure
+from .simulator import Analytic, Sampled, measure
 
 
 class SeedDomain(enum.IntEnum):
@@ -115,8 +115,8 @@ class ClusteringParams:
             raise ValueError("max_ite must be >= 1")
         if self.shots_base < 1:
             raise ValueError("shots_base must be >= 1")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not self.delta >= 0:
+            raise ValueError(f"delta must be >= 0, got {self.delta}")
         if self.m1 is not None and not 1 <= self.m1 <= num_records:
             raise ValueError(f"m1 must be in [1, {num_records}], got {self.m1}")
         if self.assignment in QUANTUM_STRATEGIES:
@@ -251,15 +251,13 @@ def assign_delta(data: np.ndarray, centroids: np.ndarray, delta: float,
     """Uniform random label among all centroids whose squared distance is
     within ``delta`` of the closest one."""
     d2 = _sq_distances(data, centroids)
-    best = d2.min(axis=1)
+    near = d2 - d2.min(axis=1, keepdims=True) <= delta
+    labels = np.argmax(near, axis=1)
+    # only rows with a choice draw, in row order
     rng = np.random.default_rng(seed)
-    labels = np.empty(data.shape[0], dtype=np.int64)
-    for r in range(data.shape[0]):
-        candidates = np.nonzero(d2[r] - best[r] <= delta)[0]
-        if len(candidates) == 1:
-            labels[r] = candidates[0]
-        else:
-            labels[r] = candidates[rng.integers(len(candidates))]
+    for r in np.flatnonzero(near.sum(axis=1) > 1):
+        candidates = np.flatnonzero(near[r])
+        labels[r] = candidates[rng.integers(len(candidates))]
     return labels
 
 
@@ -308,9 +306,7 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
                 retry_rng = np.random.default_rng(
                     derive_seed(params.seed, SeedDomain.RETRY, ite))
             empty = failure.rows
-            retry = measure(
-                StateVector(state.num_qubits, state.amplitudes[empty]),
-                Sampled(4 * shots, retry_rng))
+            retry = measure(state[empty], Sampled(4 * shots, retry_rng))
             hist.weights[empty] = retry.weights
             try:
                 decoded.extend(decode(plan, hist))

@@ -191,6 +191,8 @@ def elbow(data: np.ndarray, k_range, params: ClusteringParams,
     """SSE-vs-k curve, taking the best of ``n_seeds`` seeded runs per k.
     Before any run, the widest k must validate (qubits only grow with k)
     and fit the distinct standardized records k-Means++ can seed from."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     std, _, _ = standardize(data)
     k_range = list(k_range)
     if k_range:
@@ -201,13 +203,10 @@ def elbow(data: np.ndarray, k_range, params: ClusteringParams,
             raise ValueError(f"k {widest} exceeds {distinct} distinct records")
     curve = []
     for k in k_range:
-        best = None
+        values = []
         for s in range(n_seeds):
             seed = derive_seed(params.seed, SeedDomain.ELBOW, k, s)
-            p = dataclasses.replace(params, k=k, seed=seed)
-            result = run(data, p)
-            value = sse(std, result.labels, result.centroids)
-            if best is None or value < best:
-                best = value
-        curve.append((int(k), float(best)))
+            result = run(data, dataclasses.replace(params, k=k, seed=seed))
+            values.append(sse(std, result.labels, result.centroids))
+        curve.append((int(k), float(min(values))))
     return curve

@@ -16,9 +16,10 @@ its RY coefficients come from ``_half_cos_sin``.  ``new_state`` can start
 from a layer of H gates on |0...0>, written directly as the product state
 those gates give.
 
-A state may carry a leading batch axis: ``(B, 2^q)`` amplitudes are B
-circuits that share one gate list, and an RY angle may then be a length-B
-array, one angle per row.  Histograms keep the same leading axis.
+A state is its complex128 amplitude array, ``(2^q,)`` for one q-qubit
+register; q is read from the last axis.  A leading batch axis, ``(B, 2^q)``,
+holds B circuits that share one gate list, and an RY angle may then be a
+length-B array, one angle per row.  Histograms keep the same leading axis.
 """
 
 from __future__ import annotations
@@ -105,19 +106,10 @@ def ry(theta, target: int, controls=()) -> Gate:
     return Gate("ry", target, theta=theta, controls=tuple(controls))
 
 
-@dataclass
-class StateVector:
-    """2^q complex amplitudes of a q-qubit register, or a (B, 2^q) batch of
-    B such registers."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-
 def new_state(num_qubits: int, rows: int | None = None,
-              hadamards=()) -> StateVector:
-    """Fresh |0...0> state on ``num_qubits`` qubits, at least 1 and at most
-    ``MAX_QUBITS``; with ``rows``, a (rows, 2^q) array of them.
+              hadamards=()) -> np.ndarray:
+    """Fresh |0...0> amplitudes on ``num_qubits`` qubits, at least 1 and at
+    most ``MAX_QUBITS``; with ``rows``, a (rows, 2^q) array of them.
 
     With ``hadamards``, the state is that after an H on each listed qubit,
     written directly: the amplitudes with those qubits free and every other
@@ -138,7 +130,7 @@ def new_state(num_qubits: int, rows: int | None = None,
         index[num_qubits - 1 - qubit] = slice(None)
         amplitude = _H_MATRIX[0, 0] * amplitude
     amps.reshape(lead + (2,) * num_qubits)[(Ellipsis, *index)] = amplitude
-    return StateVector(num_qubits, amps)
+    return amps
 
 
 def require_qubits(qubits: int, what: str) -> None:
@@ -149,20 +141,21 @@ def require_qubits(qubits: int, what: str) -> None:
                          f"MAX_QUBITS = {MAX_QUBITS}")
 
 
-def _check(state: StateVector, gate: Gate) -> None:
+def _check(amps: np.ndarray, gate: Gate) -> int:
     """Make the checks every kernel makes: target and controls inside the
-    register, and one angle per row for a per-row RY."""
-    q = state.num_qubits
+    register, and one angle per row for a per-row RY.  Returns the
+    register's qubit count."""
+    q = amps.shape[-1].bit_length() - 1
     if gate.target >= q:
         raise ValueError(f"target qubit {gate.target} out of range for {q} qubits")
     top = max((cq for cq, _ in gate.controls), default=-1)
     if top >= q:
         raise ValueError(f"control qubit {top} out of range for {q} qubits")
     if isinstance(gate.theta, np.ndarray):
-        shape = state.amplitudes.shape
-        if gate.theta.shape != shape[:-1]:
+        if gate.theta.shape != amps.shape[:-1]:
             raise ValueError(f"{gate.theta.shape[0]} gate angles for a state "
-                             f"of shape {shape}")
+                             f"of shape {amps.shape}")
+    return q
 
 
 def _apply_2x2(view: np.ndarray, i0, i1, u00, u01, u10, u11) -> None:
@@ -179,19 +172,20 @@ def _apply_2x2(view: np.ndarray, i0, i1, u00, u01, u10, u11) -> None:
     view[i0] = new0
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply ``gate`` to ``state`` in place and return it.
+def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply ``gate`` in place to the C-contiguous amplitudes ``amps`` and
+    return them; any other array is refused, since reshaping it would
+    apply the gate to a copy.
 
     The amplitudes are viewed as one axis of length 2 per qubit; controls
     fix their axes to the declared polarities and the target axis splits
     into the |0> and |1> halves, so the 2x2 block acts on views of the
     matching amplitude pairs and all other amplitudes are untouched.
     """
-    _check(state, gate)
-    q = state.num_qubits
-    if not state.amplitudes.flags.c_contiguous:
-        state.amplitudes = np.ascontiguousarray(state.amplitudes)
-    amps = state.amplitudes
+    q = _check(amps, gate)
+    if not amps.flags.c_contiguous:
+        raise ValueError("apply_gate works in place on C-contiguous "
+                         "amplitudes only")
     lead = amps.shape[:-1]
     view = amps.reshape(lead + (2,) * q)
 
@@ -211,12 +205,12 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         per_row = lead + (1,) * (q - 1 - len(gate.controls))
         u00, u01, u10, u11 = (u.reshape(per_row) for u in (u00, u01, u10, u11))
     _apply_2x2(view, i0, i1, u00, u01, u10, u11)
-    return state
+    return amps
 
 
-def probabilities(state: StateVector) -> np.ndarray:
+def probabilities(amps: np.ndarray) -> np.ndarray:
     """|amplitude|^2 per basis state."""
-    return np.abs(state.amplitudes) ** 2
+    return np.abs(amps) ** 2
 
 
 @dataclass(frozen=True)
@@ -255,7 +249,6 @@ class Histogram:
     post-selection works identically in both modes.
     """
 
-    num_qubits: int
     weights: np.ndarray
 
     @property
@@ -266,14 +259,14 @@ class Histogram:
     def postselect(self, conditions) -> "Histogram":
         """Zero every outcome whose ``(qubit, bit)`` conditions do not all
         match."""
-        basis = np.arange(1 << self.num_qubits)
+        basis = np.arange(self.weights.shape[-1])
         keep = np.ones(basis.shape, dtype=bool)
         for qb, bit in conditions:
             keep &= (basis >> qb) & 1 == bit
-        return Histogram(self.num_qubits, np.where(keep, self.weights, 0.0))
+        return Histogram(np.where(keep, self.weights, 0.0))
 
 
-def measure(state: StateVector, mode: MeasureMode) -> Histogram:
+def measure(amps: np.ndarray, mode: MeasureMode) -> Histogram:
     """Measure all qubits.
 
     Analytic mode returns the exact distribution; Sampled mode draws
@@ -281,9 +274,9 @@ def measure(state: StateVector, mode: MeasureMode) -> Histogram:
     or generator state.  Partial measurement is realized downstream, on the
     dense weights.
     """
-    probs = probabilities(state)
+    probs = probabilities(amps)
     if isinstance(mode, Analytic):
-        return Histogram(state.num_qubits, probs)
+        return Histogram(probs)
     draws = np.random.default_rng(mode.seed).multinomial(
         mode.shots, probs / probs.sum(axis=-1, keepdims=True))
-    return Histogram(state.num_qubits, draws.astype(float))
+    return Histogram(draws.astype(float))

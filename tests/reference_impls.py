@@ -16,6 +16,8 @@
 * Single-vector forms of helpers the package now applies to whole arrays:
   the inverse stereographic projection of one vector and the marginal of a
   histogram over a subset of qubits.
+* The per-record delta-k-Means loop, which finds each record's candidate
+  centroids on its own and draws only for records with more than one.
 * The per-circuit assignment loops of q1:1, q1:k and qM:k: one circuit per
   (record, centroid) pair, record or batch, built by those builders, run
   through the index-array kernel and measured one circuit at a time with a
@@ -37,7 +39,12 @@ from qkmeans.circuits import (
     decode_qc3,
     estimate_distance,
 )
-from qkmeans.clustering import SeedDomain, _recovered_nearest, derive_seed
+from qkmeans.clustering import (
+    SeedDomain,
+    _recovered_nearest,
+    _sq_distances,
+    derive_seed,
+)
 from qkmeans.encoding import recover_distance
 from qkmeans.simulator import Histogram, h, new_state, ry
 
@@ -97,7 +104,7 @@ def marginal_reference(hist, qubits):
     qubits = list(qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("duplicate qubit index in marginal")
-    q = hist.num_qubits
+    q = hist.weights.shape[-1].bit_length() - 1
     lead = hist.weights.shape[:-1]
     view = hist.weights.reshape(lead + (2,) * q)
     # the listed qubits' axes, most significant first, then the rest
@@ -105,7 +112,23 @@ def marginal_reference(hist, qubits):
     rest = [a for a in range(len(lead), view.ndim) if a not in keep]
     moved = view.transpose(list(range(len(lead))) + keep + rest)
     out = moved.reshape(lead + (1 << len(qubits), -1)).sum(axis=-1)
-    return Histogram(len(qubits), out)
+    return Histogram(out)
+
+
+def assign_delta_reference(data, centroids, delta, seed):
+    """Uniform random label among the centroids within ``delta`` of the
+    closest one, record by record."""
+    d2 = _sq_distances(data, centroids)
+    best = d2.min(axis=1)
+    rng = np.random.default_rng(seed)
+    labels = np.empty(data.shape[0], dtype=np.int64)
+    for r in range(data.shape[0]):
+        candidates = np.nonzero(d2[r] - best[r] <= delta)[0]
+        if len(candidates) == 1:
+            labels[r] = candidates[0]
+        else:
+            labels[r] = candidates[rng.integers(len(candidates))]
+    return labels
 
 
 def _layout_reference(n_index, n_batch=0, n_cluster=0):
@@ -207,9 +230,9 @@ def build_qc3_reference(records_angles, centroids_angles, n_index, n_batch,
     return plan
 
 
-def apply_gate_reference(state, gate):
-    """Apply a scalar-angle ``gate`` to a 1-D ``state`` in place."""
-    q = state.num_qubits
+def apply_gate_reference(amps, gate):
+    """Apply a scalar-angle ``gate`` to 1-D amplitudes ``amps`` in place."""
+    q = len(amps).bit_length() - 1
     if not 0 <= gate.target < q:
         raise ValueError(f"target qubit {gate.target} out of range for {q} qubits")
     for cq, _ in gate.controls:
@@ -230,12 +253,11 @@ def apply_gate_reference(state, gate):
     i1 = i0 | (1 << gate.target)
 
     (u00, u01), (u10, u11) = gate.matrix()
-    amps = state.amplitudes
     a0 = amps[i0]
     a1 = amps[i1]
     amps[i0] = u00 * a0 + u01 * a1
     amps[i1] = u10 * a0 + u11 * a1
-    return state
+    return amps
 
 
 def simulate_reference(plan):
@@ -245,14 +267,14 @@ def simulate_reference(plan):
     return state
 
 
-def measure_reference(state, shots=None, rng=None):
+def measure_reference(amps, shots=None, rng=None):
     """Exact probabilities when ``shots`` is None, else ``shots`` draws from
     the generator ``rng``."""
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(amps) ** 2
     if shots is None:
-        return Histogram(state.num_qubits, probs)
+        return Histogram(probs)
     draws = rng.multinomial(shots, probs / probs.sum())
-    return Histogram(state.num_qubits, draws.astype(float))
+    return Histogram(draws.astype(float))
 
 
 def _streams(params, ite):

@@ -61,7 +61,7 @@ def histogram_of(num_qubits, counts):
     weights = np.zeros(1 << num_qubits)
     for basis, weight in counts.items():
         weights[basis] = weight
-    return Histogram(num_qubits, weights)
+    return Histogram(weights)
 
 
 class TestBuildQc1:
@@ -439,7 +439,7 @@ class TestBatchedCircuits:
         weights[:, 0] = 5.0  # register = 0: nothing survives ...
         weights[1, 1 << plan.layout.register] = 5.0  # ... except in row 1
         with pytest.raises(EstimationFailure) as failure:
-            estimate_distance(plan, Histogram(plan.num_qubits, weights))
+            estimate_distance(plan, Histogram(weights))
         assert list(failure.value.rows) == [0, 2]
 
 
@@ -525,3 +525,34 @@ class TestDistanceProperty:
                                                     Analytic()))
         recovered = recover_distance(d_proj, *prepared.norms)
         assert recovered == pytest.approx(np.linalg.norm(x - y), abs=1e-9)
+
+
+class TestAssignmentProperty:
+    """Analytic QC3 through ``simulate`` against the closed form of the
+    interference circuit (Schuld, Fingerhuth and Petruccione,
+    arXiv:1703.10793): cell (v, j) holds (1 - |p_v - c_j|^2 / 4) / N, where
+    N counts the index, batch and cluster patterns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7), st.integers(1, 8),
+           st.integers(1, 6), st.integers(0, 4), st.booleans())
+    def test_cells_match_closed_form(self, seed, dim, m1, k, rows,
+                                     per_row_centroids):
+        rng = np.random.default_rng(seed)
+        lead = (rows,) if rows else ()
+        records_shape = lead + (m1,)
+        centroids_shape = (lead if per_row_centroids else ()) + (k,)
+        records, centroids = (
+            prepare_vectors(rng.standard_normal((math.prod(shape), dim))
+                            * rng.uniform(0.1, 3.0))
+            for shape in (records_shape, centroids_shape))
+        plan = build_qc3(records.angles.reshape(records_shape + (-1,)),
+                         centroids.angles.reshape(centroids_shape + (-1,)))
+        counts = assignment_histogram(
+            plan, measure(simulate(plan), Analytic())).counts
+        p = records.projected.reshape(records_shape + (1, -1))
+        c = centroids.projected.reshape(centroids_shape + (-1,))
+        d2 = np.sum((p - c[..., None, :, :]) ** 2, axis=-1)
+        layout = plan.layout
+        n = records.slots << len(layout.batch) << len(layout.cluster)
+        assert counts == pytest.approx((1.0 - d2 / 4.0) / n, abs=1e-14)

@@ -21,6 +21,7 @@ from qkmeans.clustering import (
 )
 from qkmeans.data import BLOB_CENTERS, gen_blobs
 from qkmeans.encoding import PreparedVectors, prepare_vectors, standardize
+from reference_impls import assign_delta_reference
 
 
 def unit_prepared(rng, count, dim):
@@ -137,6 +138,26 @@ class TestAssignDelta:
         seen = {int(assign_delta(record, centroids, 2.0, seed)[0])
                 for seed in range(200)}
         assert seen == {0, 1}
+
+    def test_matches_per_record_loop(self):
+        """Integer grids full of exact ties: the same labels, drawn by the
+        same records in the same order, as the per-record loop."""
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            data = rng.integers(-2, 3, (int(rng.integers(1, 40)), d)) * 1.0
+            centroids = rng.integers(-2, 3, (int(rng.integers(1, 7)), d)) * 1.0
+            for delta in (0.0, 1.0, 2.5, 100.0):
+                seed = int(rng.integers(2 ** 32))
+                got = assign_delta(data, centroids, delta, seed)
+                want = assign_delta_reference(data, centroids, delta, seed)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("delta", [-1.0, float("nan")])
+    def test_delta_must_be_a_non_negative_number(self, delta):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            ClusteringParams(k=2, assignment=Strategy.DELTA,
+                             delta=delta).validate(10, 2)
 
 
 class TestQuantumAssignments:

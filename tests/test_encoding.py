@@ -164,7 +164,7 @@ class TestEncodeVector:
         vec /= np.linalg.norm(vec)
         angles = rotation_angles(vec, 1 << n_index)
         state, layout, _ = encoded_state(angles)
-        amps = state.amplitudes
+        amps = state
         basis = np.arange(len(amps))
         r1 = basis[(basis >> layout.register) & 1 == 1]
         branch = np.zeros(1 << n_index, dtype=complex)

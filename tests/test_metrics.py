@@ -263,6 +263,20 @@ class TestElbow:
             elbow(data, [9, 2], params)
         assert elbow(data, range(3, 3), params) == []
 
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_seed_count_checked_before_any_run(self, monkeypatch, n_seeds):
+        from qkmeans import metrics
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the up-front checks")
+
+        monkeypatch.setattr(metrics, "run", never)
+        monkeypatch.setattr(metrics, "standardize", never)
+        data = np.arange(16.0).reshape(8, 2)
+        with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got "
+                                             f"{n_seeds}"):
+            elbow(data, [2, 3], ClusteringParams(k=2), n_seeds=n_seeds)
+
     def test_sse_non_increasing(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=(60, 2))

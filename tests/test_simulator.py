@@ -13,7 +13,6 @@ from qkmeans.simulator import (
     Gate,
     Histogram,
     Sampled,
-    StateVector,
     apply_gate,
     h,
     measure,
@@ -38,7 +37,7 @@ def histogram_of(num_qubits, counts):
     weights = np.zeros(1 << num_qubits)
     for basis, weight in counts.items():
         weights[basis] = weight
-    return Histogram(num_qubits, weights)
+    return Histogram(weights)
 
 
 def random_gates(rng, num_qubits, count):
@@ -61,10 +60,10 @@ def random_gates(rng, num_qubits, count):
 
 class TestNewState:
     def test_one_qubit(self):
-        assert np.allclose(new_state(1).amplitudes, [1, 0])
+        assert np.allclose(new_state(1), [1, 0])
 
     def test_two_qubits(self):
-        assert np.allclose(new_state(2).amplitudes, [1, 0, 0, 0])
+        assert np.allclose(new_state(2), [1, 0, 0, 0])
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_hadamard_layer_equals_gates(self, rows):
@@ -76,8 +75,7 @@ class TestNewState:
                 written = new_state(num_qubits, rows, picked)
                 gates = apply_gates(new_state(num_qubits, rows),
                                     [h(q) for q in picked])
-                assert (written.amplitudes.tobytes()
-                        == gates.amplitudes.tobytes())
+                assert written.tobytes() == gates.tobytes()
 
     def test_hadamard_layer_qubits_checked(self):
         with pytest.raises(ValueError):
@@ -94,11 +92,11 @@ class TestNewState:
 class TestApplyGate:
     def test_hadamard(self):
         state = apply_gate(new_state(1), h(0))
-        assert np.allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2])
+        assert np.allclose(state, [INV_SQRT2, INV_SQRT2])
 
     def test_ry_pi_flips(self):
         state = apply_gate(new_state(1), ry(math.pi, 0))
-        assert np.allclose(state.amplitudes, [0, 1], atol=1e-15)
+        assert np.allclose(state, [0, 1], atol=1e-15)
 
     def test_controlled_ry_polarity_zero(self):
         # control on qubit 1 with polarity 0 fires on |00>, not on |10>
@@ -107,19 +105,30 @@ class TestApplyGate:
         expect = np.zeros(4)
         expect[0b00] = math.cos(theta / 2)
         expect[0b01] = math.sin(theta / 2)
-        assert np.allclose(state.amplitudes, expect)
+        assert np.allclose(state, expect)
 
         flipped = apply_gate(new_state(2), x(1))
         apply_gate(flipped, ry(theta, 0, [(1, 0)]))
         expect = np.zeros(4)
         expect[0b10] = 1.0
-        assert np.allclose(flipped.amplitudes, expect)
+        assert np.allclose(flipped, expect)
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):
             apply_gate(new_state(2), h(2))
         with pytest.raises(ValueError):
             apply_gate(new_state(2), ry(1.0, 0, [(5, 1)]))
+
+    def test_non_contiguous_refused_and_untouched(self):
+        """The gate acts in place, so an array that cannot be reshaped in
+        place is refused, not copied."""
+        for amps in (np.zeros((4, 2), complex)[:, 0],
+                     np.zeros((4, 3), complex).T):
+            amps[..., 0] = 1.0
+            before = amps.copy()
+            with pytest.raises(ValueError, match="C-contiguous"):
+                apply_gate(amps, h(0))
+            assert np.array_equal(amps, before)
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -141,7 +150,7 @@ class TestApplyGate:
         rng = np.random.default_rng(seed)
         state = new_state(4)
         apply_gates(state, random_gates(rng, 4, 12))
-        assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
+        assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
     def test_polarity_zero_equals_x_conjugation(self):
         # gate controlled on |0> == X; gate controlled on |1>; X
@@ -150,13 +159,11 @@ class TestApplyGate:
             amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             amps /= np.linalg.norm(amps)
             theta = float(rng.uniform(-math.pi, math.pi))
-            a = new_state(4)
-            a.amplitudes = amps.copy()
+            a = amps.copy()
             apply_gate(a, ry(theta, 2, [(0, 0), (3, 1)]))
-            b = new_state(4)
-            b.amplitudes = amps.copy()
+            b = amps.copy()
             apply_gates(b, [x(0), ry(theta, 2, [(0, 1), (3, 1)]), x(0)])
-            assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
+            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 class TestProbabilities:
@@ -172,8 +179,7 @@ class TestProbabilities:
         rng = np.random.default_rng(3)
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         amps /= np.linalg.norm(amps)
-        state = new_state(3)
-        state.amplitudes = amps
+        state = amps
         expect = np.array([abs(a) ** 2 for a in amps])
         assert np.allclose(probabilities(state), expect, atol=1e-14)
 
@@ -206,8 +212,7 @@ class TestMeasure:
         rng = np.random.default_rng(11)
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         amps /= np.linalg.norm(amps)
-        state = new_state(3)
-        state.amplitudes = amps
+        state = amps
         t = 2 ** 16
         hist = measure(state, Sampled(t, seed=5))
         probs = probabilities(state)
@@ -307,22 +312,20 @@ class TestBatchedKernel:
         amps = (rng.standard_normal((rows, 1 << num_qubits))
                 + 1j * rng.standard_normal((rows, 1 << num_qubits)))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        batched = StateVector(num_qubits, amps.copy())
+        batched = amps.copy()
         apply_gates(batched, gates)
         for r in range(rows):
-            single = StateVector(num_qubits, amps[r].copy())
+            single = amps[r].copy()
             for gate in gates:
                 apply_gate_reference(single, row_gate(gate, r))
-            assert np.max(np.abs(batched.amplitudes[r]
-                                 - single.amplitudes)) <= 1e-12
-            unbatched = StateVector(num_qubits, amps[r].copy())
+            assert np.max(np.abs(batched[r] - single)) <= 1e-12
+            unbatched = amps[r].copy()
             apply_gates(unbatched, [row_gate(g, r) for g in gates])
-            assert np.max(np.abs(unbatched.amplitudes
-                                 - single.amplitudes)) <= 1e-12
+            assert np.max(np.abs(unbatched - single)) <= 1e-12
 
     def test_new_state_rows(self):
         state = new_state(2, rows=3)
-        assert state.amplitudes.shape == (3, 4)
+        assert state.shape == (3, 4)
         assert np.array_equal(probabilities(state)[:, 0], np.ones(3))
 
     def test_angle_count_must_match_rows(self):
@@ -337,24 +340,24 @@ class TestBatchedKernel:
         hist = measure(state, Sampled(500, seed=11))
         rng = np.random.default_rng(11)
         for r in range(2):
-            probs = probabilities(StateVector(3, state.amplitudes[r]))
+            probs = probabilities(state[r])
             alone = rng.multinomial(500, probs / probs.sum())
             assert np.array_equal(hist.weights[r], alone)
         # a generator carries on from one measurement to the next
         rng = np.random.default_rng(11)
         for r in range(2):
-            single = StateVector(3, state.amplitudes[r].copy())
+            single = state[r].copy()
             alone = measure(single, Sampled(500, seed=rng))
             assert np.array_equal(hist.weights[r], alone.weights)
 
     def test_histogram_rows_postselect_and_marginal(self):
         rng = np.random.default_rng(1)
         weights = rng.integers(0, 9, (3, 8)).astype(float)
-        hist = Histogram(3, weights)
+        hist = Histogram(weights)
         kept = hist.postselect([(2, 1)])
         margin = marginal_reference(hist, [2, 0])
         for r in range(3):
-            row = Histogram(3, weights[r])
+            row = Histogram(weights[r])
             assert np.array_equal(kept.weights[r],
                                   row.postselect([(2, 1)]).weights)
             assert np.array_equal(margin.weights[r],
@@ -369,10 +372,10 @@ def random_table(rng, shape):
         pick == 1, -0.0, rng.uniform(-math.pi, math.pi, shape)))
 
 
-class TestFusedRyRuns:
-    """An encoding block is a run of RYs on the register qubit, one per
-    nonzero slot, fused into one uniformly controlled rotation: its
-    broadcast pass against the expanded gates applied one by one."""
+class TestEncodingBlocks:
+    """An encoding block is one uniformly controlled RY on the register
+    qubit, held as an angle table: its broadcast pass against its expanded
+    gates, one per nonzero slot, applied one by one."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(1, 6),
@@ -389,14 +392,14 @@ class TestFusedRyRuns:
         got = simulate(plan)
         gate_by_gate = apply_gates(new_state(plan.num_qubits, plan.rows),
                                    plan.gates)
-        assert got.amplitudes.tobytes() == gate_by_gate.amplitudes.tobytes()
+        assert got.tobytes() == gate_by_gate.tobytes()
 
         for r in range(rows or 1):
             single = new_state(plan.num_qubits)
             for gate in plan.gates:
                 apply_gate_reference(single, row_gate(gate, r))
-            row = got.amplitudes[r] if rows else got.amplitudes
-            assert np.max(np.abs(row - single.amplitudes)) <= 1e-12
+            row = got[r] if rows else got
+            assert np.max(np.abs(row - single)) <= 1e-12
 
     def test_checks_every_gate(self):
         """The block pass makes, per block, the checks each gate made."""
