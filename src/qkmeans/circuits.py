@@ -41,6 +41,7 @@ from .simulator import (
     h,
     new_state,
     probabilities,
+    require_real,
     ry,
 )
 
@@ -114,6 +115,7 @@ class EncodingBlock:
     angles: np.ndarray
 
     def __post_init__(self):
+        require_real(self.angles, "EncodingBlock angles")
         if not np.isfinite(self.angles).all():
             raise ValueError("encoding angles must be finite")
 
@@ -190,6 +192,8 @@ def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
     B circuits at once on one shared skeleton, against centroids
     ``(B, k, slots)``, or ``(k, slots)`` shared by every row.
     """
+    require_real(records_angles, "records_angles")
+    require_real(centroids_angles, "centroids_angles")
     records = np.asarray(records_angles, dtype=float)
     centroids = np.asarray(centroids_angles, dtype=float)
     if records.ndim not in (2, 3) or centroids.ndim not in (2, records.ndim):

@@ -109,8 +109,8 @@ class ClusteringParams:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.k <= num_records:
             raise ValueError(f"k must be in [1, {num_records}], got {self.k}")
-        if self.sc_thresh <= 0:
-            raise ValueError("sc_thresh must be positive")
+        if not self.sc_thresh > 0:
+            raise ValueError(f"sc_thresh must be > 0, got {self.sc_thresh}")
         if self.max_ite < 1:
             raise ValueError("max_ite must be >= 1")
         if self.shots_base < 1:
@@ -261,8 +261,8 @@ def assign_delta(data: np.ndarray, centroids: np.ndarray, delta: float,
     return labels
 
 
-# Largest batched state one pass may hold, in amplitudes (16 MiB of
-# complex128); larger batches run as several passes.
+# Largest batched state one pass may hold, in amplitudes (8 MiB of
+# float64); larger batches run as several passes.
 MAX_BATCH_AMPLITUDES = 1 << 20
 
 

@@ -16,10 +16,19 @@ its RY coefficients come from ``_half_cos_sin``.  ``new_state`` can start
 from a layer of H gates on |0...0>, written directly as the product state
 those gates give.
 
-A state is its complex128 amplitude array, ``(2^q,)`` for one q-qubit
+A state is its float64 amplitude array, ``(2^q,)`` for one q-qubit
 register; q is read from the last axis.  A leading batch axis, ``(B, 2^q)``,
 holds B circuits that share one gate list, and an RY angle may then be a
 length-B array, one angle per row.  Histograms keep the same leading axis.
+
+Real amplitudes are exact, not an approximation.  H, X and RY are real
+matrices and every circuit starts from |0...0>, so a complex128 run would
+hold only imaginary parts of +-0.  The real part of a product
+(u + 0i)(x +- 0i) is u*x - (+-0) and complex sums add real parts alone, so
+every real part equals the float64 result, except perhaps the sign of an
+exact zero, which |amplitude|^2 drops.  Probabilities, and everything
+measured from them, are the same bytes at half the memory traffic.  Gate
+angles must therefore be real: a complex angle is refused.
 """
 
 from __future__ import annotations
@@ -51,6 +60,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in ("h", "x", "ry"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not isinstance(self.theta, float):  # floats skip the slower check
+            require_real(self.theta, "gate angle theta")
         if isinstance(self.theta, np.ndarray):
             if self.theta.ndim != 1:
                 raise ValueError("gate angles must be a float or a 1-D array")
@@ -108,8 +119,8 @@ def ry(theta, target: int, controls=()) -> Gate:
 
 def new_state(num_qubits: int, rows: int | None = None,
               hadamards=()) -> np.ndarray:
-    """Fresh |0...0> amplitudes on ``num_qubits`` qubits, at least 1 and at
-    most ``MAX_QUBITS``; with ``rows``, a (rows, 2^q) array of them.
+    """Fresh float64 |0...0> amplitudes on ``num_qubits`` qubits, at least 1
+    and at most ``MAX_QUBITS``; with ``rows``, a (rows, 2^q) array of them.
 
     With ``hadamards``, the state is that after an H on each listed qubit,
     written directly: the amplitudes with those qubits free and every other
@@ -119,7 +130,7 @@ def new_state(num_qubits: int, rows: int | None = None,
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
     require_qubits(num_qubits, "a state")
     lead = () if rows is None else (rows,)
-    amps = np.zeros(lead + (1 << num_qubits,), dtype=np.complex128)
+    amps = np.zeros(lead + (1 << num_qubits,), dtype=np.float64)
     # one axis per qubit, most significant first, fixed to 0 unless H'd
     index = [0] * num_qubits
     amplitude = 1.0
@@ -139,6 +150,14 @@ def require_qubits(qubits: int, what: str) -> None:
     if qubits > MAX_QUBITS:
         raise ValueError(f"{what} needs {qubits} qubits, more than "
                          f"MAX_QUBITS = {MAX_QUBITS}")
+
+
+def require_real(values, what: str) -> None:
+    """Refuse complex ``values``: a real state has nowhere to keep an
+    imaginary part, and writing one into it would drop it."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real, got "
+                         f"{np.asarray(values).dtype}")
 
 
 def _check(amps: np.ndarray, gate: Gate) -> int:
@@ -277,6 +296,6 @@ def measure(amps: np.ndarray, mode: MeasureMode) -> Histogram:
     probs = probabilities(amps)
     if isinstance(mode, Analytic):
         return Histogram(probs)
-    draws = np.random.default_rng(mode.seed).multinomial(
-        mode.shots, probs / probs.sum(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    draws = np.random.default_rng(mode.seed).multinomial(mode.shots, probs)
     return Histogram(draws.astype(float))

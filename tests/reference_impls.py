@@ -3,7 +3,9 @@
 * The clustering metrics, written directly from their defining formulas;
   they share no code with the package.
 * The index-array statevector kernel, which gathers and scatters amplitude
-  pairs through explicit int64 index arrays, one circuit at a time.
+  pairs through explicit int64 index arrays, one circuit at a time;
+  ``simulate_reference`` runs it on complex128 amplitudes, so the
+  package's real state is checked against a complex one.
 * Three separate builders for the QC1, QC2 and QC3 circuits, each given
   its register widths by the caller and emitting an explicit gate list,
   one pattern-controlled RY per nonzero slot; the package builds all three
@@ -46,7 +48,7 @@ from qkmeans.clustering import (
     derive_seed,
 )
 from qkmeans.encoding import recover_distance
-from qkmeans.simulator import Histogram, h, new_state, ry
+from qkmeans.simulator import Histogram, h, ry
 
 
 @dataclass
@@ -261,7 +263,10 @@ def apply_gate_reference(amps, gate):
 
 
 def simulate_reference(plan):
-    state = new_state(plan.num_qubits)
+    """Run a single circuit's gates through the index-array kernel on
+    complex128 amplitudes, kept apart from the package's real state."""
+    state = np.zeros(1 << plan.num_qubits, dtype=np.complex128)
+    state[0] = 1.0
     for gate in plan.gates:
         apply_gate_reference(state, gate)
     return state

@@ -502,6 +502,19 @@ class TestOneBuilder:
         with pytest.raises(ValueError):  # centroid rows without record rows
             build_qc3(np.zeros((1, 4)), np.zeros((3, 1, 4)))
 
+    @pytest.mark.parametrize("field", ["records_angles", "centroids_angles"])
+    def test_complex_angles_refused(self, field):
+        """A real state cannot hold an imaginary part, so complex angles are
+        refused by name rather than cast to float with a warning."""
+        angles = {"records_angles": np.full((2, 4), 0.3),
+                  "centroids_angles": np.full((3, 4), 0.2)}
+        angles[field] = angles[field] + 1e-3j
+        with pytest.raises(ValueError, match=f"{field} must be real"):
+            build_qc3(**angles)
+        angles[field] = angles[field].tolist()
+        with pytest.raises(ValueError, match=f"{field} must be real"):
+            build_qc3(**angles)
+
 
 class TestDistanceProperty:
     """Analytic QC1 through ``simulate`` against the closed forms."""

@@ -94,6 +94,17 @@ class TestRunCommand:
         assert err["error"] == "ValueError"
         assert "nope" in err["message"]
 
+    def test_nan_sc_thresh_refused(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--dataset", "iris", "--sc-thresh", "nan",
+            "--out-dir", str(out)])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert "sc_thresh must be > 0, got nan" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_top_variance_below_one(self, runner, tmp_path, count):
         out = tmp_path / "out"

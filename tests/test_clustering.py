@@ -638,3 +638,19 @@ class TestSeedValidation:
         monkeypatch.setattr(clustering, "kmeanspp_init", never)
         with pytest.raises(ValueError, match="seed"):
             run(builtin("iris").matrix, ClusteringParams(k=3, seed=-1))
+
+
+class TestConvergenceThreshold:
+    @pytest.mark.parametrize("sc_thresh", [0.0, -1e-4, float("nan")])
+    def test_fails_before_seeding(self, monkeypatch, sc_thresh):
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+
+        def never(*args, **kwargs):
+            raise AssertionError("k-Means++ ran with a bad sc_thresh")
+
+        monkeypatch.setattr(clustering, "kmeanspp_init", never)
+        with pytest.raises(ValueError,
+                           match=rf"sc_thresh must be > 0, got {sc_thresh}"):
+            run(builtin("iris").matrix,
+                ClusteringParams(k=3, sc_thresh=sc_thresh))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from qkmeans.simulator import (
     ry,
     x,
 )
-from reference_impls import apply_gate_reference, marginal_reference
+from reference_impls import (
+    apply_gate_reference,
+    marginal_reference,
+    simulate_reference,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -83,6 +88,19 @@ class TestNewState:
         with pytest.raises(ValueError):
             new_state(3, hadamards=[1, 1])
 
+    def test_eight_bytes_per_amplitude(self):
+        assert new_state(3, rows=2, hadamards=(0, 2)).dtype == np.float64
+        tracemalloc.start()
+        try:
+            amps = new_state(16)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        buffers = snapshot.filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        assert amps.dtype == np.float64
+        assert sum(t.size for t in buffers.traces) == 8 * 2 ** 16
+
     @pytest.mark.parametrize("bad", [0, 27, -1])
     def test_out_of_range(self, bad):
         with pytest.raises(ValueError):
@@ -137,6 +155,10 @@ class TestApplyGate:
             ry(1.0, 0, [(0, 1)])
         with pytest.raises(ValueError):
             ry(1.0, 0, [(1, 1), (1, 0)])
+        for theta in (0.5 + 0.0j, np.complex128(0.5),
+                      np.array([0.1, 0.2 + 1e-9j])):
+            with pytest.raises(ValueError, match="theta must be real"):
+                ry(theta, 0)
 
     def test_negative_qubit_rejected(self):
         with pytest.raises(ValueError, match="control qubit -1"):
@@ -407,6 +429,10 @@ class TestEncodingBlocks:
             build_qc3([[0.1, np.nan]], [[0.2, 0.3]])
         with pytest.raises(ValueError, match="finite"):
             build_qc3([[0.1, 0.2]], [[0.2, np.inf]])
+        with pytest.raises(ValueError,
+                           match="EncodingBlock angles must be real, got "
+                                 "complex128"):
+            EncodingBlock(0, (), np.zeros((1, 2), dtype=complex))
         plan = build_qc3(np.full((2, 1, 4), 0.3), np.full((3, 4), 0.2))
         records, centroids = plan.blocks
         for table, message in ((np.zeros((2, 1, 8)), "does not fit"),
@@ -441,3 +467,33 @@ class TestEncodingBlocks:
         simulate(plan)
         assert len(passes) == 2 and sum(passes) == per_row
         assert single == ["h"]  # the final H; the leading layer is written
+
+
+class TestRealAmplitudes:
+    """A state is float64: H, X and RY are real, so a complex128 run of the
+    same circuit holds the same real parts, up to the sign of an exact
+    zero, and the same probabilities bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["qc1", "qc2", "qc3"]),
+           st.integers(0, 3), st.integers(1, 6), st.integers(1, 5),
+           st.integers(0, 4), st.booleans())
+    def test_probabilities_match_complex_reference(self, seed, kind, n_index,
+                                                   m1, k, rows,
+                                                   per_row_centroids):
+        rng = np.random.default_rng(seed)
+        m1, k = {"qc1": (1, 1), "qc2": (1, k), "qc3": (m1, k)}[kind]
+        slots = 1 << n_index
+        lead = (rows,) if rows else ()
+        records = random_table(rng, lead + (m1, slots))
+        centroids = random_table(
+            rng, (lead if per_row_centroids and rows else ()) + (k, slots))
+        amps = simulate(build_qc3(records, centroids))
+        probs = probabilities(amps)
+        for r in range(rows or 1):
+            row = (slice(None),) if not rows else (r,)
+            single = build_qc3(records[row], centroids[row]
+                               if centroids.ndim == 3 else centroids)
+            reference = np.abs(simulate_reference(single)) ** 2
+            assert probs[row].tobytes() == reference.tobytes()
+        assert amps.dtype == np.float64
