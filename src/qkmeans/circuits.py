@@ -17,12 +17,30 @@ discards patterns that do not address anything actually loaded
 
 Each encoding branch is one uniformly controlled RY on the register qubit
 (Möttönen et al. 2004), held as an ``EncodingBlock``: its ancilla polarity,
-its address register and a zero-padded angle table.  ``simulate`` writes
-the leading H layer as a product state, applies each block as one
-broadcast 2x2 rotation with ``apply_gate``'s formula and coefficients, and
-the final H through ``apply_gate``.  ``CircuitPlan.gates`` expands the
-blocks into the per-slot gate list, which stays the source of truth: the
-block pass gives the same amplitude bytes as ``apply_gate`` run over it.
+its address register and a zero-padded angle table.  ``CircuitPlan.gates``
+expands the blocks into the per-slot gate list, which stays the source of
+truth.
+
+``simulate`` does not run that list.  This is the interference circuit of
+Schuld, Fingerhuth and Petruccione (arXiv:1703.10793), and its final state
+is a sum of per-table terms, so ``simulate`` writes it in closed form into
+one fresh array.  The result is the same bytes as ``apply_gate`` run over
+the gate list, because each of the three gate-by-gate steps meets known
+operands:
+
+* the H layer leaves ``hadamard_amplitude`` A on every basis state with the
+  register qubit 0 and +0.0 on every other one;
+* a block's gates act only on the pairs of its own ancilla branch, and the
+  two branches are disjoint, so every pair a gate rotates still holds
+  exactly (A, +0.0).  A slot that is zero in every row emits no gate, and
+  RY(+-0.0) maps (A, +0.0) to (A, +0.0), so the table's padding changes
+  nothing.  Each register half is therefore the table-sized
+  ``c*A + (-s)*0.0`` or ``s*A + c*0.0``, with ``apply_gate``'s formula,
+  coefficients and operand order, signs of zero included;
+* the final H pairs the record branch's amplitude with the centroid
+  branch's at the same (cluster, register, batch, index) pattern.  It is
+  one broadcast ``u00*rec + u01*cen`` (and ``u10*rec + u11*cen``) per
+  register half, the same operations on the same operands.
 """
 
 from __future__ import annotations
@@ -33,14 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulator import (
+    _H_MATRIX,
     Gate,
     Histogram,
-    _apply_2x2,
     _half_cos_sin,
-    apply_gate,
     h,
-    new_state,
+    hadamard_amplitude,
     probabilities,
+    require_qubits,
     require_real,
     ry,
 )
@@ -214,48 +232,53 @@ def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
                        rows=records.shape[0] if records.ndim == 3 else None)
 
 
-def _apply_block(amps: np.ndarray, plan: CircuitPlan,
-                 block: EncodingBlock) -> None:
-    """Apply ``block`` in place as one broadcast rotation.
+def _branch_halves(plan: CircuitPlan, block: EncodingBlock,
+                   amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """``block``'s ancilla branch after the H layer and the block: its
+    register-0 and register-1 halves as table-sized arrays that broadcast
+    over (rows..., cluster, batch, index).
 
-    In the layout view the ancilla axis is fixed to the block's branch and
-    the register axis splits into the pairs' halves; every pair then meets
-    the table entry of its address and index pattern.  With ``apply_gate``'s
-    formula and coefficients this equals the block's gates applied one by
-    one, bit for bit: a zero entry leaves a pair as it is unless an
-    amplitude is -0.0, and the H-layer state a block acts on holds none.
-    """
+    Every pair the block rotates holds (``amplitude``, +0.0), so each half
+    is ``apply_gate``'s formula on that pair, with the table entry of the
+    pair's address and index pattern as its angle."""
     layout, table = plan.layout, block.angles
-    lead = amps.shape[:-1]
     n_address = 1 << len(block.address)
     if table.shape[-2:] != (n_address, 1 << len(layout.index)):
         raise ValueError(f"an angle table of shape {table.shape} does not "
                          f"fit {len(block.address)} address and "
                          f"{len(layout.index)} index qubits")
-    if table.ndim == 3 and table.shape[:1] != lead:
-        raise ValueError(f"{table.shape[0]} angle tables for a state of "
-                         f"shape {amps.shape}")
-    view = _layout_view(plan, amps)
-    # view[..., cluster, register, batch, index, ancilla]; halves drop the
-    # register and ancilla axes, so the table broadcasts as (cluster, batch,
-    # index) with the address axis at the block's register
+    if table.ndim == 3 and table.shape[0] != plan.rows:
+        raise ValueError(f"{table.shape[0]} angle tables for a plan with "
+                         f"rows={plan.rows}")
+    # the address axis sits at the block's register: cluster or batch
     spread = (n_address, 1) if block.address == layout.cluster else (
         1, n_address)
     c, s = (np.reshape(v, table.shape[:-2] + spread + table.shape[-1:])
             for v in _half_cos_sin(table))
-    halves = [(..., slice(None), bit, slice(None), slice(None), block.branch)
-              for bit in (0, 1)]
-    _apply_2x2(view, *halves, c, -s, s, c)
+    return c * amplitude + (-s) * 0.0, s * amplitude + c * 0.0
 
 
 def simulate(plan: CircuitPlan) -> np.ndarray:
-    """The plan's final amplitudes: the leading H layer written as a
-    product state, each encoding block in one pass, then the final H."""
-    layout = plan.layout
-    amps = new_state(plan.num_qubits, plan.rows, layout.hadamards)
-    for block in plan.blocks:
-        _apply_block(amps, plan, block)
-    return apply_gate(amps, h(layout.ancilla))
+    """The plan's final amplitudes, written in closed form into one fresh
+    array: each branch's register halves from its angle table, then the
+    final H as one broadcast sum per register half and ancilla value.  The
+    bytes are those of ``apply_gate`` run over ``plan.gates``; the module
+    docstring gives the argument."""
+    if [block.branch for block in plan.blocks] != [0, 1]:
+        raise ValueError("a plan needs the ancilla-0 and ancilla-1 encoding "
+                         "blocks, in that order")
+    require_qubits(plan.num_qubits, "a state")
+    amplitude = hadamard_amplitude(len(plan.layout.hadamards))
+    rec, cen = (_branch_halves(plan, block, amplitude)
+                for block in plan.blocks)
+    amps = np.empty((() if plan.rows is None else (plan.rows,))
+                    + (1 << plan.num_qubits,))
+    view = _layout_view(plan, amps)
+    (u00, u01), (u10, u11) = _H_MATRIX
+    for reg in (0, 1):
+        np.add(u00 * rec[reg], u01 * cen[reg], out=view[..., reg, :, :, 0])
+        np.add(u10 * rec[reg], u11 * cen[reg], out=view[..., reg, :, :, 1])
+    return amps
 
 
 def _ordered_sum(values: np.ndarray) -> np.ndarray:
@@ -342,9 +365,10 @@ def decode_qc3(plan: CircuitPlan, hist: Histogram) -> list[int | None]:
     counts come back as None for the caller to reassign.  A batched
     histogram gives one flat list in (row, slot) order."""
     counts = assignment_histogram(plan, hist).counts
-    labels = np.argmax(counts, axis=-1).ravel()
-    return [int(label) if total > 0.0 else None
-            for label, total in zip(labels, counts.sum(axis=-1).ravel())]
+    labels = np.argmax(counts, axis=-1).ravel().tolist()
+    totals = counts.sum(axis=-1).ravel().tolist()
+    return [label if total > 0 else None
+            for label, total in zip(labels, totals)]
 
 
 def postselection_probability(plan: CircuitPlan) -> float | np.ndarray:

@@ -10,11 +10,13 @@ Conventions, used everywhere in this package:
 
 Multi-controlled gates are applied natively on the statevector (the control
 pattern selects the amplitude pairs), never decomposed.  ``apply_gate`` is
-the per-gate kernel and the source of truth.  Its elementwise formula lives
-in ``_apply_2x2``, which the circuit layer's encoding-block pass shares, and
-its RY coefficients come from ``_half_cos_sin``.  ``new_state`` can start
-from a layer of H gates on |0...0>, written directly as the product state
-those gates give.
+the per-gate kernel and the source of truth; its RY coefficients come from
+``_half_cos_sin``.  The circuit layer does not run its assignment circuits
+through it: it writes their final states in closed form, and is checked
+against ``apply_gate`` run gate by gate.  That is exact because every pair
+an encoding gate rotates holds exactly (``hadamard_amplitude``, +0.0), the
+two ancilla branches are disjoint, and the closed form applies the same
+IEEE operations to the same operands.
 
 A state is its float64 amplitude array, ``(2^q,)`` for one q-qubit
 register; q is read from the last axis.  A leading batch axis, ``(B, 2^q)``,
@@ -117,31 +119,28 @@ def ry(theta, target: int, controls=()) -> Gate:
     return Gate("ry", target, theta=theta, controls=tuple(controls))
 
 
-def new_state(num_qubits: int, rows: int | None = None,
-              hadamards=()) -> np.ndarray:
+def new_state(num_qubits: int, rows: int | None = None) -> np.ndarray:
     """Fresh float64 |0...0> amplitudes on ``num_qubits`` qubits, at least 1
-    and at most ``MAX_QUBITS``; with ``rows``, a (rows, 2^q) array of them.
-
-    With ``hadamards``, the state is that after an H on each listed qubit,
-    written directly: the amplitudes with those qubits free and every other
-    qubit 0 hold the repeated product of ``_H_MATRIX[0, 0]`` that applying
-    the H gates one by one gives, bit for bit, and all others are 0."""
+    and at most ``MAX_QUBITS``; with ``rows``, a (rows, 2^q) array of them."""
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
     require_qubits(num_qubits, "a state")
     lead = () if rows is None else (rows,)
     amps = np.zeros(lead + (1 << num_qubits,), dtype=np.float64)
-    # one axis per qubit, most significant first, fixed to 0 unless H'd
-    index = [0] * num_qubits
-    amplitude = 1.0
-    for qubit in hadamards:
-        if not 0 <= qubit < num_qubits or index[num_qubits - 1 - qubit] != 0:
-            raise ValueError(f"cannot apply H to qubit {qubit} of "
-                             f"{num_qubits}")
-        index[num_qubits - 1 - qubit] = slice(None)
-        amplitude = _H_MATRIX[0, 0] * amplitude
-    amps.reshape(lead + (2,) * num_qubits)[(Ellipsis, *index)] = amplitude
+    amps[..., 0] = 1.0
     return amps
+
+
+def hadamard_amplitude(count: int) -> float:
+    """The amplitude of every basis state that H gates on ``count`` distinct
+    qubits reach from |0...0>: ``_H_MATRIX[0, 0]`` multiplied in once per
+    gate, in the order ``apply_gate`` multiplies it, so it is bit for bit
+    what applying the gates one by one gives.  All other amplitudes stay
+    +0.0."""
+    amplitude = 1.0
+    for _ in range(count):
+        amplitude = _H_MATRIX[0, 0] * amplitude
+    return amplitude
 
 
 def require_qubits(qubits: int, what: str) -> None:
@@ -177,20 +176,6 @@ def _check(amps: np.ndarray, gate: Gate) -> int:
     return q
 
 
-def _apply_2x2(view: np.ndarray, i0, i1, u00, u01, u10, u11) -> None:
-    """Apply the block [[u00, u01], [u10, u11]] in place to the amplitude
-    pairs ``view[i0]`` (the |0> halves) and ``view[i1]`` (the |1> halves).
-
-    This is the elementwise formula and operand order of every kernel, so
-    a pass that applies many commuting blocks at once, with coefficients
-    broadcast over the pairs, gives the same bytes as one gate at a time."""
-    a0 = view[i0]
-    a1 = view[i1]
-    new0 = u00 * a0 + u01 * a1
-    view[i1] = u10 * a0 + u11 * a1
-    view[i0] = new0
-
-
 def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply ``gate`` in place to the C-contiguous amplitudes ``amps`` and
     return them; any other array is refused, since reshaping it would
@@ -223,13 +208,19 @@ def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     if np.ndim(u00):
         per_row = lead + (1,) * (q - 1 - len(gate.controls))
         u00, u01, u10, u11 = (u.reshape(per_row) for u in (u00, u01, u10, u11))
-    _apply_2x2(view, i0, i1, u00, u01, u10, u11)
+    a0 = view[i0]
+    a1 = view[i1]
+    new0 = u00 * a0 + u01 * a1
+    view[i1] = u10 * a0 + u11 * a1
+    view[i0] = new0
     return amps
 
 
 def probabilities(amps: np.ndarray) -> np.ndarray:
-    """|amplitude|^2 per basis state."""
-    return np.abs(amps) ** 2
+    """|amplitude|^2 per basis state: ``np.abs(amps) ** 2``, squared in
+    place so that it allocates one array, not two."""
+    probs = np.abs(amps)
+    return np.square(probs, out=probs)
 
 
 @dataclass(frozen=True)
@@ -263,9 +254,11 @@ class Histogram:
 
     ``weights`` is a dense array over the 2^q basis states, with the
     state's leading batch axis if it had one.  Sampled measurements produce
-    integer-valued weights summing to the shot count per row; analytic
-    measurements produce the exact probabilities (weights summing to 1), so
-    post-selection works identically in both modes.
+    int64 counts summing to the shot count per row; analytic measurements
+    produce the exact float64 probabilities (weights summing to 1), so
+    post-selection works identically in both modes.  The decoders' sums of
+    counts are exact below 2^53, so they give the same values for either
+    dtype.
     """
 
     weights: np.ndarray
@@ -297,5 +290,5 @@ def measure(amps: np.ndarray, mode: MeasureMode) -> Histogram:
     if isinstance(mode, Analytic):
         return Histogram(probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    draws = np.random.default_rng(mode.seed).multinomial(mode.shots, probs)
-    return Histogram(draws.astype(float))
+    return Histogram(
+        np.random.default_rng(mode.seed).multinomial(mode.shots, probs))

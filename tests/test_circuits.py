@@ -443,6 +443,54 @@ class TestBatchedCircuits:
         assert list(failure.value.rows) == [0, 2]
 
 
+class TestCountDtype:
+    """A sampled histogram holds int64 counts and an analytic one float64
+    probabilities; every decoder reads the same values from a histogram's
+    counts whichever of the two dtypes holds them."""
+
+    @staticmethod
+    def as_float(hist):
+        return Histogram(hist.weights.astype(float))
+
+    def test_sampled_counts_are_int64(self):
+        plan = qc1(np.full((2, 4), 0.5), np.full((2, 4), 1.0))
+        state = simulate(plan)
+        assert measure(state, Sampled(64, seed=0)).weights.dtype == np.int64
+        assert measure(state, Analytic()).weights.dtype == np.float64
+
+    def test_estimate_distance(self):
+        rng = np.random.default_rng(22)
+        plan = qc1(angles_of(unit_rows(rng, 6, 4)),
+                   angles_of(unit_rows(rng, 6, 4)))
+        hist = measure(simulate(plan), Sampled(40, seed=1))
+        for got, want in zip(estimate_distance(plan, hist),
+                             estimate_distance(plan, self.as_float(hist))):
+            assert np.array_equal(got, want)
+
+    def test_decode_qc2(self):
+        rng = np.random.default_rng(23)
+        plan = qc2(angles_of(unit_rows(rng, 6, 4)),
+                   angles_of(unit_rows(rng, 3, 4)))
+        hist = measure(simulate(plan), Sampled(400, seed=2))
+        assert np.array_equal(decode_qc2(plan, hist),
+                              decode_qc2(plan, self.as_float(hist)))
+
+    def test_decode_qc3_and_its_histogram(self):
+        rng = np.random.default_rng(24)
+        plan = build_qc3(angles_of(unit_rows(rng, 6, 4)),
+                         angles_of(unit_rows(rng, 3, 4)))
+        hist = measure(simulate(plan), Sampled(12, seed=3))
+        labels = decode_qc3(plan, hist)
+        assert None in labels  # some slots come up empty at 12 shots
+        assert labels == decode_qc3(plan, self.as_float(hist))
+        assert all(type(label) is int for label in labels if label is not None)
+        got = assignment_histogram(plan, hist)
+        want = assignment_histogram(plan, self.as_float(hist))
+        assert np.array_equal(got.counts, want.counts)
+        assert (got.kept_shots, got.wasted_fraction) == \
+            (want.kept_shots, want.wasted_fraction)
+
+
 class TestOneBuilder:
     """``build_qc3`` builds QC1 and QC2 as one-record QC3 instances; its
     gate lists equal those of the three separate reference builders."""

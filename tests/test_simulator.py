@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkmeans import circuits
-from qkmeans.circuits import EncodingBlock, _apply_block, build_qc3, simulate
+from qkmeans.circuits import EncodingBlock, build_qc3, simulate
 from qkmeans.simulator import (
     Analytic,
     Gate,
@@ -16,6 +16,7 @@ from qkmeans.simulator import (
     Sampled,
     apply_gate,
     h,
+    hadamard_amplitude,
     measure,
     new_state,
     probabilities,
@@ -72,24 +73,25 @@ class TestNewState:
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_hadamard_layer_equals_gates(self, rows):
+        """``hadamard_amplitude`` is, bit for bit, the amplitude that H
+        gates applied one by one leave on every basis state they reach."""
         rng = np.random.default_rng(5)
+        lead = () if rows is None else (rows,)
         for num_qubits in range(1, 9):
             for _ in range(4):
                 picked = rng.permutation(num_qubits)[
                     :int(rng.integers(num_qubits + 1))].tolist()
-                written = new_state(num_qubits, rows, picked)
                 gates = apply_gates(new_state(num_qubits, rows),
                                     [h(q) for q in picked])
+                written = np.zeros(lead + (2,) * num_qubits)
+                index = [0] * num_qubits
+                for qubit in picked:
+                    index[num_qubits - 1 - qubit] = slice(None)
+                written[(Ellipsis, *index)] = hadamard_amplitude(len(picked))
                 assert written.tobytes() == gates.tobytes()
 
-    def test_hadamard_layer_qubits_checked(self):
-        with pytest.raises(ValueError):
-            new_state(3, hadamards=[3])
-        with pytest.raises(ValueError):
-            new_state(3, hadamards=[1, 1])
-
     def test_eight_bytes_per_amplitude(self):
-        assert new_state(3, rows=2, hadamards=(0, 2)).dtype == np.float64
+        assert new_state(3, rows=2).dtype == np.float64
         tracemalloc.start()
         try:
             amps = new_state(16)
@@ -441,32 +443,42 @@ class TestEncodingBlocks:
             block = EncodingBlock(0, records.address, table)
             with pytest.raises(ValueError, match=message):
                 simulate(dataclasses.replace(plan, blocks=(block, centroids)))
+        # the closed form writes one block per ancilla branch
+        for blocks in ((centroids, records), (records,),
+                       (records, dataclasses.replace(centroids, branch=0))):
+            with pytest.raises(ValueError, match="ancilla-0 and ancilla-1"):
+                simulate(dataclasses.replace(plan, blocks=blocks))
 
-    @pytest.mark.parametrize("records, centroids, per_row", [
-        ((5, 1, 4), (5, 1, 4), 2),  # q1:1 rows
-        ((5, 1, 4), (3, 4), 1),     # q1:k rows
-        ((6, 4), (3, 4), 0),        # qM:k
+    @pytest.mark.parametrize("records, centroids", [
+        ((450, 1, 4), (450, 1, 4)),  # q1:1 rows, the q11 workload's pass
+        *(((150, 1, 4), (k, 4)) for k in range(2, 9)),  # q1:k, its k sweep
+        ((2048, 4), (3, 4)),  # qM:k on 17 qubits, the qmk workload's pass
     ])
-    def test_assignment_blocks_take_one_pass_each(self, monkeypatch, records,
-                                                  centroids, per_row):
+    def test_benchmark_shapes_match_gate_by_gate(self, records, centroids):
+        """The closed form at the sizes the benchmark runs, which the
+        property test above, at most 6 records, does not reach."""
+        rng = np.random.default_rng(records[0] + centroids[0])
+        plan = build_qc3(random_table(rng, records),
+                         random_table(rng, centroids))
+        gate_by_gate = apply_gates(new_state(plan.num_qubits, plan.rows),
+                                   plan.gates)
+        assert simulate(plan).tobytes() == gate_by_gate.tobytes()
+
+    def test_simulate_peaks_near_one_state(self):
+        """The closed form allocates the state once; everything else it
+        holds is table-sized.  A 20-qubit qM:k plan (16,384 records of 4
+        slots against 3 centroids) peaks at no more than 1.5 states."""
         rng = np.random.default_rng(0)
-        plan = build_qc3(rng.uniform(0.1, 3.0, records),
-                         rng.uniform(0.1, 3.0, centroids))
-        passes, single = [], []
-
-        def count_block(state, plan, block):
-            passes.append(block.angles.ndim == 3)
-            _apply_block(state, plan, block)
-
-        def count_gate(state, gate):
-            single.append(gate.kind)
-            return apply_gate(state, gate)
-
-        monkeypatch.setattr(circuits, "_apply_block", count_block)
-        monkeypatch.setattr(circuits, "apply_gate", count_gate)
-        simulate(plan)
-        assert len(passes) == 2 and sum(passes) == per_row
-        assert single == ["h"]  # the final H; the leading layer is written
+        plan = build_qc3(rng.uniform(0.1, 3.0, (1 << 14, 4)),
+                         rng.uniform(0.1, 3.0, (3, 4)))
+        assert plan.num_qubits == 20
+        tracemalloc.start()
+        try:
+            amps = simulate(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * amps.nbytes
 
 
 class TestRealAmplitudes:
