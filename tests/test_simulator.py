@@ -449,6 +449,35 @@ class TestEncodingBlocks:
             with pytest.raises(ValueError, match="ancilla-0 and ancilla-1"):
                 simulate(dataclasses.replace(plan, blocks=blocks))
 
+    @pytest.mark.parametrize("records, centroids, per_row", [
+        ((5, 1, 4), (5, 1, 4), 2),  # q1:1 rows
+        ((5, 1, 4), (3, 4), 1),     # q1:k rows
+        ((6, 4), (3, 4), 0),        # qM:k
+    ])
+    def test_assignment_blocks_take_one_pass_each(self, monkeypatch, records,
+                                                  centroids, per_row):
+        """Each block's angle table is read once, into register halves no
+        larger than the table; only the final sums are state-sized."""
+        rng = np.random.default_rng(0)
+        plan = build_qc3(rng.uniform(0.1, 3.0, records),
+                         rng.uniform(0.1, 3.0, centroids))
+        passes = []
+
+        def count_block(plan, block, amplitude):
+            halves = branch_halves(plan, block, amplitude)
+            passes.append((block.angles.ndim == 3,
+                           max(half.size for half in halves)
+                           <= block.angles.size))
+            return halves
+
+        branch_halves = circuits._branch_halves
+        monkeypatch.setattr(circuits, "_branch_halves", count_block)
+        simulate(plan)
+        assert [rowwise for rowwise, _ in passes] == [
+            len(records) == 3, len(centroids) == 3]
+        assert sum(rowwise for rowwise, _ in passes) == per_row
+        assert all(table_sized for _, table_sized in passes)
+
     @pytest.mark.parametrize("records, centroids", [
         ((450, 1, 4), (450, 1, 4)),  # q1:1 rows, the q11 workload's pass
         *(((150, 1, 4), (k, 4)) for k in range(2, 9)),  # q1:k, its k sweep
