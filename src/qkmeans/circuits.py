@@ -15,6 +15,15 @@ post-selects the encoding register qubit on 1 and the ancilla on 0, then
 discards patterns that do not address anything actually loaded
 (non-power-of-two record or cluster counts leave such slots empty).
 
+A decoder reads a few cells, each a sum of basis-state weights over the
+index register: per (record slot, cluster) pattern for QC2 and QC3, and
+ancilla 0 and ancilla 1 for QC1.  Given exact probabilities and a
+``Sampled`` mode by keyword, it draws the mode's shots over those cells
+plus one discarded category holding everything else.  Summing the
+categories of a multinomial gives a multinomial over the sums, so the
+counts have the distribution that shots over all 2^q basis states would
+give after post-selection, without a draw over every basis state.
+
 Each encoding branch is one uniformly controlled RY on the register qubit
 (Möttönen et al. 2004), held as an ``EncodingBlock``: its ancilla polarity,
 its address register and a zero-padded angle table.  ``CircuitPlan.gates``
@@ -46,6 +55,7 @@ operands:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +64,7 @@ from .simulator import (
     _H_MATRIX,
     Gate,
     Histogram,
+    Sampled,
     _half_cos_sin,
     h,
     hadamard_amplitude,
@@ -67,11 +78,16 @@ from .simulator import (
 class EstimationFailure(RuntimeError):
     """No usable shots survived post-selection; the caller must raise t.
 
-    ``rows`` lists the rows of a batched histogram that came up empty."""
+    ``rows`` lists the rows of a batched histogram that came up empty.
+    ``values``, set only by a sampled decode, holds the decoded value of
+    every row, placeholders for the empty ones, so that a caller can redraw
+    those rows alone; it is None where no draw can help: for analytic
+    weights, and for rows whose exact kept probability is 0."""
 
-    def __init__(self, message: str, rows=None):
+    def __init__(self, message: str, rows=None, values=None):
         super().__init__(message)
         self.rows = rows
+        self.values = values
 
 
 @dataclass(frozen=True)
@@ -297,30 +313,87 @@ def _layout_view(plan: CircuitPlan, values: np.ndarray) -> np.ndarray:
         1 << len(layout.index), 2))
 
 
-def _empty_rows(kept: np.ndarray, what: str) -> None:
-    """Raise EstimationFailure naming the rows with nothing kept."""
+def _empty_rows(kept: np.ndarray, what: str, values=None) -> None:
+    """Raise EstimationFailure naming the rows with nothing kept, carrying
+    a sampled decode's ``values``."""
     empty = np.atleast_1d(kept <= 0.0)
     if empty.any():
         raise EstimationFailure(f"no shots survived {what}",
-                                np.flatnonzero(empty))
+                                np.flatnonzero(empty), values)
 
 
-def estimate_distance(plan: CircuitPlan, hist: Histogram):
+def _draw(cells: np.ndarray, sampled: Sampled, ndim: int = 1) -> np.ndarray:
+    """Counts of ``sampled.shots`` shots per row over the cells in the last
+    ``ndim`` axes of ``cells``, exact probabilities of one decoder's
+    outcomes; the counts have the cells' shape.
+
+    A last, discarded category ``max(0, 1 - sum)`` holds every other
+    outcome; numpy's ``multinomial`` gives the last category whatever the
+    others leave, so its value only has to be a probability.  Summing the
+    categories of a multinomial gives a multinomial over the sums, so these
+    counts have the distribution that a draw over all 2^q basis states
+    followed by post-selection gives.  One draw, rows in row order, from
+    ``sampled.seed``; the discarded counts are dropped.
+
+    Each row's cells are contiguous in the probability vector and in the
+    draw, so both reshape to the cells' shape as views: the cells are
+    copied once and the counts not at all."""
+    lead = cells.shape[:cells.ndim - ndim]
+    probs = np.empty(lead + (math.prod(cells.shape[len(lead):]) + 1,))
+    kept = probs[..., :-1]
+    kept.reshape(cells.shape)[...] = cells
+    probs[..., -1] = np.maximum(0.0, 1.0 - kept.sum(axis=-1))
+    counts = np.random.default_rng(sampled.seed).multinomial(sampled.shots,
+                                                             probs)
+    return counts[..., :-1].reshape(cells.shape)
+
+
+def _require_kept(cells: np.ndarray, what: str) -> None:
+    """Refuse, before any draw, the rows whose cells are all exactly 0: no
+    number of shots can make them survive ``what``."""
+    impossible = np.atleast_1d(~np.any(cells > 0.0, axis=-1))
+    if impossible.any():
+        rows = np.flatnonzero(impossible)
+        raise EstimationFailure(
+            f"no shot can survive {what} in rows {rows.tolist()}: their "
+            f"exact kept probability is 0", rows)
+
+
+def estimate_distance(plan: CircuitPlan, hist: Histogram, *,
+                      sampled: Sampled | None = None):
     """Distance estimate from a QC1 histogram.
 
     Post-selects the register qubit on 1, takes the surviving ancilla-0
     frequency p and returns (sqrt(max(0, 4 - 4p)), kept shots).  This is the
     distance between the encoded (projected) unit vectors.  A batched
     histogram gives one estimate and one kept count per row.
+
+    With ``sampled``, ``hist`` holds exact probabilities, and the kept
+    weights are ``sampled.shots`` shots drawn over two cells per row:
+    register 1 with ancilla 0, and with ancilla 1, each summed over the
+    index register.  A failure then carries the distances; rows whose
+    exact kept probability is 0 fail before the draw, without them.
     """
     # QC1 has no cluster or batch register; keep register = 1
     weights = _layout_view(plan, hist.weights)
     kept = weights[..., 0, 1, 0, :, :]  # (..., index, ancilla)
+    if sampled is not None:
+        cells = _ordered_sum(np.swapaxes(kept, -1, -2))  # ancilla 0, 1
+        _require_kept(cells, "register post-selection")
+        counts = _draw(cells, sampled)
+        zeros, t_prime = counts[..., 0], counts.sum(axis=-1)
+        distance = _distance(zeros / np.maximum(t_prime, 1))
+        _empty_rows(t_prime, "register post-selection", distance)
+        return distance, t_prime
     t_prime = _ordered_sum(kept.reshape(kept.shape[:-2] + (-1,)))
     _empty_rows(t_prime, "register post-selection")
     zeros = _ordered_sum(kept[..., 0])  # ancilla = 0
-    p_hat = zeros / t_prime
-    return np.sqrt(np.maximum(0.0, 4.0 - 4.0 * p_hat)), t_prime
+    return _distance(zeros / t_prime), t_prime
+
+
+def _distance(p_hat):
+    """The projected distance for an ancilla-0 frequency ``p_hat``."""
+    return np.sqrt(np.maximum(0.0, 4.0 - 4.0 * p_hat))
 
 
 @dataclass
@@ -337,34 +410,57 @@ class AssignmentHistogram:
     wasted_fraction: float
 
 
+def _assignment_cells(plan: CircuitPlan, weights: np.ndarray) -> np.ndarray:
+    """The register-1, ancilla-0 weight of every loaded (record slot,
+    cluster) pattern, summed over the index register: ``(..., M1, k)``."""
+    kept = _layout_view(plan, weights)[..., 1, :, :, 0]  # (..., j, v, index)
+    cells = _ordered_sum(kept)[..., :plan.num_clusters, :plan.num_records]
+    return np.swapaxes(cells, -1, -2)
+
+
 def assignment_histogram(plan: CircuitPlan, hist: Histogram) -> AssignmentHistogram:
     """Post-select register=1 and ancilla=0, then bucket the surviving counts
     by (record slot, cluster), discarding patterns beyond the loaded counts."""
-    # register = 1, ancilla = 0
-    weights = _layout_view(plan, hist.weights)
-    kept = weights[..., 1, :, :, 0]  # (..., j, v, index)
-    cells = _ordered_sum(kept)[..., :plan.num_clusters, :plan.num_records]
-    counts = np.swapaxes(cells, -1, -2)
+    counts = _assignment_cells(plan, hist.weights)
     total = hist.shots
     meaningful = float(counts.sum())
     wasted = 1.0 - meaningful / total if total > 0 else 1.0
     return AssignmentHistogram(counts, meaningful, wasted)
 
 
-def decode_qc2(plan: CircuitPlan, hist: Histogram):
+def decode_qc2(plan: CircuitPlan, hist: Histogram, *,
+               sampled: Sampled | None = None):
     """Most frequent meaningful cluster pattern; ties break to the lowest
     index.  One label per row for a batched histogram.  Raises
-    EstimationFailure if nothing survives in some row."""
-    counts = assignment_histogram(plan, hist).counts[..., 0, :]
-    _empty_rows(counts.sum(axis=-1), "cluster assignment")
-    return np.argmax(counts, axis=-1)
+    EstimationFailure if nothing survives in some row.
+
+    With ``sampled``, ``hist`` holds exact probabilities and the votes are
+    ``sampled.shots`` shots drawn over the k (record, cluster) cells of
+    each row; a failure then carries the labels.  Rows whose cells all
+    have probability 0, such as a record antipodal to every centroid, fail
+    before the draw, without them."""
+    counts = _assignment_cells(plan, hist.weights)[..., 0, :]
+    if sampled is not None:
+        _require_kept(counts, "cluster assignment")
+        counts = _draw(counts, sampled)
+    labels = np.argmax(counts, axis=-1)
+    _empty_rows(counts.sum(axis=-1), "cluster assignment",
+                None if sampled is None else labels)
+    return labels
 
 
-def decode_qc3(plan: CircuitPlan, hist: Histogram) -> list[int | None]:
+def decode_qc3(plan: CircuitPlan, hist: Histogram, *,
+               sampled: Sampled | None = None) -> list[int | None]:
     """Per-record most frequent cluster; record slots with zero surviving
     counts come back as None for the caller to reassign.  A batched
-    histogram gives one flat list in (row, slot) order."""
-    counts = assignment_histogram(plan, hist).counts
+    histogram gives one flat list in (row, slot) order.
+
+    With ``sampled``, ``hist`` holds exact probabilities and the votes are
+    ``sampled.shots`` shots drawn over the M1 * k (record, cluster) cells
+    of each row; a slot whose cells all have probability 0 gets no shot."""
+    counts = _assignment_cells(plan, hist.weights)
+    if sampled is not None:
+        counts = _draw(counts, sampled, ndim=2)
     labels = np.argmax(counts, axis=-1).ravel().tolist()
     totals = counts.sum(axis=-1).ravel().tolist()
     return [label if total > 0 else None

@@ -46,7 +46,7 @@ from .encoding import (
     standardize,
 )
 from . import simulator
-from .simulator import Analytic, Sampled, measure
+from .simulator import Analytic, Histogram, Sampled, measure
 
 
 class SeedDomain(enum.IntEnum):
@@ -274,13 +274,18 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
     rows in order.  A sampled row draws ``M1 * k * shots_base`` shots.
 
     Rows run in passes of at most ``MAX_BATCH_AMPLITUDES`` amplitudes.
-    Sampled rows draw in row order from one generator keyed
+    Every pass measures its exact probabilities; a sampled pass hands them
+    to ``decode`` with ``sampled=Sampled(shots, rng)``, and the decoder
+    draws its shots over the few cells it reads, not over all 2^q basis
+    states.  Sampled rows draw in row order from one generator keyed
     ``(seed, ASSIGN, ite)``, which carries on from pass to pass, so the
     draws do not depend on the pass size.  Rows whose post-selection came up
-    empty are drawn once more at 4x the shots, in row order, from a second
-    generator keyed ``(seed, RETRY, ite)``.  Rows still empty after that
-    raise ``EstimationFailure`` naming the iteration, how many rows of the
-    pass are empty and the retry's shots per row."""
+    empty are drawn once more at 4x the shots, in row order, from the same
+    cells and a second generator keyed ``(seed, RETRY, ite)``; the other
+    rows keep their draws.  Rows still empty after that raise
+    ``EstimationFailure`` naming the iteration, how many rows of the pass
+    are empty and the retry's shots per row.  Rows whose exact kept
+    probability is 0 raise at once, since no redraw can fill them."""
     m1, k = records.shape[1], centroids.shape[-2]
     qubits = circuit_layout(records.shape[2], m1, k).num_qubits
     step = max(1, MAX_BATCH_AMPLITUDES >> qubits)
@@ -294,28 +299,30 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
         batch = records[rows]
         plan = build_qc3(batch,
                          centroids if centroids.ndim == 2 else centroids[rows])
-        state = simulate(plan)
+        hist = measure(simulate(plan), Analytic())
         if params.analytic:
-            decoded.extend(decode(plan, measure(state, Analytic())))
-            continue
-        hist = measure(state, Sampled(shots, rng))
-        try:
             decoded.extend(decode(plan, hist))
+            continue
+        try:
+            decoded.extend(decode(plan, hist, sampled=Sampled(shots, rng)))
         except EstimationFailure as failure:
+            if failure.values is None:
+                raise EstimationFailure(f"iteration {ite}: {failure}",
+                                        failure.rows) from failure
             if retry_rng is None:
                 retry_rng = np.random.default_rng(
                     derive_seed(params.seed, SeedDomain.RETRY, ite))
-            empty = failure.rows
-            retry = measure(state[empty], Sampled(4 * shots, retry_rng))
-            hist.weights[empty] = retry.weights
+            values, empty = failure.values, failure.rows
             try:
-                decoded.extend(decode(plan, hist))
+                values[empty] = decode(plan, Histogram(hist.weights[empty]),
+                                       sampled=Sampled(4 * shots, retry_rng))
             except EstimationFailure as again:
                 raise EstimationFailure(
                     f"iteration {ite}: {again} in {len(again.rows)} of "
                     f"{len(batch)} rows of a pass, even redrawn at "
                     f"{4 * shots} shots per row; use a larger shots_base",
-                    again.rows) from again
+                    empty[again.rows]) from again
+            decoded.extend(values)
     return decoded
 
 
@@ -327,7 +334,8 @@ def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
     r, j = np.divmod(np.arange(len(records) * k), k)
     d_proj = _assign_rows(
         records.angles[r, None], centroids.angles[j, None], params, ite,
-        lambda plan, hist: estimate_distance(plan, hist)[0])
+        lambda plan, hist, **sampled: estimate_distance(plan, hist,
+                                                        **sampled)[0])
     dists = recover_distance(d_proj, records.norms[r], centroids.norms[j])
     return np.argmin(dists.reshape(len(records), k), axis=1)
 

@@ -23,6 +23,13 @@ register; q is read from the last axis.  A leading batch axis, ``(B, 2^q)``,
 holds B circuits that share one gate list, and an RY angle may then be a
 length-B array, one angle per row.  Histograms keep the same leading axis.
 
+``measure`` measures every qubit: exact probabilities, or shots drawn over
+all 2^q basis states.  Post-selection is not done here.  The assignment
+circuits are measured exactly, and their decoders (``circuits``) draw
+their shots over the few post-selected cells they read, which gives the
+counts the same distribution as shots over all basis states followed by
+post-selection.
+
 Real amplitudes are exact, not an approximation.  H, X and RY are real
 matrices and every circuit starts from |0...0>, so a complex128 run would
 hold only imaginary parts of +-0.  The real part of a product
@@ -235,7 +242,8 @@ class Sampled:
     ``seed`` is a seed or a ``numpy.random.Generator``.  A generator is drawn
     from and advanced, so successive measurements continue one stream; a
     batched state draws its rows from it in row order, each row as a 1-D
-    ``multinomial`` of that generator would."""
+    ``multinomial`` of that generator would.  The decoders in ``circuits``
+    take one by keyword and draw the same way over their cells."""
 
     shots: int
     seed: int | np.random.Generator = 0
@@ -258,7 +266,8 @@ class Histogram:
     produce the exact float64 probabilities (weights summing to 1), so
     post-selection works identically in both modes.  The decoders' sums of
     counts are exact below 2^53, so they give the same values for either
-    dtype.
+    dtype.  The assignment passes hand the decoders analytic histograms
+    only; a sampled pass draws its shots over the decoder's cells.
     """
 
     weights: np.ndarray
@@ -282,9 +291,11 @@ def measure(amps: np.ndarray, mode: MeasureMode) -> Histogram:
     """Measure all qubits.
 
     Analytic mode returns the exact distribution; Sampled mode draws
-    ``mode.shots`` i.i.d. outcomes per row, reproducibly for a fixed seed
-    or generator state.  Partial measurement is realized downstream, on the
-    dense weights.
+    ``mode.shots`` i.i.d. outcomes per row over all 2^q basis states,
+    reproducibly for a fixed seed or generator state.  Post-selection is
+    left to the caller.  The assignment passes measure analytically and
+    draw their shots over the post-selected cells in the decoders, which
+    has the same distribution over what the decoders read.
     """
     probs = probabilities(amps)
     if isinstance(mode, Analytic):

@@ -22,11 +22,14 @@
   centroids on its own and draws only for records with more than one.
 * The per-circuit assignment loops of q1:1, q1:k and qM:k: one circuit per
   (record, centroid) pair, record or batch, built by those builders, run
-  through the index-array kernel and measured one circuit at a time with a
-  1-D ``multinomial``: in circuit order from the iteration's assign
+  through the index-array kernel and measured exactly, one circuit at a
+  time.  Sampled, each circuit's decoder draws its shots over its cells
+  with a 1-D ``multinomial``: in circuit order from the iteration's assign
   generator, and the 4x redraws of empty circuits from its retry generator.
   They reuse the package's decoders on single circuits, and define the
   sampled streams a batched assignment must reproduce.
+* ``measure_reference`` with shots: the dense draw over all 2^q basis
+  states, against which the cell-level draws are checked in distribution.
 """
 
 import math
@@ -48,7 +51,7 @@ from qkmeans.clustering import (
     derive_seed,
 )
 from qkmeans.encoding import recover_distance
-from qkmeans.simulator import Histogram, h, ry
+from qkmeans.simulator import Histogram, Sampled, h, ry
 
 
 @dataclass
@@ -291,14 +294,17 @@ def _streams(params, ite):
 
 
 def _decode_reference(plan, decode, shots, streams):
-    state = simulate_reference(plan)
+    """Decode one circuit from its exact probabilities; sampled, the
+    decoder draws ``shots`` over its cells from the assign generator, and
+    an empty circuit is redrawn at 4x from the retry generator."""
+    hist = measure_reference(simulate_reference(plan))
     if streams is None:
-        return decode(plan, measure_reference(state))
+        return decode(plan, hist)
     assign_rng, retry_rng = streams
     try:
-        return decode(plan, measure_reference(state, shots, assign_rng))
+        return decode(plan, hist, sampled=Sampled(shots, assign_rng))
     except EstimationFailure:
-        return decode(plan, measure_reference(state, 4 * shots, retry_rng))
+        return decode(plan, hist, sampled=Sampled(4 * shots, retry_rng))
 
 
 def assign_q11_reference(records, centroids, params, ite=0):

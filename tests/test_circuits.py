@@ -491,6 +491,117 @@ class TestCountDtype:
             (want.kept_shots, want.wasted_fraction)
 
 
+def dense_cells(plan, weights):
+    """The cells a sampled decoder draws over, summed from dense weights by
+    ``marginal_reference``: register 1 with ancilla 0 and 1 for QC1, else
+    register 1 with ancilla 0 per (record slot, cluster) in (v, j) order."""
+    layout = plan.layout
+    qubits = [layout.ancilla, layout.register, *layout.batch, *layout.cluster]
+    marginal = marginal_reference(Histogram(weights), qubits).weights
+    if not (layout.batch or layout.cluster):  # QC1
+        return marginal[..., [0b10, 0b11]]
+    v, j = np.divmod(np.arange(plan.num_records * plan.num_clusters),
+                     plan.num_clusters)
+    return marginal[..., 0b10 | v << 2 | j << (2 + len(layout.batch))]
+
+
+DECODERS = {"qc1": estimate_distance, "qc2": decode_qc2, "qc3": decode_qc3}
+
+
+class TestCellDraws:
+    """A sampled decoder draws its shots over the cells it reads plus one
+    discarded category.  By the aggregation property of the multinomial
+    that has the distribution of a draw over all 2^q basis states followed
+    by post-selection; these tests hold the cells to the dense
+    probabilities and the draws to dense draws."""
+
+    @staticmethod
+    def drawn_cells(monkeypatch, decode, plan, hist, sampled):
+        """The cells ``decode`` hands to its draw and the counts drawn, one
+        flat vector of each per row."""
+        from qkmeans import circuits
+        seen = []
+
+        def recording(cells, mode, **kwargs):
+            counts = draw(cells, mode, **kwargs)
+            seen.append((cells, counts))
+            return counts
+
+        draw = circuits._draw
+        with monkeypatch.context() as patch:
+            patch.setattr(circuits, "_draw", recording)
+            try:
+                decode(plan, hist, sampled=sampled)
+            except EstimationFailure:
+                pass
+        rows = hist.weights.shape[:-1]
+        return tuple(a.reshape(rows + (-1,)) for a in seen[0])
+
+    @pytest.mark.parametrize("decoder, records, centroids", [
+        ("qc1", (450, 1, 4), (450, 1, 4)),  # the q11 workload's pass
+        ("qc2", (150, 1, 4), (8, 4)),  # q1:k at the widest k of its sweep
+        ("qc3", (2048, 4), (3, 4)),  # qM:k on 17 qubits, the qmk pass
+    ])
+    def test_cells_are_the_dense_probabilities(self, monkeypatch, decoder,
+                                               records, centroids):
+        """At the benchmark's shapes, each row's cells over its total
+        probability are the dense normalised probabilities summed over the
+        same basis states, to within 4 ulps."""
+        rng = np.random.default_rng(records[0])
+        plan = build_qc3(rng.uniform(-3.0, 3.0, records),
+                         rng.uniform(-3.0, 3.0, centroids))
+        probs = measure(simulate(plan), Analytic()).weights
+        cells, _ = self.drawn_cells(monkeypatch, DECODERS[decoder], plan,
+                                    Histogram(probs), Sampled(8, seed=0))
+        total = probs.sum(axis=-1, keepdims=True)
+        np.testing.assert_array_max_ulp(
+            cells / total, dense_cells(plan, probs / total), maxulp=4)
+
+    @pytest.mark.parametrize("decoder, records, centroids", [
+        ("qc1", (5, 1, 4), (5, 1, 4)),
+        ("qc2", (5, 1, 4), (3, 4)),
+        ("qc3", (2, 3, 4), (3, 4)),
+    ])
+    def test_draws_fit_dense_draws(self, monkeypatch, decoder, records,
+                                   centroids):
+        """Pooled over 400 passes of 64 shots a row, the cell draws and the
+        dense draws summed over the same cells fit one distribution.  The
+        statistic is the two-sample chi-square sum((a - b)^2 / (a + b)),
+        over every row's cells and its discarded category, with
+        rows * cells degrees of freedom.  It must stay below the 99.9 %
+        quantile (Wilson-Hilferty), and the same draws against the dense
+        draws with their cells in reverse order must exceed it."""
+        rng = np.random.default_rng(40)
+        plan = build_qc3(rng.uniform(-3.0, 3.0, records),
+                         rng.uniform(-3.0, 3.0, centroids))
+        state = simulate(plan)
+        probs = measure(state, Analytic())
+        shots, passes = 64, 400
+        cell_rng, dense_rng = (np.random.default_rng(s) for s in (1, 2))
+        drawn = dense = 0
+        for _ in range(passes):
+            drawn = drawn + self.drawn_cells(
+                monkeypatch, DECODERS[decoder], plan, probs,
+                Sampled(shots, cell_rng))[1]
+            dense = dense + dense_cells(
+                plan, measure(state, Sampled(shots, dense_rng)).weights)
+
+        def with_discarded(counts):
+            return np.concatenate(
+                [counts, shots * passes - counts.sum(-1, keepdims=True)], -1)
+
+        def statistic(a, b):
+            a, b = with_discarded(a), with_discarded(b)
+            both = a + b
+            return float(np.sum((a - b) ** 2 / np.where(both, both, 1)))
+
+        df = drawn.size
+        z = 3.090  # the standard normal's 99.9 % quantile
+        bound = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+        assert statistic(drawn, dense) < bound
+        assert statistic(drawn, dense[..., ::-1]) > bound
+
+
 class TestOneBuilder:
     """``build_qc3`` builds QC1 and QC2 as one-record QC3 instances; its
     gate lists equal those of the three separate reference builders."""

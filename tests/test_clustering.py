@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,12 @@ from qkmeans.clustering import (
     run,
 )
 from qkmeans.data import BLOB_CENTERS, gen_blobs
-from qkmeans.encoding import PreparedVectors, prepare_vectors, standardize
+from qkmeans.encoding import (
+    PreparedVectors,
+    prepare_vectors,
+    recover_distance,
+    standardize,
+)
 from reference_impls import assign_delta_reference
 
 
@@ -484,45 +491,49 @@ class TestBatchedAssignmentContract:
         params = ClusteringParams(k=3, shots_base=8, seed=0)
 
         def estimates(amplitudes):
-            """Labels, and per pass the decoded distances or None for a
-            pass that had to redraw."""
-            decoded = []
+            """Labels, the decoded distances of all rows, and per decode
+            call whether it decoded (False where it came up empty)."""
+            calls, distances = [], []
 
-            def recording(plan, hist):
+            def recording(plan, hist, **sampled):
                 try:
-                    result = estimate_distance(plan, hist)
+                    result = estimate_distance(plan, hist, **sampled)
                 except EstimationFailure:
-                    decoded.append(None)
+                    calls.append(False)
                     raise
-                decoded.append(result[0])
+                calls.append(True)
                 return result
+
+            def recovering(d_proj, *norms):
+                distances.append(np.asarray(d_proj))
+                return recover_distance(d_proj, *norms)
 
             with monkeypatch.context() as patch:
                 patch.setattr(clustering, "MAX_BATCH_AMPLITUDES", amplitudes)
                 patch.setattr(clustering, "estimate_distance", recording)
+                patch.setattr(clustering, "recover_distance", recovering)
                 labels = assign_q11(records, centroids, params, ite=1)
-            return labels, decoded
+            return labels, distances[0], calls
 
-        whole, one_pass = estimates(90 * 16)
-        chunked, passes = estimates(5 * 16)
-        assert len(one_pass) == 2 and one_pass[0] is None
-        assert sum(d is None for d in passes) >= 2
-        assert np.array_equal(
-            one_pass[1], np.concatenate([d for d in passes if d is not None]))
+        whole, one_pass, calls = estimates(90 * 16)
+        chunked, passes, chunked_calls = estimates(5 * 16)
+        assert calls == [False, True]  # the pass, then its empty rows
+        assert chunked_calls.count(False) >= 2
+        assert np.array_equal(one_pass, passes)
         assert np.array_equal(whole, chunked)
 
         # the per-circuit loop decodes the same distances, circuit by circuit
         looped = []
 
-        def recording(plan, hist):
-            result = estimate_distance(plan, hist)
+        def recording(plan, hist, **sampled):
+            result = estimate_distance(plan, hist, **sampled)
             looped.append(result[0])
             return result
 
         monkeypatch.setattr(reference_impls, "estimate_distance", recording)
         labels = reference_impls.assign_q11_reference(records, centroids,
                                                       params, ite=1)
-        assert np.array_equal(one_pass[1], np.ravel(looped))
+        assert np.array_equal(one_pass, np.ravel(looped))
         assert np.array_equal(whole, labels)
 
     def test_qmk_batches_run_in_one_pass(self, monkeypatch):
@@ -550,9 +561,9 @@ class TestBatchedAssignmentContract:
         from qkmeans import clustering
         failures = []
 
-        def counting(plan, hist):
+        def counting(plan, hist, **sampled):
             try:
-                return estimate_distance(plan, hist)
+                return estimate_distance(plan, hist, **sampled)
             except EstimationFailure as failure:
                 failures.append(len(failure.rows))
                 raise
@@ -583,6 +594,100 @@ class TestBatchedAssignmentContract:
         assert "16 shots per row" in message
         assert "larger shots_base" in message
         assert isinstance(failure.value.__cause__, EstimationFailure)
+
+
+class TestSampledPass:
+    """A sampled pass measures exact probabilities and its decoder draws
+    over the cells it reads."""
+
+    @staticmethod
+    def antipodal(rng):
+        """Four unit records and two centroids, both at -record 0: record 0
+        has kept probability exactly 0 on every centroid."""
+        rows, records = unit_prepared(rng, 4, 4)
+        centroids = PreparedVectors(np.repeat(-rows[:1], 2, axis=0),
+                                    np.ones(2),
+                                    np.repeat(-records.angles[:1], 2, axis=0))
+        return records, centroids
+
+    def test_zero_kept_probability_fails_at_once(self, monkeypatch):
+        from qkmeans import clustering
+        rng = np.random.default_rng(30)
+        records, centroids = self.antipodal(rng)
+        domains = []
+
+        def recording(*parts):
+            domains.append(parts[1])
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(clustering, "derive_seed", recording)
+        params = ClusteringParams(k=2, shots_base=1024, seed=0)
+        with pytest.raises(EstimationFailure) as failure:
+            assign_q1k(records, centroids, params, ite=2)
+        assert list(failure.value.rows) == [0]
+        message = str(failure.value)
+        assert message.startswith("iteration 2: no shot can survive")
+        assert "rows [0]" in message and "probability is 0" in message
+        assert domains == [SeedDomain.ASSIGN]  # no retry generator
+
+    def test_zero_kept_probability_falls_back_in_qmk(self, monkeypatch):
+        from qkmeans import clustering
+        rng = np.random.default_rng(30)
+        records, centroids = self.antipodal(rng)
+        fallbacks = []
+
+        def recording(records, centroids, r):
+            fallbacks.append(r)
+            return nearest(records, centroids, r)
+
+        nearest = clustering._recovered_nearest
+        monkeypatch.setattr(clustering, "_recovered_nearest", recording)
+        params = ClusteringParams(k=2, shots_base=1024, seed=0)
+        labels = assign_qmk(records, centroids, params, ite=2)
+        assert fallbacks == [0]
+        assert labels[0] == nearest(records, centroids, 0)
+
+    def test_qmk_pass_peaks_near_two_states(self):
+        """A sampled 20-qubit qM:k pass (16,384 records of 4 slots against
+        3 centroids) holds the state and its probabilities while measuring,
+        then the probabilities alone: at most 2.5 states.  Drawing over all
+        basis states with the state kept for a retry peaked at 3.06."""
+        from qkmeans import clustering
+        from qkmeans.circuits import decode_qc3
+        rng = np.random.default_rng(0)
+        records = rng.uniform(0.1, 3.0, (1, 1 << 14, 4))
+        centroids = rng.uniform(0.1, 3.0, (3, 4))
+        params = ClusteringParams(k=3, assignment=Strategy.QMK,
+                                  shots_base=8, seed=1)
+        tracemalloc.start()
+        try:
+            labels = clustering._assign_rows(records, centroids, params, 1,
+                                             decode_qc3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(labels) == 1 << 14
+        assert peak <= 2.5 * 8 * (1 << 20)
+
+
+class TestAnalyticContract:
+    def test_q1k_iris_sweep_digest(self):
+        """sha256 over n_ite and every iteration's labels of analytic q1k
+        runs on iris, k 2..8 at seeds 0 and 1.  The value was recorded
+        before sampled decoders drew over cells; a change to the analytic
+        path that moves any label or iteration count changes it."""
+        from qkmeans.data import builtin
+        iris = builtin("iris").matrix
+        digest = hashlib.sha256()
+        for seed in (0, 1):
+            for k in range(2, 9):
+                result = run(iris, ClusteringParams(
+                    k=k, assignment=Strategy.Q1K, analytic=True, seed=seed))
+                digest.update(np.int64(result.n_ite).tobytes())
+                for record in result.history:
+                    digest.update(record.labels.astype(np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "cc47ce812dab191de9bb8ac1e7656605cb3ae200fefe5b8bb346413501156865")
 
 
 class TestQubitLimit:
