@@ -184,23 +184,33 @@ def _sq_distances(a: np.ndarray, b: np.ndarray,
     """Squared Euclidean distances between the rows of ``a`` and ``b``,
     shape ``(len(a), len(b))``, written into ``out`` if given.
 
-    The squared differences are formed one feature column at a time and
+    ``b`` is read once per call as contiguous feature rows (its transpose,
+    copied if it is not already laid out that way).  Each feature's
+    differences are formed by writing ``a[:, f]`` down the target and
+    subtracting it from the contiguous row ``b.T[f]`` in place, so the
+    subtraction runs numpy's contiguous loop rather than its 2-D broadcast
+    one.  That forms ``b_j - a_i``, exactly ``-(a_i - b_j)`` under IEEE
+    round-to-nearest, and squaring drops the sign.  The squared columns are
     summed in the order numpy's pairwise sum adds a row, so the result is
     byte-equal to ``np.sum(diff * diff, axis=2)`` over the full
     ``(len(a), len(b), d)`` difference array, which is never built.  The
     first column of each partial sum is written in place; later columns go
     through one reused temporary.
     """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"operands have {a.shape[1]} and {b.shape[1]} "
+                         f"features; squared distances need the same width")
     if out is None:
         out = np.empty((a.shape[0], b.shape[0]))
     if a.shape[1] == 0:
         out[...] = 0.0
         return out
     scratch = np.empty_like(out) if a.shape[1] > 1 else None
-    return _pairwise_columns(a, b, 0, a.shape[1], out, scratch)
+    return _pairwise_columns(a, np.ascontiguousarray(b.T), 0, a.shape[1],
+                             out, scratch)
 
 
-def _pairwise_columns(a: np.ndarray, b: np.ndarray, lo: int, hi: int,
+def _pairwise_columns(a: np.ndarray, bT: np.ndarray, lo: int, hi: int,
                       total: np.ndarray,
                       scratch: np.ndarray | None) -> np.ndarray:
     """Write into ``total`` the sum of the squared column differences over
@@ -209,31 +219,36 @@ def _pairwise_columns(a: np.ndarray, b: np.ndarray, lo: int, hi: int,
     of 8 above that."""
     n = hi - lo
     if n < 8:
-        return _column_run(a, b, range(lo, hi), total, scratch)
+        return _column_run(a, bT, range(lo, hi), total, scratch)
     if n > 128:
         mid = lo + n // 2 - (n // 2) % 8
-        _pairwise_columns(a, b, lo, mid, total, scratch)
-        total += _pairwise_columns(a, b, mid, hi, np.empty_like(total),
+        _pairwise_columns(a, bT, lo, mid, total, scratch)
+        total += _pairwise_columns(a, bT, mid, hi, np.empty_like(total),
                                    scratch)
         return total
     end = hi - n % 8
     partial = [total] + [np.empty_like(total) for _ in range(7)]
     for j in range(8):
-        _column_run(a, b, range(lo + j, end, 8), partial[j], scratch)
+        _column_run(a, bT, range(lo + j, end, 8), partial[j], scratch)
     for width in (1, 2, 4):  # ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))
         for j in range(0, 8, 2 * width):
             partial[j] += partial[j + width]
-    return _column_run(a, b, range(end, hi), total, scratch, add=True)
+    return _column_run(a, bT, range(end, hi), total, scratch, add=True)
 
 
-def _column_run(a: np.ndarray, b: np.ndarray, features: range,
+def _column_run(a: np.ndarray, bT: np.ndarray, features: range,
                 total: np.ndarray, scratch: np.ndarray | None,
                 add: bool = False) -> np.ndarray:
     """Sum the squared column differences of ``features`` left to right
-    into ``total``, onto its contents if ``add``, else over them."""
+    into ``total``, onto its contents if ``add``, else over them.  ``bT``
+    holds the second operand's features as contiguous rows: feature ``f``
+    of row ``i`` against row ``j`` is ``bT[f, j] - a[i, f]``, written by
+    broadcasting ``a[:, f]`` down the target and subtracting it from the
+    row ``bT[f]``."""
     for f in features:
         diff = scratch if add else total
-        np.subtract.outer(a[:, f], b[:, f], out=diff)
+        diff[...] = a[:, f, None]
+        np.subtract(bT[f], diff, out=diff)
         diff *= diff
         if add:
             total += diff
@@ -242,8 +257,12 @@ def _column_run(a: np.ndarray, b: np.ndarray, features: range,
 
 
 def assign_classical(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per record; ties break to the lowest index."""
-    return np.argmin(_sq_distances(data, centroids), axis=1)
+    """Nearest centroid per record; ties break to the lowest index.
+
+    The distances are formed centroids first, ``(k, M)``, so each
+    feature's differences run along contiguous rows of all M records
+    rather than rows of k; the values are the same as ``(M, k)``'s."""
+    return np.argmin(_sq_distances(centroids, data), axis=0)
 
 
 def assign_delta(data: np.ndarray, centroids: np.ndarray, delta: float,

@@ -20,14 +20,27 @@ import numpy as np
 DISTANCE_SLACK = 1e-6
 
 
+def require_finite(matrix: np.ndarray) -> None:
+    """Refuse a matrix holding a NaN or an infinity, naming the row and
+    column (counted from 0) of the first such value."""
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValueError(f"row {r}, column {c} holds {matrix[r, c]}; every "
+                         f"value must be finite")
+
+
 def standardize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z-score each column (population std). Returns (standardized, mean, std).
 
-    Constant columns map to all-zeros.
+    Constant columns map to all-zeros.  Every clustering run, elbow sweep
+    and CLI command that reads records standardizes them first, so a
+    non-finite value is refused here, before any iteration.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("standardize needs a 2-D matrix with at least 2 rows")
+    require_finite(data)
     mean = data.mean(axis=0)
     std = data.std(axis=0)
     safe = np.where(std == 0.0, 1.0, std)

@@ -197,6 +197,36 @@ class TestRunCommand:
         assert not out.exists()
 
 
+class TestNonFiniteRecords:
+    """A CSV cell of nan or inf is refused, naming its row and column,
+    before any iteration and before any output."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--k", "1"],
+        ["run", "--k", "2"],
+        ["run", "--k", "2", "--algorithm", "qmk", "--analytic"],
+        ["elbow", "--k-min", "1", "--k-max", "2", "--seeds-per-k", "1"],
+        ["stats", "--variant", "q1k", "--k", "2"],
+    ])
+    def test_refused_with_row_and_column(self, runner, tmp_path, command,
+                                         cell):
+        csv_path = tmp_path / "records.csv"
+        rows = [f"{r}.5,{r * r}.25" for r in range(6)]
+        rows[4] = f"4.5,{cell}"
+        csv_path.write_text("a,b\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        extra = [] if command[0] == "stats" else ["--out-dir", str(out)]
+        result = runner.invoke(main, command + [
+            "--dataset-csv", str(csv_path), *extra])
+        assert result.exit_code == 1, result.output
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert f"row 4, column 1 holds {cell}" in err["message"]
+        assert not out.exists()
+        assert result.stdout == ""
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", [
         ["run", "--dataset", "iris", "--algorithm", "q11"],

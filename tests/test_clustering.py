@@ -86,10 +86,34 @@ class TestAssignClassical:
             dists = [np.linalg.norm(row - c) for c in centroids]
             assert labels[i] == int(np.argmin(dists))
 
+    @pytest.mark.parametrize("data_width, centroid_width", [(2, 3), (3, 2)])
+    def test_mismatched_widths_refused(self, data_width, centroid_width):
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(10, data_width))
+        centroids = rng.normal(size=(2, centroid_width))
+        match = (f"operands have ({data_width} and {centroid_width}|"
+                 f"{centroid_width} and {data_width}) features")
+        with pytest.raises(ValueError, match=match):
+            assign_classical(data, centroids)
+        with pytest.raises(ValueError, match=match):
+            assign_delta(data, centroids, 0.5, seed=1)
+
 
 class TestSqDistances:
     """Summed by feature columns in numpy's pairwise order, the distances
     are byte-equal to reducing the full difference array."""
+
+    @staticmethod
+    def _assert_full_reduction(a, b):
+        # the reference reduces a C-ordered difference array: numpy sums a
+        # strided axis in another order, so its bytes would depend on the
+        # operands' layout
+        a_c, b_c = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        diff = a_c[:, None, :] - b_c[None, :, :]
+        expected = np.sum(diff * diff, axis=2)
+        got = _sq_distances(a, b)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [*range(1, 21), 130, 257])
     @pytest.mark.parametrize("rows, cols", [(1, 5), (37, 3), (9, 37)])
@@ -97,15 +121,59 @@ class TestSqDistances:
         rng = np.random.default_rng(d)
         a = rng.normal(size=(rows, d)) * rng.uniform(0.01, 100.0, size=d)
         b = rng.normal(size=(cols, d))
-        diff = a[:, None, :] - b[None, :, :]
-        expected = np.sum(diff * diff, axis=2)
+        self._assert_full_reduction(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9, 130])
+    def test_strided_column_slices(self, d):
+        rng = np.random.default_rng(d)
+        wide_a = rng.normal(size=(13, 2 * d)) * 10.0
+        wide_b = rng.normal(size=(29, 2 * d))
+        self._assert_full_reduction(wide_a[:, ::2], wide_b[:, ::2])
+        self._assert_full_reduction(wide_a[:, 1::2], wide_b[:, ::2])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9, 130])
+    def test_fortran_ordered(self, d):
+        rng = np.random.default_rng(d + 1)
+        a = np.asfortranarray(rng.normal(size=(17, d)) * 3.0)
+        b = np.asfortranarray(rng.normal(size=(31, d)))
+        self._assert_full_reduction(a, b)
+        self._assert_full_reduction(a, np.ascontiguousarray(b))
+        self._assert_full_reduction(np.ascontiguousarray(a), b)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9, 130])
+    def test_row_slices_of_a_larger_array(self, d):
+        rng = np.random.default_rng(d + 2)
+        big = rng.normal(size=(64, d)) * rng.uniform(0.1, 50.0, size=d)
+        self._assert_full_reduction(big[5:21], big)
+        self._assert_full_reduction(big[40:41], big[3:60])
+        self._assert_full_reduction(big[::3], big[1::2])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_equal_rows_and_signed_zeros(self, d):
+        rng = np.random.default_rng(d + 3)
+        a = rng.normal(size=(6, d))
+        a[1] = a[0]
+        a[2] = 0.0
+        a[3] = -0.0
+        a[4, ::2] = -0.0
+        b = np.vstack([a, -a, rng.normal(size=(3, d))])
         got = _sq_distances(a, b)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        self._assert_full_reduction(a, b)
+        # a row against itself or a signed-zero twin is +0.0, never -0.0
+        assert np.signbit(np.diagonal(got)).sum() == 0
+        assert np.diagonal(got).tolist() == [0.0] * len(a)
+        assert got[2, 3] == 0.0 and not np.signbit(got[2, 3])
 
     def test_no_features(self):
         assert _sq_distances(np.zeros((3, 0)), np.zeros((2, 0))).tolist() == [
             [0.0, 0.0]] * 3
+
+    @pytest.mark.parametrize("a_width, b_width", [(2, 3), (3, 2), (0, 1)])
+    def test_feature_widths_must_match(self, a_width, b_width):
+        with pytest.raises(ValueError,
+                           match=f"operands have {a_width} and {b_width} "
+                                 f"features"):
+            _sq_distances(np.zeros((4, a_width)), np.zeros((2, b_width)))
 
     @pytest.mark.parametrize("d", [*range(0, 21), 130, 257])
     def test_out_matches_allocating_call(self, d):
@@ -222,6 +290,23 @@ def blob_data(m=90, seed=0, std=1.0):
 
 
 class TestRun:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_finite_record_refused_before_iteration_1(
+            self, monkeypatch, strategy, k):
+        from qkmeans import clustering
+
+        def never(*args, **kwargs):
+            raise AssertionError("started iterating on a non-finite record")
+
+        monkeypatch.setattr(clustering, "kmeanspp_init", never)
+        monkeypatch.setattr(clustering, "_dispatch", never)
+        data = blob_data(m=30).matrix.copy()
+        data[17, 1] = np.nan
+        with pytest.raises(ValueError, match="row 17, column 1 holds nan"):
+            run(data, ClusteringParams(k=k, assignment=strategy,
+                                       analytic=True))
+
     def test_classical_blobs_converges(self):
         ds = blob_data()
         best = None

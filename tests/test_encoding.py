@@ -38,6 +38,16 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize(np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_by_row_and_column(self, value):
+        data = np.arange(12.0).reshape(4, 3)
+        data[2, 1] = value
+        data[3, 2] = value  # only the first is named
+        with pytest.raises(ValueError,
+                           match=rf"row 2, column 1 holds {value}; every "
+                                 r"value must be finite"):
+            standardize(data)
+
 
 class TestIsp:
     def test_origin_maps_to_south_pole(self):

@@ -73,6 +73,21 @@ class TestSilhouette:
         with pytest.raises(ValueError):
             silhouette(np.zeros((3, 2)), [0, 0, 0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_refused(self, value):
+        data = np.array([[0.0, 0], [0, 0.01], [10, 10], [10, 10.01]])
+        data[2, 0] = value
+        with pytest.raises(ValueError, match=f"row 2, column 0 holds {value}"):
+            silhouette(data, [0, 0, 1, 1])
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_one_label_per_record(self, count):
+        data = np.array([[0.0, 0], [0, 0.01], [10, 10], [10, 10.01]])
+        with pytest.raises(ValueError,
+                           match=f"one label per record, got {count} labels "
+                                 f"for 4 records"):
+            silhouette(data, [0, 1, 0, 1, 0][:count])
+
     def test_matches_reference(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
@@ -262,6 +277,18 @@ class TestElbow:
         with pytest.raises(ValueError, match=r"k must be in \[1, 8\], got 9"):
             elbow(data, [9, 2], params)
         assert elbow(data, range(3, 3), params) == []
+
+    def test_non_finite_record_refused_before_any_run(self, monkeypatch):
+        from qkmeans import metrics
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the up-front checks")
+
+        monkeypatch.setattr(metrics, "run", never)
+        data = np.arange(16.0).reshape(8, 2)
+        data[6, 0] = -np.inf
+        with pytest.raises(ValueError, match="row 6, column 0 holds -inf"):
+            elbow(data, [1, 2], ClusteringParams(k=1))
 
     @pytest.mark.parametrize("n_seeds", [0, -1])
     def test_seed_count_checked_before_any_run(self, monkeypatch, n_seeds):
