@@ -25,10 +25,11 @@ counts have the distribution that shots over all 2^q basis states would
 give after post-selection, without a draw over every basis state.
 
 Each encoding branch is one uniformly controlled RY on the register qubit
-(Möttönen et al. 2004), held as an ``EncodingBlock``: its ancilla polarity,
-its address register and a zero-padded angle table.  ``CircuitPlan.gates``
-expands the blocks into the per-slot gate list, which stays the source of
-truth.
+(Möttönen et al. 2004), held as a zero-padded angle table: the ancilla-0
+branch loads ``CircuitPlan.records``, addressed by the batch register, and
+the ancilla-1 branch ``CircuitPlan.centroids``, addressed by the cluster
+register.  ``CircuitPlan.gates`` expands the two tables into the per-slot
+gate list, which stays the source of truth.
 
 ``simulate`` does not run that list.  This is the interference circuit of
 Schuld, Fingerhuth and Petruccione (arXiv:1703.10793), and its final state
@@ -39,7 +40,7 @@ operands:
 
 * the H layer leaves ``hadamard_amplitude`` A on every basis state with the
   register qubit 0 and +0.0 on every other one;
-* a block's gates act only on the pairs of its own ancilla branch, and the
+* a table's gates act only on the pairs of its own ancilla branch, and the
   two branches are disjoint, so every pair a gate rotates still holds
   exactly (A, +0.0).  A slot that is zero in every row emits no gate, and
   RY(+-0.0) maps (A, +0.0) to (A, +0.0), so the table's padding changes
@@ -76,7 +77,8 @@ from .simulator import (
 
 
 class EstimationFailure(RuntimeError):
-    """No usable shots survived post-selection; the caller must raise t.
+    """No usable shots survived post-selection; the caller must raise the
+    shots or give up on the rows named.
 
     ``rows`` lists the rows of a batched histogram that came up empty.
     ``values``, set only by a sampled decode, holds the decoded value of
@@ -132,44 +134,6 @@ def circuit_layout(slots: int, records: int = 1, clusters: int = 1) -> Layout:
                   tuple(range(register + 1, register + 1 + n_cluster)))
 
 
-@dataclass(frozen=True)
-class EncodingBlock:
-    """One amplitude-encoding branch as a uniformly controlled RY on the
-    register qubit, controlled by the index register, the ancilla at
-    polarity ``branch`` and the ``address`` register (batch for the
-    records, cluster for the centroids).
-
-    ``angles[..., a, slot]`` is the rotation for address pattern a and
-    index pattern slot, zero where nothing is loaded: shape
-    ``(2^len(address), slots)`` shared by every row, or with a leading axis
-    of one table per row."""
-
-    branch: int
-    address: tuple[int, ...]
-    angles: np.ndarray
-
-    def __post_init__(self):
-        require_real(self.angles, "EncodingBlock angles")
-        if not np.isfinite(self.angles).all():
-            raise ValueError("encoding angles must be finite")
-
-    def gates(self, layout: Layout) -> list[Gate]:
-        """The block as one RY per slot that is nonzero in some row, address
-        pattern by address pattern, with one angle per row for a per-row
-        table."""
-        table = self.angles
-        used = np.any(table != 0.0, axis=tuple(range(table.ndim - 2)))
-        gates = []
-        for a, slot in zip(*np.nonzero(used)):
-            theta = table[..., a, slot]
-            controls = (_pattern(layout.index, slot)
-                        + ((layout.ancilla, self.branch),)
-                        + _pattern(self.address, a))
-            gates.append(ry(theta.copy() if theta.ndim else float(theta),
-                            layout.register, controls))
-        return gates
-
-
 def _pattern(qubits, value) -> tuple[tuple[int, int], ...]:
     """Controls that fire when ``qubits`` (bit b on qubits[b]) hold
     ``value``."""
@@ -179,17 +143,48 @@ def _pattern(qubits, value) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class CircuitPlan:
     """The assignment circuit on its register layout: the leading H layer,
-    the record block, the centroid block and a final H on the ancilla.
+    the record branch, the centroid branch and a final H on the ancilla.
 
-    ``rows`` is None for one circuit; otherwise the plan is that many
-    circuits sharing the skeleton, whose per-row tables carry one angle
-    table per row."""
+    ``records[..., v, slot]`` is record v's rotation for index pattern
+    slot, loaded on ancilla 0 and batch pattern v; ``centroids[..., j,
+    slot]`` is centroid j's, loaded on ancilla 1 and cluster pattern j.
+    Both are zero where nothing is loaded: shape ``(2^len(address),
+    slots)``.  A record table with a leading axis holds one table per row
+    of that many circuits sharing the skeleton; the centroid table then
+    has the same leading axis or none, shared by every row.  The tables
+    are checked once, here."""
 
     layout: Layout
-    blocks: tuple[EncodingBlock, ...]
+    records: np.ndarray
+    centroids: np.ndarray
     num_records: int = 1
     num_clusters: int = 1
-    rows: int | None = None
+
+    def __post_init__(self):
+        slots = 1 << len(self.layout.index)
+        for name, table, address in self._branches():
+            require_real(table, f"plan {name} angles")
+            if not np.isfinite(table).all():
+                raise ValueError(f"plan {name} angles must be finite")
+            if table.ndim not in (2, 3) or table.shape[-2:] != (
+                    1 << len(address), slots):
+                raise ValueError(f"a {name} angle table of shape "
+                                 f"{table.shape} does not fit {len(address)} "
+                                 f"address and {len(self.layout.index)} "
+                                 f"index qubits")
+        if self.centroids.ndim == 3 and self.centroids.shape[0] != self.rows:
+            raise ValueError(f"{self.centroids.shape[0]} angle tables for a "
+                             f"plan with rows={self.rows}")
+
+    def _branches(self):
+        """(name, table, address register) per ancilla branch, 0 then 1."""
+        return (("records", self.records, self.layout.batch),
+                ("centroids", self.centroids, self.layout.cluster))
+
+    @property
+    def rows(self) -> int | None:
+        """None for one circuit, else the number of circuits in the plan."""
+        return self.records.shape[0] if self.records.ndim == 3 else None
 
     @property
     def num_qubits(self) -> int:
@@ -197,11 +192,21 @@ class CircuitPlan:
 
     @property
     def gates(self) -> list[Gate]:
-        """The plan as the ordered gate list that ``apply_gate`` runs."""
+        """The plan as the ordered gate list that ``apply_gate`` runs: each
+        table as one RY per slot that is nonzero in some row, address
+        pattern by address pattern, with one angle per row for a per-row
+        table."""
         layout = self.layout
         gates = [h(q) for q in layout.hadamards]
-        for block in self.blocks:
-            gates.extend(block.gates(layout))
+        for branch, (_, table, address) in enumerate(self._branches()):
+            used = np.any(table != 0.0, axis=tuple(range(table.ndim - 2)))
+            for a, slot in zip(*np.nonzero(used)):
+                theta = table[..., a, slot]
+                controls = (_pattern(layout.index, slot)
+                            + ((layout.ancilla, branch),)
+                            + _pattern(address, a))
+                gates.append(ry(theta.copy() if theta.ndim else float(theta),
+                                layout.register, controls))
         gates.append(h(layout.ancilla))
         return gates
 
@@ -233,42 +238,26 @@ def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
     if records.ndim not in (2, 3) or centroids.ndim not in (2, records.ndim):
         raise ValueError("records must be (M1, slots) or (B, M1, slots) and "
                          "centroids (k, slots) or records' (B, k, slots)")
-    if centroids.ndim == 3 and centroids.shape[0] != records.shape[0]:
-        raise ValueError("records and centroids must have the same rows")
     if records.shape[-1] != centroids.shape[-1]:
         raise ValueError(f"records have {records.shape[-1]} angle slots, "
                          f"centroids {centroids.shape[-1]}")
     m1, k = records.shape[-2], centroids.shape[-2]
     layout = circuit_layout(records.shape[-1], m1, k)
-    blocks = tuple(
-        EncodingBlock(branch, address, _table(angles, len(address)))
-        for angles, branch, address in ((records, 0, layout.batch),
-                                        (centroids, 1, layout.cluster)))
-    return CircuitPlan(layout, blocks, num_records=m1, num_clusters=k,
-                       rows=records.shape[0] if records.ndim == 3 else None)
+    return CircuitPlan(layout, _table(records, len(layout.batch)),
+                       _table(centroids, len(layout.cluster)),
+                       num_records=m1, num_clusters=k)
 
 
-def _branch_halves(plan: CircuitPlan, block: EncodingBlock,
+def _branch_halves(table: np.ndarray, spread: tuple[int, int],
                    amplitude: float) -> tuple[np.ndarray, np.ndarray]:
-    """``block``'s ancilla branch after the H layer and the block: its
-    register-0 and register-1 halves as table-sized arrays that broadcast
-    over (rows..., cluster, batch, index).
+    """The ancilla branch that ``table`` loads, after the H layer and its
+    gates: its register-0 and register-1 halves as table-sized arrays that
+    broadcast over (rows..., cluster, batch, index), the table's address
+    axis spread as ``spread`` over (cluster, batch).
 
-    Every pair the block rotates holds (``amplitude``, +0.0), so each half
+    Every pair the table rotates holds (``amplitude``, +0.0), so each half
     is ``apply_gate``'s formula on that pair, with the table entry of the
     pair's address and index pattern as its angle."""
-    layout, table = plan.layout, block.angles
-    n_address = 1 << len(block.address)
-    if table.shape[-2:] != (n_address, 1 << len(layout.index)):
-        raise ValueError(f"an angle table of shape {table.shape} does not "
-                         f"fit {len(block.address)} address and "
-                         f"{len(layout.index)} index qubits")
-    if table.ndim == 3 and table.shape[0] != plan.rows:
-        raise ValueError(f"{table.shape[0]} angle tables for a plan with "
-                         f"rows={plan.rows}")
-    # the address axis sits at the block's register: cluster or batch
-    spread = (n_address, 1) if block.address == layout.cluster else (
-        1, n_address)
     c, s = (np.reshape(v, table.shape[:-2] + spread + table.shape[-1:])
             for v in _half_cos_sin(table))
     return c * amplitude + (-s) * 0.0, s * amplitude + c * 0.0
@@ -280,13 +269,11 @@ def simulate(plan: CircuitPlan) -> np.ndarray:
     final H as one broadcast sum per register half and ancilla value.  The
     bytes are those of ``apply_gate`` run over ``plan.gates``; the module
     docstring gives the argument."""
-    if [block.branch for block in plan.blocks] != [0, 1]:
-        raise ValueError("a plan needs the ancilla-0 and ancilla-1 encoding "
-                         "blocks, in that order")
     require_qubits(plan.num_qubits, "a state")
     amplitude = hadamard_amplitude(len(plan.layout.hadamards))
-    rec, cen = (_branch_halves(plan, block, amplitude)
-                for block in plan.blocks)
+    rec = _branch_halves(plan.records, (1, plan.records.shape[-2]), amplitude)
+    cen = _branch_halves(plan.centroids, (plan.centroids.shape[-2], 1),
+                         amplitude)
     amps = np.empty((() if plan.rows is None else (plan.rows,))
                     + (1 << plan.num_qubits,))
     view = _layout_view(plan, amps)
@@ -402,12 +389,11 @@ class AssignmentHistogram:
     and pattern filtering.
 
     ``counts[..., v, j]`` is the weight of record slot v on cluster j, with
-    the histogram's leading batch axis if it had one; ``kept_shots`` and
-    ``wasted_fraction`` are totals over all rows."""
+    the histogram's leading batch axis if it had one; ``kept_shots`` is
+    their total over all rows."""
 
     counts: np.ndarray
     kept_shots: float
-    wasted_fraction: float
 
 
 def _assignment_cells(plan: CircuitPlan, weights: np.ndarray) -> np.ndarray:
@@ -422,10 +408,7 @@ def assignment_histogram(plan: CircuitPlan, hist: Histogram) -> AssignmentHistog
     """Post-select register=1 and ancilla=0, then bucket the surviving counts
     by (record slot, cluster), discarding patterns beyond the loaded counts."""
     counts = _assignment_cells(plan, hist.weights)
-    total = hist.shots
-    meaningful = float(counts.sum())
-    wasted = 1.0 - meaningful / total if total > 0 else 1.0
-    return AssignmentHistogram(counts, meaningful, wasted)
+    return AssignmentHistogram(counts, float(counts.sum()))
 
 
 def decode_qc2(plan: CircuitPlan, hist: Histogram, *,

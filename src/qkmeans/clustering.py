@@ -268,14 +268,15 @@ def assign_classical(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def assign_delta(data: np.ndarray, centroids: np.ndarray, delta: float,
                  seed: int) -> np.ndarray:
     """Uniform random label among all centroids whose squared distance is
-    within ``delta`` of the closest one."""
-    d2 = _sq_distances(data, centroids)
-    near = d2 - d2.min(axis=1, keepdims=True) <= delta
-    labels = np.argmax(near, axis=1)
-    # only rows with a choice draw, in row order
+    within ``delta`` of the closest one.  The distances are formed
+    centroids first, ``(k, M)``, as in ``assign_classical``."""
+    d2 = _sq_distances(centroids, data)
+    near = d2 - d2.min(axis=0) <= delta
+    labels = np.argmax(near, axis=0)
+    # only records with a choice draw, in record order
     rng = np.random.default_rng(seed)
-    for r in np.flatnonzero(near.sum(axis=1) > 1):
-        candidates = np.flatnonzero(near[r])
+    for r in np.flatnonzero(near.sum(axis=0) > 1):
+        candidates = np.flatnonzero(near[:, r])
         labels[r] = candidates[rng.integers(len(candidates))]
     return labels
 
@@ -293,24 +294,27 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
     rows in order.  A sampled row draws ``M1 * k * shots_base`` shots.
 
     Rows run in passes of at most ``MAX_BATCH_AMPLITUDES`` amplitudes.
-    Every pass measures its exact probabilities; a sampled pass hands them
-    to ``decode`` with ``sampled=Sampled(shots, rng)``, and the decoder
-    draws its shots over the few cells it reads, not over all 2^q basis
-    states.  Sampled rows draw in row order from one generator keyed
+    Every pass measures its exact probabilities and hands them to
+    ``decode`` with ``sampled``: None for an analytic run, else one
+    ``Sampled(shots, rng)`` for the whole call, and the decoder draws its
+    shots over the few cells it reads, not over all 2^q basis states.
+    Sampled rows draw in row order from one generator keyed
     ``(seed, ASSIGN, ite)``, which carries on from pass to pass, so the
     draws do not depend on the pass size.  Rows whose post-selection came up
     empty are drawn once more at 4x the shots, in row order, from the same
     cells and a second generator keyed ``(seed, RETRY, ite)``; the other
     rows keep their draws.  Rows still empty after that raise
     ``EstimationFailure`` naming the iteration, how many rows of the pass
-    are empty and the retry's shots per row.  Rows whose exact kept
-    probability is 0 raise at once, since no redraw can fill them."""
+    are empty and the retry's shots per row.  Rows no draw can fill, those
+    of an analytic run and those whose exact kept probability is 0, raise
+    at once, naming the iteration."""
     m1, k = records.shape[1], centroids.shape[-2]
     qubits = circuit_layout(records.shape[2], m1, k).num_qubits
     step = max(1, MAX_BATCH_AMPLITUDES >> qubits)
     shots = m1 * k * params.shots_base
-    rng = None if params.analytic else np.random.default_rng(
-        derive_seed(params.seed, SeedDomain.ASSIGN, ite))
+    sampled = None if params.analytic else Sampled(
+        shots, np.random.default_rng(
+            derive_seed(params.seed, SeedDomain.ASSIGN, ite)))
     retry_rng = None
     decoded = []
     for start in range(0, len(records), step):
@@ -319,11 +323,8 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
         plan = build_qc3(batch,
                          centroids if centroids.ndim == 2 else centroids[rows])
         hist = measure(simulate(plan), Analytic())
-        if params.analytic:
-            decoded.extend(decode(plan, hist))
-            continue
         try:
-            decoded.extend(decode(plan, hist, sampled=Sampled(shots, rng)))
+            decoded.extend(decode(plan, hist, sampled=sampled))
         except EstimationFailure as failure:
             if failure.values is None:
                 raise EstimationFailure(f"iteration {ite}: {failure}",

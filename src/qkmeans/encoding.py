@@ -2,7 +2,7 @@
 
 Pipeline: z-score standardization, inverse stereographic projection onto the
 unit sphere (one extra dimension), and conversion to the rotation angles
-that the circuit's encoding blocks write into the amplitudes of an index
+that the circuit's encoding branches write into the amplitudes of an index
 register (post-selected on a register qubit).
 
 The projection stores each row's pre-projection norm so original-space

@@ -166,10 +166,18 @@ def require_real(values, what: str) -> None:
                          f"{np.asarray(values).dtype}")
 
 
-def _check(amps: np.ndarray, gate: Gate) -> int:
-    """Make the checks every kernel makes: target and controls inside the
-    register, and one angle per row for a per-row RY.  Returns the
-    register's qubit count."""
+def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply ``gate`` in place to the C-contiguous amplitudes ``amps`` and
+    return them; any other array is refused, since reshaping it would
+    apply the gate to a copy.
+
+    The amplitudes are viewed as one axis of length 2 per qubit; controls
+    fix their axes to the declared polarities and the target axis splits
+    into the |0> and |1> halves, so the 2x2 block acts on views of the
+    matching amplitude pairs and all other amplitudes are untouched.
+    Target and controls must lie inside the register, and a per-row RY
+    needs one angle per row.
+    """
     q = amps.shape[-1].bit_length() - 1
     if gate.target >= q:
         raise ValueError(f"target qubit {gate.target} out of range for {q} qubits")
@@ -180,20 +188,6 @@ def _check(amps: np.ndarray, gate: Gate) -> int:
         if gate.theta.shape != amps.shape[:-1]:
             raise ValueError(f"{gate.theta.shape[0]} gate angles for a state "
                              f"of shape {amps.shape}")
-    return q
-
-
-def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply ``gate`` in place to the C-contiguous amplitudes ``amps`` and
-    return them; any other array is refused, since reshaping it would
-    apply the gate to a copy.
-
-    The amplitudes are viewed as one axis of length 2 per qubit; controls
-    fix their axes to the declared polarities and the target axis splits
-    into the |0> and |1> halves, so the 2x2 block acts on views of the
-    matching amplitude pairs and all other amplitudes are untouched.
-    """
-    q = _check(amps, gate)
     if not amps.flags.c_contiguous:
         raise ValueError("apply_gate works in place on C-contiguous "
                          "amplitudes only")

@@ -715,6 +715,18 @@ class TestSampledPass:
         assert "rows [0]" in message and "probability is 0" in message
         assert domains == [SeedDomain.ASSIGN]  # no retry generator
 
+    def test_analytic_empty_row_names_iteration(self):
+        # the analytic pass decodes through the same call as a sampled one,
+        # so its failure carries the same iteration prefix
+        rng = np.random.default_rng(30)
+        records, centroids = self.antipodal(rng)
+        params = ClusteringParams(k=2, analytic=True)
+        with pytest.raises(EstimationFailure) as failure:
+            assign_q1k(records, centroids, params, ite=3)
+        assert list(failure.value.rows) == [0]
+        assert str(failure.value) == (
+            "iteration 3: no shots survived cluster assignment")
+
     def test_zero_kept_probability_falls_back_in_qmk(self, monkeypatch):
         from qkmeans import clustering
         rng = np.random.default_rng(30)

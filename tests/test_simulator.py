@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkmeans import circuits
-from qkmeans.circuits import EncodingBlock, build_qc3, simulate
+from qkmeans.circuits import CircuitPlan, build_qc3, simulate
 from qkmeans.simulator import (
     Analytic,
     Gate,
@@ -397,7 +397,7 @@ def random_table(rng, shape):
 
 
 class TestEncodingBlocks:
-    """An encoding block is one uniformly controlled RY on the register
+    """An encoding branch is one uniformly controlled RY on the register
     qubit, held as an angle table: its broadcast pass against its expanded
     gates, one per nonzero slot, applied one by one."""
 
@@ -426,28 +426,26 @@ class TestEncodingBlocks:
             assert np.max(np.abs(row - single)) <= 1e-12
 
     def test_checks_every_gate(self):
-        """The block pass makes, per block, the checks each gate made."""
+        """A plan makes, once where it is built, the checks each gate
+        made."""
         with pytest.raises(ValueError, match="finite"):
             build_qc3([[0.1, np.nan]], [[0.2, 0.3]])
         with pytest.raises(ValueError, match="finite"):
             build_qc3([[0.1, 0.2]], [[0.2, np.inf]])
-        with pytest.raises(ValueError,
-                           match="EncodingBlock angles must be real, got "
-                                 "complex128"):
-            EncodingBlock(0, (), np.zeros((1, 2), dtype=complex))
         plan = build_qc3(np.full((2, 1, 4), 0.3), np.full((3, 4), 0.2))
-        records, centroids = plan.blocks
-        for table, message in ((np.zeros((2, 1, 8)), "does not fit"),
-                               (np.zeros((2, 2, 4)), "does not fit"),
-                               (np.zeros((3, 1, 4)), "3 angle tables")):
-            block = EncodingBlock(0, records.address, table)
+        with pytest.raises(ValueError,
+                           match="plan records angles must be real, got "
+                                 "complex128"):
+            CircuitPlan(plan.layout, np.zeros((1, 4), dtype=complex),
+                        plan.centroids)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(plan, centroids=np.full((4, 4), np.nan))
+        for field, table, message in (
+                ("records", np.zeros((2, 1, 8)), "does not fit"),
+                ("records", np.zeros((2, 2, 4)), "does not fit"),
+                ("centroids", np.zeros((3, 4, 4)), "3 angle tables")):
             with pytest.raises(ValueError, match=message):
-                simulate(dataclasses.replace(plan, blocks=(block, centroids)))
-        # the closed form writes one block per ancilla branch
-        for blocks in ((centroids, records), (records,),
-                       (records, dataclasses.replace(centroids, branch=0))):
-            with pytest.raises(ValueError, match="ancilla-0 and ancilla-1"):
-                simulate(dataclasses.replace(plan, blocks=blocks))
+                dataclasses.replace(plan, **{field: table})
 
     @pytest.mark.parametrize("records, centroids, per_row", [
         ((5, 1, 4), (5, 1, 4), 2),  # q1:1 rows
@@ -463,11 +461,11 @@ class TestEncodingBlocks:
                          rng.uniform(0.1, 3.0, centroids))
         passes = []
 
-        def count_block(plan, block, amplitude):
-            halves = branch_halves(plan, block, amplitude)
-            passes.append((block.angles.ndim == 3,
+        def count_block(table, spread, amplitude):
+            halves = branch_halves(table, spread, amplitude)
+            passes.append((table.ndim == 3,
                            max(half.size for half in halves)
-                           <= block.angles.size))
+                           <= table.size))
             return halves
 
         branch_halves = circuits._branch_halves
