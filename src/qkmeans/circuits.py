@@ -48,9 +48,11 @@ operands:
   ``c*A + (-s)*0.0`` or ``s*A + c*0.0``, with ``apply_gate``'s formula,
   coefficients and operand order, signs of zero included;
 * the final H pairs the record branch's amplitude with the centroid
-  branch's at the same (cluster, register, batch, index) pattern.  It is
-  one broadcast ``u00*rec + u01*cen`` (and ``u10*rec + u11*cen``) per
-  register half, the same operations on the same operands.
+  branch's at the same (cluster, register, batch, index) pattern.  With
+  both register halves of a branch stacked into one two-table array, it is
+  one broadcast ``u00*rec + u01*cen`` for the ancilla-0 plane and one
+  ``u10*rec + u11*cen`` for the ancilla-1 plane, the same operations on
+  the same operands; only those two sums are state-sized.
 """
 
 from __future__ import annotations
@@ -248,39 +250,44 @@ def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
                        num_records=m1, num_clusters=k)
 
 
-def _branch_halves(table: np.ndarray, spread: tuple[int, int],
-                   amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+def _branch_registers(table: np.ndarray, spread: tuple[int, int],
+                      amplitude: float) -> np.ndarray:
     """The ancilla branch that ``table`` loads, after the H layer and its
-    gates: its register-0 and register-1 halves as table-sized arrays that
-    broadcast over (rows..., cluster, batch, index), the table's address
-    axis spread as ``spread`` over (cluster, batch).
+    gates: its register-0 and register-1 halves stacked into one array of
+    two tables that broadcasts over (rows..., cluster, register, batch,
+    index), the table's address axis spread as ``spread`` over (cluster,
+    batch).
 
     Every pair the table rotates holds (``amplitude``, +0.0), so each half
     is ``apply_gate``'s formula on that pair, with the table entry of the
     pair's address and index pattern as its angle."""
-    c, s = (np.reshape(v, table.shape[:-2] + spread + table.shape[-1:])
+    lead, slots = table.shape[:-2], table.shape[-1:]
+    c, s = (np.reshape(v, lead + spread + slots)
             for v in _half_cos_sin(table))
-    return c * amplitude + (-s) * 0.0, s * amplitude + c * 0.0
+    registers = np.empty(lead + spread[:1] + (2,) + spread[1:] + slots)
+    np.add(c * amplitude, (-s) * 0.0, out=registers[..., 0, :, :])
+    np.add(s * amplitude, c * 0.0, out=registers[..., 1, :, :])
+    return registers
 
 
 def simulate(plan: CircuitPlan) -> np.ndarray:
     """The plan's final amplitudes, written in closed form into one fresh
-    array: each branch's register halves from its angle table, then the
-    final H as one broadcast sum per register half and ancilla value.  The
-    bytes are those of ``apply_gate`` run over ``plan.gates``; the module
-    docstring gives the argument."""
+    array: each branch's two register halves from its angle table, then the
+    final H as one broadcast sum per ancilla value, each covering both
+    register halves.  The bytes are those of ``apply_gate`` run over
+    ``plan.gates``; the module docstring gives the argument."""
     require_qubits(plan.num_qubits, "a state")
     amplitude = hadamard_amplitude(len(plan.layout.hadamards))
-    rec = _branch_halves(plan.records, (1, plan.records.shape[-2]), amplitude)
-    cen = _branch_halves(plan.centroids, (plan.centroids.shape[-2], 1),
-                         amplitude)
+    rec = _branch_registers(plan.records, (1, plan.records.shape[-2]),
+                            amplitude)
+    cen = _branch_registers(plan.centroids, (plan.centroids.shape[-2], 1),
+                            amplitude)
     amps = np.empty((() if plan.rows is None else (plan.rows,))
                     + (1 << plan.num_qubits,))
     view = _layout_view(plan, amps)
     (u00, u01), (u10, u11) = _H_MATRIX
-    for reg in (0, 1):
-        np.add(u00 * rec[reg], u01 * cen[reg], out=view[..., reg, :, :, 0])
-        np.add(u10 * rec[reg], u11 * cen[reg], out=view[..., reg, :, :, 1])
+    np.add(u00 * rec, u01 * cen, out=view[..., 0])
+    np.add(u10 * rec, u11 * cen, out=view[..., 1])
     return amps
 
 

@@ -25,6 +25,7 @@ encoding them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,11 @@ class Strategy(str, enum.Enum):
 
 QUANTUM_STRATEGIES = (Strategy.Q11, Strategy.Q1K, Strategy.QMK)
 
+# Largest expected number of sampled q1:1 rows, over a whole run, that keep
+# no shot in their draw and in its 4x redraw; a run that expects more is
+# refused before iteration 1.
+MAX_EXPECTED_EMPTY_ROWS = 1e-3
+
 
 @dataclass
 class ClusteringParams:
@@ -125,6 +131,36 @@ class ClusteringParams:
             simulator.require_qubits(
                 layout.num_qubits, f"{self.assignment.value} on {num_records} "
                 f"records of {num_features} features")
+        if self.assignment is Strategy.Q11 and not self.analytic:
+            self._require_q11_shots(num_records, num_features)
+
+    def _require_q11_shots(self, num_records: int, num_features: int) -> None:
+        """Refuse a sampled q1:1 run whose rows would come up empty after
+        their redraw more than ``MAX_EXPECTED_EMPTY_ROWS`` times, naming the
+        least ``shots_base`` that passes.
+
+        A QC1 row keeps register 1 with probability exactly ``1 / slots``
+        whatever the data, and its draw and redraw hold ``5 * shots_base``
+        shots in all; an iteration runs ``num_records * k`` rows."""
+        miss = 1.0 - 1.0 / num_slots(num_features + 1)
+        rows = num_records * self.k * self.max_ite
+
+        def expected(shots_base):
+            return rows * miss ** (5 * shots_base)
+
+        if expected(self.shots_base) <= MAX_EXPECTED_EMPTY_ROWS:
+            return
+        # the closed-form root, then a step past any rounding at its edge
+        least = max(self.shots_base + 1, math.ceil(
+            math.log(MAX_EXPECTED_EMPTY_ROWS / rows) / (5 * math.log(miss))))
+        while expected(least) > MAX_EXPECTED_EMPTY_ROWS:
+            least += 1
+        raise ValueError(
+            f"shots_base {self.shots_base} is too small for sampled q11 on "
+            f"{num_records} records of {num_features} features, k "
+            f"{self.k}, max_ite {self.max_ite}: "
+            f"{expected(self.shots_base):.3g} rows are expected to keep no "
+            f"shot even after the 4x redraw; use shots_base >= {least}")
 
 
 def circuit_shape(params: ClusteringParams,
@@ -405,12 +441,28 @@ def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
 def _update_centroids(data: np.ndarray, labels: np.ndarray,
                       previous: np.ndarray) -> np.ndarray:
     """Mean of each cluster's records; empty clusters keep their previous
-    centroid."""
+    centroid.
+
+    Each feature's cluster sums come from one ``np.bincount`` over the
+    labels, divided by the member counts.  These are the bytes of each
+    cluster's ``mean(axis=0)``: numpy reduces axis 0 of a C-contiguous
+    block of two or more columns row by row, starting from +0.0, and
+    ``bincount`` adds each cluster's weights in record order from +0.0 as
+    well, so both sums round alike, signs of zero included, before the same
+    division by the count.  A single column is the exception: numpy sums
+    it as one contiguous run, pairwise, so there each cluster keeps its own
+    mean."""
+    k = previous.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    filled = counts > 0
     new = previous.copy()
-    for j in range(previous.shape[0]):
-        members = data[labels == j]
-        if members.shape[0] > 0:
-            new[j] = members.mean(axis=0)
+    if data.shape[1] == 1:
+        for j in np.flatnonzero(filled):
+            new[j] = data[labels == j].mean(axis=0)
+        return new
+    sums = np.stack([np.bincount(labels, weights=column, minlength=k)
+                     for column in data.T], axis=1)
+    new[filled] = sums[filled] / counts[filled, None]
     return new
 
 

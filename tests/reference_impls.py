@@ -18,6 +18,9 @@
 * Single-vector forms of helpers the package now applies to whole arrays:
   the inverse stereographic projection of one vector and the marginal of a
   histogram over a subset of qubits.
+* The per-cluster centroid update: a masked mean of each cluster's
+  records, previous centroid kept for an empty cluster.  The package's
+  one-pass update must match it byte for byte.
 * The per-record delta-k-Means loop, which finds each record's candidate
   centroids on its own and draws only for records with more than one.
 * The per-circuit assignment loops of q1:1, q1:k and qM:k: one circuit per
@@ -118,6 +121,15 @@ def marginal_reference(hist, qubits):
     moved = view.transpose(list(range(len(lead))) + keep + rest)
     out = moved.reshape(lead + (1 << len(qubits), -1)).sum(axis=-1)
     return Histogram(out)
+
+
+def update_centroids_reference(data, labels, previous):
+    new = previous.copy()
+    for j in range(previous.shape[0]):
+        members = data[labels == j]
+        if members.shape[0] > 0:
+            new[j] = members.mean(axis=0)
+    return new
 
 
 def assign_delta_reference(data, centroids, delta, seed):

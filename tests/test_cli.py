@@ -167,13 +167,14 @@ class TestRunCommand:
                 std, labels)
 
     @pytest.mark.parametrize("command", [
-        ["run", "--dataset", "iris", "--algorithm", "q11"],
-        ["elbow", "--dataset", "iris", "--algorithm", "q11", "--k-min", "2",
+        ["run", "--dataset", "iris", "--algorithm", "q1k"],
+        ["elbow", "--dataset", "iris", "--algorithm", "q1k", "--k-min", "2",
          "--k-max", "2", "--seeds-per-k", "1"],
     ])
     def test_estimation_failure_is_machine_readable(self, runner, tmp_path,
                                                     command):
-        # one shot, four on retry: some register post-selection keeps none
+        # one shot per centroid, four times that on retry: some q1:k row
+        # keeps none (q11 at such counts is refused before iteration 1)
         out = tmp_path / "out"
         result = runner.invoke(main, command + ["--shots", "1",
                                                 "--out-dir", str(out)])
@@ -185,15 +186,34 @@ class TestRunCommand:
     def test_estimation_failure_names_the_remedy(self, runner, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, [
-            "run", "--dataset", "iris", "--algorithm", "q11", "--shots", "4",
+            "run", "--dataset", "iris", "--algorithm", "q1k", "--shots", "1",
             "--out-dir", str(out)])
         assert result.exit_code == 1
         err = json.loads(result.stderr.splitlines()[-1])
         assert err["error"] == "EstimationFailure"
         assert err["message"].startswith("iteration ")
-        assert "of 450 rows of a pass" in err["message"]
-        assert "16 shots per row" in err["message"]
+        assert "of 150 rows of a pass" in err["message"]
+        assert "12 shots per row" in err["message"]
         assert "larger shots_base" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--dataset", "iris", "--algorithm", "q11", "--shots", "4"],
+        ["elbow", "--dataset", "iris", "--algorithm", "q11", "--k-min", "2",
+         "--k-max", "3", "--seeds-per-k", "1", "--shots", "4"],
+    ])
+    def test_hopeless_q11_shots_refused_up_front(self, runner, tmp_path,
+                                                 command):
+        # iris at 4 shots: 2,250 rows of a 5-iteration run expect about 7
+        # rows empty after their redraw; 11 shots expect under 1e-3
+        out = tmp_path / "out"
+        result = runner.invoke(main, command + ["--out-dir", str(out)])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("shots_base 4 is too small for "
+                                         "sampled q11")
+        assert "use shots_base >= 11" in err["message"]
         assert not out.exists()
 
 

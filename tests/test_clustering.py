@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkmeans.circuits import EstimationFailure, estimate_distance
 from qkmeans.clustering import (
@@ -28,7 +30,10 @@ from qkmeans.encoding import (
     recover_distance,
     standardize,
 )
-from reference_impls import assign_delta_reference
+from reference_impls import (
+    assign_delta_reference,
+    update_centroids_reference,
+)
 
 
 def unit_prepared(rng, count, dim):
@@ -386,6 +391,42 @@ class TestRun:
         for ia, ib in zip(a.history, b.history):
             assert np.array_equal(ia.labels, ib.labels)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 9),
+           st.integers(1, 200))
+    def test_update_matches_masked_means(self, seed, d, k, m):
+        """The one-pass update gives each cluster's masked mean byte for
+        byte: entries of both zero signs, empty clusters and a cluster of
+        one record."""
+        from qkmeans.clustering import _update_centroids
+        rng = np.random.default_rng(seed)
+        pick = rng.integers(4, size=(m, d))
+        data = np.where(pick == 0, 0.0, np.where(
+            pick == 1, -0.0,
+            rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-3, 3, (m, d))))
+        live = rng.permutation(k)[:rng.integers(1, k + 1)]
+        labels = rng.choice(live[1:] if len(live) > 1 else live, size=m)
+        if len(live) > 1:
+            labels[rng.integers(m)] = live[0]  # a cluster of one record
+        previous = rng.normal(size=(k, d))
+        got = _update_centroids(data, labels, previous)
+        want = update_centroids_reference(data, labels, previous)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_update_of_negative_zeros_is_positive_zero(self, d):
+        """Members that are all -0.0, many or one, average to +0.0, as
+        the masked mean gives: both sums start from +0.0."""
+        from qkmeans.clustering import _update_centroids
+        data = np.full((12, d), -0.0)
+        labels = np.array([0] * 11 + [2])
+        previous = np.full((3, d), 7.0)
+        got = _update_centroids(data, labels, previous)
+        assert got.tobytes() == update_centroids_reference(
+            data, labels, previous).tobytes()
+        assert not np.signbit(got[[0, 2]]).any()
+        assert np.array_equal(got[1], previous[1])
+
     def test_empty_cluster_keeps_centroid(self):
         from qkmeans.clustering import _update_centroids
         data = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -666,12 +707,18 @@ class TestBatchedAssignmentContract:
 
     def test_empty_after_retry_names_iteration_rows_and_shots(self):
         # q1:1 on iris at 4 shots: 450 rows a pass, and a 16-shot retry
-        # still leaves a row without a register=1 shot
+        # still leaves a row without a register=1 shot.  ``run`` refuses
+        # these shots up front, so the pass is called as run's first
+        # iteration calls it.
         from qkmeans.data import builtin
         params = ClusteringParams(k=3, assignment=Strategy.Q11, shots_base=4,
                                   max_ite=2, seed=0)
+        std, _, _ = standardize(builtin("iris").matrix)
+        records = prepare_vectors(std)
+        centroids = prepare_vectors(kmeanspp_init(std, 3, params.seed),
+                                    slots=records.slots)
         with pytest.raises(EstimationFailure) as failure:
-            run(builtin("iris").matrix, params)
+            assign_q11(records, centroids, params, ite=1)
         message = str(failure.value)
         empty = len(failure.value.rows)
         assert message.startswith("iteration 1: no shots survived")
@@ -814,6 +861,74 @@ class TestQubitLimit:
             monkeypatch.setattr(simulator, "MAX_QUBITS", qubits - 1)
             with pytest.raises(ValueError, match=f"needs {qubits} qubits"):
                 params.validate(150, 3)
+
+
+class TestQ11ShotBound:
+    """Sampled q1:1 refuses, before iteration 1, shot counts whose rows are
+    expected to come up empty even after their redraw."""
+
+    def test_hopeless_shots_fail_before_seeding(self, monkeypatch):
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+
+        def never(*args, **kwargs):
+            raise AssertionError("called before the shot check")
+
+        monkeypatch.setattr(clustering, "kmeanspp_init", never)
+        monkeypatch.setattr(clustering, "assign_q11", never)
+        params = ClusteringParams(k=3, assignment=Strategy.Q11, shots_base=4,
+                                  max_ite=2, seed=0)
+        with pytest.raises(ValueError) as refusal:
+            run(builtin("iris").matrix, params)
+        message = str(refusal.value)
+        assert message.startswith("shots_base 4 is too small for sampled "
+                                  "q11 on 150 records of 3 features, k 3, "
+                                  "max_ite 2: 2.85 rows are expected")
+        assert message.endswith("use shots_base >= 10")
+
+    @pytest.mark.parametrize("records, features, k, max_ite", [
+        (150, 3, 3, 2),    # iris: 4 slots
+        (150, 3, 3, 5),
+        (178, 7, 3, 5),    # wine: 8 slots
+        (150, 1, 2, 5),    # one feature: 2 slots
+        (2048, 2, 8, 20),
+    ])
+    def test_named_shots_are_the_least_that_pass(self, records, features, k,
+                                                 max_ite):
+        params = ClusteringParams(k=k, assignment=Strategy.Q11, shots_base=1,
+                                  max_ite=max_ite)
+        with pytest.raises(ValueError, match=r"use shots_base >= (\d+)$") as r:
+            params.validate(records, features)
+        least = int(str(r.value).rsplit(" ", 1)[1])
+        dataclasses.replace(params, shots_base=least).validate(records,
+                                                               features)
+        with pytest.raises(ValueError, match=f"shots_base {least - 1} is"):
+            dataclasses.replace(params, shots_base=least - 1).validate(
+                records, features)
+
+    def test_analytic_and_other_strategies_are_not_bounded(self):
+        for params in (
+                ClusteringParams(k=3, assignment=Strategy.Q11, shots_base=1,
+                                 analytic=True),
+                ClusteringParams(k=3, assignment=Strategy.Q1K, shots_base=1),
+                ClusteringParams(k=3, assignment=Strategy.QMK, shots_base=1),
+                ClusteringParams(k=3, shots_base=1)):
+            params.validate(150, 3)
+
+    @pytest.mark.parametrize("dataset", ["iris", "wine"])
+    def test_qc1_keeps_register_one_at_one_over_slots(self, dataset):
+        """The bound's premise: whatever the record and centroid, a QC1
+        row keeps register 1 with probability 1/slots."""
+        from qkmeans.circuits import build_qc3, postselection_probability
+        from qkmeans.data import builtin
+        std, _, _ = standardize(builtin(dataset).matrix)
+        records = prepare_vectors(std)
+        centroids = prepare_vectors(kmeanspp_init(std, 3, 0),
+                                    slots=records.slots)
+        r, j = np.divmod(np.arange(len(records) * 3), 3)
+        kept = postselection_probability(build_qc3(
+            records.angles[r, None], centroids.angles[j, None]))
+        assert np.allclose(kept, 1.0 / records.slots, rtol=0, atol=1e-15)
 
 
 class TestCircuitShape:

@@ -454,27 +454,27 @@ class TestEncodingBlocks:
     ])
     def test_assignment_blocks_take_one_pass_each(self, monkeypatch, records,
                                                   centroids, per_row):
-        """Each block's angle table is read once, into register halves no
-        larger than the table; only the final sums are state-sized."""
+        """Each block's angle table is read once, into stacked register
+        halves no larger than two tables; only the two plane sums are
+        state-sized."""
         rng = np.random.default_rng(0)
         plan = build_qc3(rng.uniform(0.1, 3.0, records),
                          rng.uniform(0.1, 3.0, centroids))
         passes = []
 
         def count_block(table, spread, amplitude):
-            halves = branch_halves(table, spread, amplitude)
+            registers = branch_registers(table, spread, amplitude)
             passes.append((table.ndim == 3,
-                           max(half.size for half in halves)
-                           <= table.size))
-            return halves
+                           registers.size <= 2 * table.size))
+            return registers
 
-        branch_halves = circuits._branch_halves
-        monkeypatch.setattr(circuits, "_branch_halves", count_block)
+        branch_registers = circuits._branch_registers
+        monkeypatch.setattr(circuits, "_branch_registers", count_block)
         simulate(plan)
         assert [rowwise for rowwise, _ in passes] == [
             len(records) == 3, len(centroids) == 3]
         assert sum(rowwise for rowwise, _ in passes) == per_row
-        assert all(table_sized for _, table_sized in passes)
+        assert all(two_tables for _, two_tables in passes)
 
     @pytest.mark.parametrize("records, centroids", [
         ((450, 1, 4), (450, 1, 4)),  # q1:1 rows, the q11 workload's pass
@@ -499,6 +499,23 @@ class TestEncodingBlocks:
         plan = build_qc3(rng.uniform(0.1, 3.0, (1 << 14, 4)),
                          rng.uniform(0.1, 3.0, (3, 4)))
         assert plan.num_qubits == 20
+        tracemalloc.start()
+        try:
+            amps = simulate(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * amps.nbytes
+
+    def test_q1k_simulate_peaks_near_one_state(self):
+        """The q1:k pass, whose record table has a row axis, holds no
+        state-sized temporary either: 8,192 rows of one record against 8
+        shared centroids (2^20 amplitudes) peak at no more than 1.5
+        states."""
+        rng = np.random.default_rng(0)
+        plan = build_qc3(rng.uniform(0.1, 3.0, (1 << 13, 1, 4)),
+                         rng.uniform(0.1, 3.0, (8, 4)))
+        assert plan.rows << plan.num_qubits == 1 << 20
         tracemalloc.start()
         try:
             amps = simulate(plan)
