@@ -374,8 +374,10 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
     configuration matches the published iris k=3 one."""
     ds = _resolve_dataset(dataset, dataset_csv, label_column, features,
                           top_variance, m, sample, seed)
+    # stats only sizes a circuit and draws no shots, so no shot bound applies
     params = ClusteringParams(k=_default_k(ds, k),
-                              assignment=ALGORITHMS[variant], m1=m1, seed=seed)
+                              assignment=ALGORITHMS[variant], m1=m1, seed=seed,
+                              analytic=True)
     params.validate(*ds.matrix.shape)
     std, _, _ = standardize(ds.matrix)
     records = prepare_vectors(std)

@@ -25,7 +25,6 @@ encoding them.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +149,7 @@ class ClusteringParams:
 
         if expected(self.shots_base) <= MAX_EXPECTED_EMPTY_ROWS:
             return
-        # the closed-form root, then a step past any rounding at its edge
-        least = max(self.shots_base + 1, math.ceil(
-            math.log(MAX_EXPECTED_EMPTY_ROWS / rows) / (5 * math.log(miss))))
+        least = self.shots_base + 1
         while expected(least) > MAX_EXPECTED_EMPTY_ROWS:
             least += 1
         raise ValueError(
@@ -450,16 +447,12 @@ def _update_centroids(data: np.ndarray, labels: np.ndarray,
     ``bincount`` adds each cluster's weights in record order from +0.0 as
     well, so both sums round alike, signs of zero included, before the same
     division by the count.  A single column is the exception: numpy sums
-    it as one contiguous run, pairwise, so there each cluster keeps its own
-    mean."""
+    it as one contiguous run, pairwise, so single-feature centroids may
+    differ from those means in the last place."""
     k = previous.shape[0]
     counts = np.bincount(labels, minlength=k)
     filled = counts > 0
     new = previous.copy()
-    if data.shape[1] == 1:
-        for j in np.flatnonzero(filled):
-            new[j] = data[labels == j].mean(axis=0)
-        return new
     sums = np.stack([np.bincount(labels, weights=column, minlength=k)
                      for column in data.T], axis=1)
     new[filled] = sums[filled] / counts[filled, None]

@@ -216,6 +216,24 @@ class TestRunCommand:
         assert "use shots_base >= 11" in err["message"]
         assert not out.exists()
 
+    def test_stats_draws_no_shots_so_is_not_shot_bounded(self, runner,
+                                                         tmp_path):
+        # 300 features fill 512 slots: at the default 1024 shots, 100
+        # records and k 2 would expect 0.045 rows empty in a sampled run
+        import numpy as np
+        rng = np.random.default_rng(2)
+        csv_path = tmp_path / "wide.csv"
+        header = ",".join(f"f{j}" for j in range(300))
+        rows = [",".join(f"{v:.6f}" for v in row)
+                for row in rng.normal(size=(100, 300))]
+        csv_path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        result = runner.invoke(main, [
+            "stats", "--dataset-csv", str(csv_path), "--variant", "q11",
+            "--k", "2"])
+        assert result.exit_code == 0, result.output
+        row = json.loads(result.stdout)
+        assert row["variant"] == "q11" and row["qubits"] > 0
+
 
 class TestNonFiniteRecords:
     """A CSV cell of nan or inf is refused, naming its row and column,
