@@ -52,14 +52,16 @@ operands:
   both register halves of a branch stacked into one two-table array, it is
   one broadcast ``u00*rec + u01*cen`` for the ancilla-0 plane and one
   ``u10*rec + u11*cen`` for the ancilla-1 plane, the same operations on
-  the same operands; only those two sums are state-sized.
+  the same operands; only those two sums are state-sized.  Over a grid
+  plan's leading axes the two branches broadcast as well, so each is
+  computed once per table, not once per circuit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,17 +152,22 @@ class CircuitPlan:
     ``records[..., v, slot]`` is record v's rotation for index pattern
     slot, loaded on ancilla 0 and batch pattern v; ``centroids[..., j,
     slot]`` is centroid j's, loaded on ancilla 1 and cluster pattern j.
-    Both are zero where nothing is loaded: shape ``(2^len(address),
-    slots)``.  A record table with a leading axis holds one table per row
-    of that many circuits sharing the skeleton; the centroid table then
-    has the same leading axis or none, shared by every row.  The tables
-    are checked once, here."""
+    Both are zero where nothing is loaded: shape ``(..., 2^len(address),
+    slots)``.  Leading axes make the plan a pass of many circuits sharing
+    the skeleton.  The two tables' leading axes broadcast against each
+    other, the centroid table adding no axis that the record table lacks,
+    and the plan's circuits are their broadcast, ``lead``, in C order: a
+    record table ``(M, 1, ...)`` against a centroid table ``(k, ...)``
+    makes the ``(M, k)`` grid of every record against every centroid.  The
+    state and everything measured from it keep one flat row axis of
+    ``rows`` circuits.  The tables are checked once, here."""
 
     layout: Layout
     records: np.ndarray
     centroids: np.ndarray
     num_records: int = 1
     num_clusters: int = 1
+    lead: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         slots = 1 << len(self.layout.index)
@@ -168,15 +175,24 @@ class CircuitPlan:
             require_real(table, f"plan {name} angles")
             if not np.isfinite(table).all():
                 raise ValueError(f"plan {name} angles must be finite")
-            if table.ndim not in (2, 3) or table.shape[-2:] != (
+            if table.ndim < 2 or table.shape[-2:] != (
                     1 << len(address), slots):
                 raise ValueError(f"a {name} angle table of shape "
                                  f"{table.shape} does not fit {len(address)} "
                                  f"address and {len(self.layout.index)} "
                                  f"index qubits")
-        if self.centroids.ndim == 3 and self.centroids.shape[0] != self.rows:
-            raise ValueError(f"{self.centroids.shape[0]} angle tables for a "
-                             f"plan with rows={self.rows}")
+        lead, shared = self.records.shape[:-2], self.centroids.shape[:-2]
+        if shared and shared != lead:
+            try:
+                grid = np.broadcast_shapes(lead, shared)
+            except ValueError:
+                grid = None
+            if grid is None or len(grid) > len(lead):
+                raise ValueError(f"{math.prod(shared)} angle tables of lead "
+                                 f"shape {shared} for a plan whose record "
+                                 f"tables have lead shape {lead}")
+            lead = grid
+        object.__setattr__(self, "lead", lead)
 
     def _branches(self):
         """(name, table, address register) per ancilla branch, 0 then 1."""
@@ -186,7 +202,7 @@ class CircuitPlan:
     @property
     def rows(self) -> int | None:
         """None for one circuit, else the number of circuits in the plan."""
-        return self.records.shape[0] if self.records.ndim == 3 else None
+        return math.prod(self.lead) if self.lead else None
 
     @property
     def num_qubits(self) -> int:
@@ -196,8 +212,9 @@ class CircuitPlan:
     def gates(self) -> list[Gate]:
         """The plan as the ordered gate list that ``apply_gate`` runs: each
         table as one RY per slot that is nonzero in some row, address
-        pattern by address pattern, with one angle per row for a per-row
-        table."""
+        pattern by address pattern.  A table without leading axes gives
+        float angles; any other gives one angle per row of the plan, its
+        own broadcast over ``lead`` and flattened."""
         layout = self.layout
         gates = [h(q) for q in layout.hadamards]
         for branch, (_, table, address) in enumerate(self._branches()):
@@ -207,7 +224,8 @@ class CircuitPlan:
                 controls = (_pattern(layout.index, slot)
                             + ((layout.ancilla, branch),)
                             + _pattern(address, a))
-                gates.append(ry(theta.copy() if theta.ndim else float(theta),
+                gates.append(ry(np.broadcast_to(theta, self.lead).flatten()
+                                if theta.ndim else float(theta),
                                 layout.register, controls))
         gates.append(h(layout.ancilla))
         return gates
@@ -229,17 +247,21 @@ def build_qc3(records_angles, centroids_angles) -> CircuitPlan:
 
     Record v's rotations carry v's bit pattern on the batch register (and
     are not controlled by the cluster register); centroid j's carry j's
-    pattern on the cluster register only.  Records ``(B, M1, slots)`` build
-    B circuits at once on one shared skeleton, against centroids
-    ``(B, k, slots)``, or ``(k, slots)`` shared by every row.
+    pattern on the cluster register only.  Leading axes build a pass of
+    many circuits on one shared skeleton, the broadcast of the two inputs'
+    leading axes in C order (``CircuitPlan``): records ``(B, M1, slots)``
+    against centroids ``(B, k, slots)``, or ``(k, slots)`` shared by every
+    row, or records ``(M, 1, 1, slots)`` against centroids ``(k, 1,
+    slots)``, the q1:1 grid whose row r*k + j is record r against centroid
+    j.
     """
     require_real(records_angles, "records_angles")
     require_real(centroids_angles, "centroids_angles")
     records = np.asarray(records_angles, dtype=float)
     centroids = np.asarray(centroids_angles, dtype=float)
-    if records.ndim not in (2, 3) or centroids.ndim not in (2, records.ndim):
-        raise ValueError("records must be (M1, slots) or (B, M1, slots) and "
-                         "centroids (k, slots) or records' (B, k, slots)")
+    if records.ndim < 2 or centroids.ndim < 2:
+        raise ValueError("records must be (..., M1, slots) and centroids "
+                         "(..., k, slots)")
     if records.shape[-1] != centroids.shape[-1]:
         raise ValueError(f"records have {records.shape[-1]} angle slots, "
                          f"centroids {centroids.shape[-1]}")
@@ -275,20 +297,25 @@ def simulate(plan: CircuitPlan) -> np.ndarray:
     array: each branch's two register halves from its angle table, then the
     final H as one broadcast sum per ancilla value, each covering both
     register halves.  The bytes are those of ``apply_gate`` run over
-    ``plan.gates``; the module docstring gives the argument."""
+    ``plan.gates``; the module docstring gives the argument.
+
+    Each branch is computed once per table, so a grid plan computes it once
+    per distinct record and once per distinct centroid, and only the two
+    plane sums, written over the ``plan.lead`` grid, have a row per
+    circuit.  The state comes back with one flat row axis, ``(rows,
+    2^q)``, or ``(2^q,)`` for one circuit."""
     require_qubits(plan.num_qubits, "a state")
     amplitude = hadamard_amplitude(len(plan.layout.hadamards))
     rec = _branch_registers(plan.records, (1, plan.records.shape[-2]),
                             amplitude)
     cen = _branch_registers(plan.centroids, (plan.centroids.shape[-2], 1),
                             amplitude)
-    amps = np.empty((() if plan.rows is None else (plan.rows,))
-                    + (1 << plan.num_qubits,))
+    amps = np.empty(plan.lead + (1 << plan.num_qubits,))
     view = _layout_view(plan, amps)
     (u00, u01), (u10, u11) = _H_MATRIX
     np.add(u00 * rec, u01 * cen, out=view[..., 0])
     np.add(u10 * rec, u11 * cen, out=view[..., 1])
-    return amps
+    return amps.reshape(plan.rows, -1) if len(plan.lead) > 1 else amps
 
 
 def _ordered_sum(values: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ encoding them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,12 +322,20 @@ MAX_BATCH_AMPLITUDES = 1 << 20
 
 def _assign_rows(records: np.ndarray, centroids: np.ndarray,
                  params: ClusteringParams, ite: int, decode) -> list:
-    """Build, simulate, measure and decode one assignment circuit per row:
-    records ``(B, M1, slots)`` against centroids ``(B, k, slots)``, or
-    ``(k, slots)`` shared by every row.  Returns the decoded values of all
-    rows in order.  A sampled row draws ``M1 * k * shots_base`` shots.
+    """Build, simulate, measure and decode one assignment circuit per row,
+    in passes over the records' first axis.  Returns the decoded values of
+    each pass, in order: one result per pass as ``decode`` returns it, one
+    value per row of the pass.  A sampled row draws ``M1 * k *
+    shots_base`` shots.
 
-    Rows run in passes of at most ``MAX_BATCH_AMPLITUDES`` amplitudes.
+    Records ``(B, M1, slots)`` make B rows against centroids ``(k,
+    slots)``.  Centroids ``(n, ..., k, slots)`` with leading axes make the
+    grid of every record row against every centroid table: records ``(B,
+    1, ..., M1, slots)``, with a 1 for each of those axes, then make B * n
+    * ... rows, record b's in a block in C order.  A pass covers whole
+    blocks, as many as ``MAX_BATCH_AMPLITUDES`` amplitudes hold, and at
+    least one.
+
     Every pass measures its exact probabilities and hands them to
     ``decode`` with ``sampled``: None for an analytic run, else one
     ``Sampled(shots, rng)`` for the whole call, and the decoder draws its
@@ -337,13 +346,14 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
     empty are drawn once more at 4x the shots, in row order, from the same
     cells and a second generator keyed ``(seed, RETRY, ite)``; the other
     rows keep their draws.  Rows still empty after that raise
-    ``EstimationFailure`` naming the iteration, how many rows of the pass
-    are empty and the retry's shots per row.  Rows no draw can fill, those
-    of an analytic run and those whose exact kept probability is 0, raise
-    at once, naming the iteration."""
-    m1, k = records.shape[1], centroids.shape[-2]
-    qubits = circuit_layout(records.shape[2], m1, k).num_qubits
-    step = max(1, MAX_BATCH_AMPLITUDES >> qubits)
+    ``EstimationFailure`` naming the iteration, how many of the pass's
+    circuits are empty and the retry's shots per row.  Rows no draw can
+    fill, those of an analytic run and those whose exact kept probability
+    is 0, raise at once, naming the iteration."""
+    m1, k = records.shape[-2], centroids.shape[-2]
+    qubits = circuit_layout(records.shape[-1], m1, k).num_qubits
+    block = math.prod(centroids.shape[:-2])
+    step = max(1, (MAX_BATCH_AMPLITUDES >> qubits) // block)
     shots = m1 * k * params.shots_base
     sampled = None if params.analytic else Sampled(
         shots, np.random.default_rng(
@@ -351,13 +361,10 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
     retry_rng = None
     decoded = []
     for start in range(0, len(records), step):
-        rows = slice(start, start + step)
-        batch = records[rows]
-        plan = build_qc3(batch,
-                         centroids if centroids.ndim == 2 else centroids[rows])
+        plan = build_qc3(records[start:start + step], centroids)
         hist = measure(simulate(plan), Analytic())
         try:
-            decoded.extend(decode(plan, hist, sampled=sampled))
+            decoded.append(decode(plan, hist, sampled=sampled))
         except EstimationFailure as failure:
             if failure.values is None:
                 raise EstimationFailure(f"iteration {ite}: {failure}",
@@ -372,33 +379,35 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
             except EstimationFailure as again:
                 raise EstimationFailure(
                     f"iteration {ite}: {again} in {len(again.rows)} of "
-                    f"{len(batch)} rows of a pass, even redrawn at "
+                    f"{plan.rows} rows of a pass, even redrawn at "
                     f"{4 * shots} shots per row; use a larger shots_base",
                     empty[again.rows]) from again
-            decoded.extend(values)
+            decoded.append(values)
     return decoded
 
 
 def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, ite: int = 0) -> np.ndarray:
     """One distance circuit per (record, centroid) pair, argmin over the
-    recovered original-space distances.  Pair (r, j) is row r*k + j."""
-    k = len(centroids)
-    r, j = np.divmod(np.arange(len(records) * k), k)
-    d_proj = _assign_rows(
-        records.angles[r, None], centroids.angles[j, None], params, ite,
+    recovered original-space distances.  The pairs are the grid of records
+    ``(M, 1, 1, slots)`` against centroids ``(k, 1, slots)``: pair (r, j)
+    is row r*k + j."""
+    m, k = len(records), len(centroids)
+    d_proj = np.concatenate(_assign_rows(
+        records.angles[:, None, None], centroids.angles[:, None], params, ite,
         lambda plan, hist, **sampled: estimate_distance(plan, hist,
-                                                        **sampled)[0])
-    dists = recover_distance(d_proj, records.norms[r], centroids.norms[j])
-    return np.argmin(dists.reshape(len(records), k), axis=1)
+                                                        **sampled)[0]))
+    dists = recover_distance(d_proj.reshape(m, k), records.norms[:, None],
+                             centroids.norms)
+    return np.argmin(dists, axis=1)
 
 
 def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, ite: int = 0) -> np.ndarray:
     """One multi-centroid circuit per record: record r is row r."""
-    labels = _assign_rows(records.angles[:, None], centroids.angles, params,
-                          ite, decode_qc2)
-    return np.array(labels, dtype=np.int64)
+    return np.concatenate(_assign_rows(records.angles[:, None],
+                                       centroids.angles, params, ite,
+                                       decode_qc2))
 
 
 def _recovered_nearest(records: PreparedVectors, centroids: PreparedVectors,
@@ -428,8 +437,9 @@ def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
     batches = -(-m // m1)
     padded = np.zeros((batches * m1, records.slots))
     padded[:m] = records.angles
-    labels = _assign_rows(padded.reshape(batches, m1, records.slots),
+    passes = _assign_rows(padded.reshape(batches, m1, records.slots),
                           centroids.angles, params, ite, decode_qc3)
+    labels = [label for part in passes for label in part]
     return np.array([
         _recovered_nearest(records, centroids, r) if label is None else label
         for r, label in enumerate(labels[:m])], dtype=np.int64)

@@ -611,9 +611,10 @@ class TestBatchedAssignmentContract:
 
     def test_chunked_retries_match_one_pass(self, monkeypatch):
         # a QC1 row of unit vectors keeps a quarter of its shots: 8 shots
-        # leave about a tenth of the 90 rows with none, so several 5-row
-        # passes redraw some of their rows from the retry generator, whose
-        # 32 shots then come up empty with odds of about 1 in 10^4
+        # leave about a tenth of the 90 rows with none, so several passes
+        # of one record's 3 rows redraw some of their rows from the retry
+        # generator, whose 32 shots then come up empty with odds of about
+        # 1 in 10^4
         import reference_impls
         from qkmeans import clustering
         rng = np.random.default_rng(12)
@@ -664,7 +665,7 @@ class TestBatchedAssignmentContract:
         monkeypatch.setattr(reference_impls, "estimate_distance", recording)
         labels = reference_impls.assign_q11_reference(records, centroids,
                                                       params, ite=1)
-        assert np.array_equal(one_pass, np.ravel(looped))
+        assert np.array_equal(np.ravel(one_pass), np.ravel(looped))
         assert np.array_equal(whole, labels)
 
     def test_qmk_batches_run_in_one_pass(self, monkeypatch):
@@ -810,8 +811,8 @@ class TestSampledPass:
                                   shots_base=8, seed=1)
         tracemalloc.start()
         try:
-            labels = clustering._assign_rows(records, centroids, params, 1,
-                                             decode_qc3)
+            (labels,) = clustering._assign_rows(records, centroids, params,
+                                                1, decode_qc3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

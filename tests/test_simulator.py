@@ -447,10 +447,50 @@ class TestEncodingBlocks:
             with pytest.raises(ValueError, match=message):
                 dataclasses.replace(plan, **{field: table})
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(1, 6),
+           st.integers(1, 5), st.integers(1, 3), st.integers(1, 3))
+    def test_grid_plan_is_its_gathered_rows(self, seed, n_index, m, k, m1,
+                                            kc):
+        """Records ``(M, 1, M1, slots)`` against centroids ``(k, kc,
+        slots)`` make the grid of M * k circuits; the plan that gathers
+        record r and centroid j into row r*k + j is the same circuits, to
+        the byte."""
+        rng = np.random.default_rng(seed)
+        slots = 1 << n_index
+        records = random_table(rng, (m, 1, m1, slots))
+        centroids = random_table(rng, (k, kc, slots))
+        grid = build_qc3(records, centroids)
+        r, j = np.divmod(np.arange(m * k), k)
+        flat = build_qc3(records[r, 0], centroids[j])
+        assert (grid.lead, grid.rows) == ((m, k), m * k)
+        got, want = simulate(grid), simulate(flat)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert len(grid.gates) == len(flat.gates)
+        for a, b in zip(grid.gates, flat.gates):
+            assert (a.kind, a.target, a.controls) == \
+                (b.kind, b.target, b.controls)
+            assert type(a.theta) is type(b.theta)
+            assert np.asarray(a.theta).tobytes() == \
+                np.asarray(b.theta).tobytes()
+        assert circuits.circuit_stats(grid) == circuits.circuit_stats(flat)
+        assert circuits.postselection_probability(grid).tobytes() == \
+            circuits.postselection_probability(flat).tobytes()
+
+    def test_grid_refusals(self):
+        """Leading axes must broadcast, and a centroid table adds none that
+        the record table lacks, even where the two would broadcast."""
+        with pytest.raises(ValueError, match="3 angle tables"):
+            build_qc3(np.zeros((4, 2, 1, 2)), np.zeros((3, 1, 2)))
+        with pytest.raises(ValueError, match="6 angle tables"):
+            build_qc3(np.zeros((3, 1, 2)), np.zeros((2, 3, 1, 2)))
+
     @pytest.mark.parametrize("records, centroids, per_row", [
-        ((5, 1, 4), (5, 1, 4), 2),  # q1:1 rows
-        ((5, 1, 4), (3, 4), 1),     # q1:k rows
-        ((6, 4), (3, 4), 0),        # qM:k
+        ((5, 1, 4), (5, 1, 4), 2),      # q1:1 rows
+        ((5, 1, 1, 4), (3, 1, 4), 2),   # q1:1 as a 5 x 3 grid
+        ((5, 1, 4), (3, 4), 1),         # q1:k rows
+        ((6, 4), (3, 4), 0),            # qM:k
     ])
     def test_assignment_blocks_take_one_pass_each(self, monkeypatch, records,
                                                   centroids, per_row):
@@ -464,7 +504,7 @@ class TestEncodingBlocks:
 
         def count_block(table, spread, amplitude):
             registers = branch_registers(table, spread, amplitude)
-            passes.append((table.ndim == 3,
+            passes.append((table.ndim > 2,
                            registers.size <= 2 * table.size))
             return registers
 
@@ -472,12 +512,13 @@ class TestEncodingBlocks:
         monkeypatch.setattr(circuits, "_branch_registers", count_block)
         simulate(plan)
         assert [rowwise for rowwise, _ in passes] == [
-            len(records) == 3, len(centroids) == 3]
+            len(records) > 2, len(centroids) > 2]
         assert sum(rowwise for rowwise, _ in passes) == per_row
         assert all(two_tables for _, two_tables in passes)
 
     @pytest.mark.parametrize("records, centroids", [
         ((450, 1, 4), (450, 1, 4)),  # q1:1 rows, the q11 workload's pass
+        ((150, 1, 1, 4), (3, 1, 4)),  # the same pass as a 150 x 3 grid
         *(((150, 1, 4), (k, 4)) for k in range(2, 9)),  # q1:k, its k sweep
         ((2048, 4), (3, 4)),  # qM:k on 17 qubits, the qmk workload's pass
     ])
@@ -523,6 +564,30 @@ class TestEncodingBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * amps.nbytes
+
+    def test_q11_grid_branches_scale_with_records_plus_centroids(self):
+        """A q1:1 grid computes each branch once per distinct record and
+        centroid: 1,024 records against 64 centroids of 4 slots (65,536
+        circuits) hold, besides the state, at most 16 arrays of M + k table
+        rows.  The same circuits gathered into M * k rows exceed that."""
+        rng = np.random.default_rng(0)
+        m, k, slots = 1024, 64, 4
+        records = rng.uniform(0.1, 3.0, (m, 1, 1, slots))
+        centroids = rng.uniform(0.1, 3.0, (k, 1, slots))
+        r, j = np.divmod(np.arange(m * k), k)
+        bound = 16 * (m + k) * slots * 8
+
+        def extra_peak(plan):
+            tracemalloc.start()
+            try:
+                amps = simulate(plan)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - amps.nbytes
+
+        assert extra_peak(build_qc3(records, centroids)) <= bound
+        assert extra_peak(build_qc3(records[r, 0], centroids[j])) > bound
 
 
 class TestRealAmplitudes:
