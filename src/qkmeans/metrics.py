@@ -20,71 +20,68 @@ from .encoding import require_finite, standardize
 
 
 def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
-    """Sum of squared distances of each record to its assigned centroid."""
+    """Sum of squared distances of each record to its assigned centroid.
+    Refuses a label count or a centroid width that differs from the data."""
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
+    if len(labels) != len(data):
+        raise ValueError(f"sse needs one label per record, got "
+                         f"{len(labels)} labels for {len(data)} records")
+    if centroids.shape[1] != data.shape[1]:
+        raise ValueError(f"sse needs centroids as wide as the records, got "
+                         f"{centroids.shape[1]} features for {data.shape[1]}")
     if labels.min() < 0 or labels.max() >= centroids.shape[0]:
         raise ValueError("label out of range")
     diff = data - centroids[labels]
     return float(np.sum(diff * diff))
 
 
-# Silhouette computes _SILHOUETTE_BLOCK // (M * d) rows (at least one) of
-# the M x M distance matrix at a time, and sums each block per cluster with
-# one matrix product.  That row count must stay fixed: OpenBLAS picks a
-# different kernel for products under 128 rows, which changes the bytes.
-_SILHOUETTE_BLOCK = 1 << 20
-# Within a block, distances are formed _SILHOUETTE_TILE // M rows (at least
-# one) at a time: a tile of 256 KiB, so the elementwise passes run in cache.
-# At 2048 x 2, tiles of 2^14 to 2^17 elements ran within noise of each other;
-# 2^13 and below, and 2^18, were slower (BENCH_contiguous_distances.json).
+# Distances are formed _SILHOUETTE_TILE // M rows (at least one) at a time:
+# a tile of 256 KiB, so the elementwise passes run in cache.  No score
+# depends on it.  At 2048 x 2 on one CPU, tiles of 2^15 to 2^17 elements ran
+# within 1 ms of each other (18-19 ms a call); 2^14 and below, and 2^18 and
+# above, were slower, and larger tiles raise the peak memory.
 _SILHOUETTE_TILE = 1 << 15
 
 
 def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette score (b - a) / max(a, b).
+    """Mean silhouette score (b - a) / max(a, b) (Rousseeuw 1987).
 
     ``a`` is the mean distance to the other members of the point's own
     cluster, ``b`` the smallest mean distance to any other cluster.
-    Singleton clusters contribute 0 for their lone point.  Distances fill
-    one reused block buffer of rows, a cache-sized tile of rows at a time,
-    through ``_sq_distances``, which sums the squared differences one
-    feature column at a time in numpy's pairwise order; each block's
-    per-cluster sums then come from one product with the one-hot cluster
-    matrix.  The records are laid out once per call as contiguous feature
-    columns (Fortran order), the layout ``_sq_distances`` reads its second
-    operand in, so no tile copies them again.  The layout changes no
-    value: every score is byte-equal to the C-ordered computation.  At
-    2048 records of 2 features the buffer is 4 MiB, and the
-    ``tracemalloc`` peak of a call 4.4 MiB.  Non-finite records and a
-    label count other than the record count are refused.
+    Singleton clusters contribute 0 for their lone point.  The records are
+    laid out once, stable-sorted by cluster, as Fortran-ordered columns, so
+    each cluster is one segment.  Rows are scored in record order, a tile
+    at a time: ``_sq_distances`` fills one reused buffer, ``sqrt`` runs in
+    place, and one ``np.add.reduceat`` over the segments gives each row's
+    per-cluster sums.  A row's sums do not depend on the tile size or the
+    BLAS build.  Refuses records that are not 2-D or not finite, and a
+    label count other than the record count.
     """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
+    if data.ndim != 2:
+        raise ValueError(f"silhouette needs 2-D records, got {data.ndim}-D")
     if len(labels) != len(data):
         raise ValueError(f"silhouette needs one label per record, got "
                          f"{len(labels)} labels for {len(data)} records")
     require_finite(data)
-    unique, cluster = np.unique(labels, return_inverse=True)
-    if len(unique) < 2:
+    cluster = np.unique(labels, return_inverse=True)[1]
+    sizes = np.bincount(cluster)
+    if len(sizes) < 2:
         raise ValueError("silhouette needs at least 2 distinct clusters")
     m = data.shape[0]
-    one_hot = (cluster[:, None] == np.arange(len(unique))).astype(float)
-    sizes = one_hot.sum(axis=0)
-    step = max(1, _SILHOUETTE_BLOCK // max(1, m * data.shape[1]))
+    starts = np.cumsum(sizes) - sizes
+    columns = np.asfortranarray(data[np.argsort(cluster, kind="stable")])
     tile = max(1, _SILHOUETTE_TILE // m)
-    buffer = np.empty((min(step, m), m))
+    buffer = np.empty((min(tile, m), m))
     scores = np.zeros(m)
-    columns = np.asfortranarray(data)
-    for start in range(0, m, step):
-        rows = slice(start, min(start + step, m))
-        dist = buffer[:rows.stop - start]
-        for lo in range(0, len(dist), tile):
-            part = dist[lo:lo + tile]
-            _sq_distances(data[start + lo:start + lo + len(part)], columns,
-                          out=part)
-            np.sqrt(part, out=part)
-        sums = dist @ one_hot
+    for start in range(0, m, tile):
+        rows = slice(start, min(start + tile, m))
+        dist = _sq_distances(data[rows], columns,
+                             out=buffer[:rows.stop - start])
+        np.sqrt(dist, out=dist)
+        sums = np.add.reduceat(dist, starts, axis=1)
         own = cluster[rows]
         at = np.arange(len(own))
         a = sums[at, own] / np.maximum(sizes[own] - 1, 1)

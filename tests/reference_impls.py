@@ -11,10 +11,10 @@
   one pattern-controlled RY per nonzero slot; the package builds all three
   as instances of one QC3 builder, whose expanded gate lists must equal
   theirs.
-* The row-blocked silhouette as it was before distances were summed by
-  feature columns: each block reduces its full ``(rows, M, d)`` difference
-  array with ``np.sum(..., axis=2)``.  The package must match it byte for
-  byte.
+* The silhouette over the full ``(M, M, d)`` difference array, reduced
+  with ``np.sum(..., axis=2)``, with each record's per-cluster sums taken
+  by one ``np.add.reduceat`` over the cluster-sorted columns.  The package
+  must match it byte for byte at every tile size.
 * Single-vector forms of helpers the package now applies to whole arrays:
   the inverse stereographic projection of one vector and the marginal of a
   histogram over a subset of qubits.
@@ -397,29 +397,35 @@ def silhouette_reference(data, labels):
     return sum(scores) / m
 
 
-def silhouette_blocked_reference(data, labels, block=1 << 20):
-    """Mean silhouette a block of rows at a time, ``block`` elements of the
-    ``(rows, M, d)`` difference array per block."""
+def silhouette_sorted_reference(data, labels, rows=None):
+    """Mean silhouette from the full ``(M, M, d)`` difference array: each
+    distance is ``np.sqrt(np.sum(diff * diff, axis=2))``, and each record's
+    per-cluster sums come from one ``np.add.reduceat`` over the columns
+    stable-sorted by cluster.  ``rows`` forms the array that many rows at a
+    time instead, for record counts whose full array would not fit in
+    memory; a row's distances and sums do not depend on it."""
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    unique, cluster = np.unique(labels, return_inverse=True)
+    _, cluster = np.unique(labels, return_inverse=True)
     m = data.shape[0]
-    one_hot = (cluster[:, None] == np.arange(len(unique))).astype(float)
-    sizes = one_hot.sum(axis=0)
-    step = max(1, block // max(1, m * data.shape[1]))
+    order = np.argsort(cluster, kind="stable")
+    sizes = np.bincount(cluster)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    step = m if rows is None else rows
     scores = np.zeros(m)
-    for start in range(0, m, step):
-        rows = slice(start, min(start + step, m))
-        diff = data[rows, None, :] - data[None, :, :]
-        sums = np.sqrt(np.sum(diff * diff, axis=2)) @ one_hot
-        own = cluster[rows]
+    for lo in range(0, m, step):
+        span = slice(lo, min(lo + step, m))
+        diff = data[span, None, :] - data[None, order, :]
+        sums = np.add.reduceat(np.sqrt(np.sum(diff * diff, axis=2)), starts,
+                               axis=1)
+        own = cluster[span]
         at = np.arange(len(own))
         a = sums[at, own] / np.maximum(sizes[own] - 1, 1)
         means = sums / sizes
         means[at, own] = np.inf
         b = means.min(axis=1)
         denom = np.maximum(a, b)
-        np.divide(b - a, denom, out=scores[rows],
+        np.divide(b - a, denom, out=scores[span],
                   where=(denom > 0) & (sizes[own] > 1))
     return float(scores.mean())
 

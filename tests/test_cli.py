@@ -75,6 +75,9 @@ class TestRunCommand:
                              ).exit_code == 0
         assert ((a_dir / "blobs3_q1k.csv").read_bytes()
                 == (b_dir / "blobs3_q1k.csv").read_bytes())
+        serial, pool = (json.loads((out / "blobs3_q1k.json").read_text())
+                        for out in (a_dir, b_dir))
+        assert strip_timing(serial) == strip_timing(pool)
 
     def test_csv_dataset_input(self, runner, tmp_path):
         gen = runner.invoke(main, ["gen", "--dataset", "blobs3", "--seed",
@@ -140,7 +143,7 @@ class TestRunCommand:
         from qkmeans.clustering import ClusteringParams, run
         from qkmeans.data import Dataset, load_csv, save_csv
         from qkmeans.encoding import standardize
-        from reference_impls import silhouette_blocked_reference
+        from reference_impls import silhouette_sorted_reference
         # 150 records: enough that a left-to-right sum over the 9 columns
         # changes the score's last bits
         rng = np.random.default_rng(1)
@@ -163,7 +166,7 @@ class TestRunCommand:
         for rep in artifact["repetitions"]:
             labels = run(ds.matrix, ClusteringParams(k=3, seed=rep["seed"])
                          ).labels
-            assert rep["metrics"]["sil"] == silhouette_blocked_reference(
+            assert rep["metrics"]["sil"] == silhouette_sorted_reference(
                 std, labels)
 
     @pytest.mark.parametrize("command", [

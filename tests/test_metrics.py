@@ -17,8 +17,8 @@ from qkmeans.metrics import (
 )
 from reference_impls import (
     pair_confusion_reference,
-    silhouette_blocked_reference,
     silhouette_reference,
+    silhouette_sorted_reference,
     v_measure_reference,
 )
 
@@ -43,6 +43,17 @@ class TestSse:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             sse(np.zeros((2, 2)), [0, 5], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("labels, centroids, message", [
+        ([0], np.zeros((1, 2)), "one label per record, got 1 labels for 3 "
+                                "records"),
+        ([0, 0, 0, 0], np.zeros((1, 2)), "got 4 labels for 3 records"),
+        ([0, 0, 0], np.zeros((1, 3)), "got 3 features for 2"),
+    ], ids=["one-label", "extra-label", "wider-centroids"])
+    def test_shapes_must_agree(self, labels, centroids, message):
+        # a single label would otherwise broadcast over every record
+        with pytest.raises(ValueError, match=message):
+            sse(np.ones((3, 2)), labels, centroids)
 
     def test_classical_assignment_minimizes(self):
         rng = np.random.default_rng(1)
@@ -88,6 +99,12 @@ class TestSilhouette:
                                  f"for 4 records"):
             silhouette(data, [0, 1, 0, 1, 0][:count])
 
+    @pytest.mark.parametrize("data", [np.zeros(4), np.zeros((4, 2, 1))])
+    def test_records_must_be_2d(self, data):
+        with pytest.raises(ValueError,
+                           match=f"2-D records, got {data.ndim}-D"):
+            silhouette(data, [0, 0, 1, 1])
+
     def test_matches_reference(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
@@ -101,9 +118,9 @@ class TestSilhouette:
                 silhouette_reference(data, labels), abs=1e-9)
 
     def test_row_blocks_match_reference(self, monkeypatch):
-        # blocks of 3 rows, so every cluster's sums span several blocks
+        # tiles of 3 rows, so every cluster's rows span several tiles
         from qkmeans import metrics
-        monkeypatch.setattr(metrics, "_SILHOUETTE_BLOCK", 3 * 31 * 3)
+        monkeypatch.setattr(metrics, "_SILHOUETTE_TILE", 3 * 31)
         rng = np.random.default_rng(4)
         data = rng.normal(size=(31, 3))
         labels = rng.integers(0, 4, 31)
@@ -111,25 +128,35 @@ class TestSilhouette:
         assert silhouette(data, labels) == pytest.approx(
             silhouette_reference(data, labels), abs=1e-9)
 
+    def test_record_order_moves_score_by_rounding_only(self):
+        # the per-cluster sums run in the sorted order of a permutation's
+        # records, so only their rounding may change
+        data, labels = _benchmark_blobs()
+        score = silhouette(data, labels)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            perm = rng.permutation(len(data))
+            assert abs(silhouette(data[perm], labels[perm]) - score) <= 1e-12
+
 
 class TestSilhouetteBytes:
-    """Summing distances by feature columns leaves every score byte-equal to
-    the blocked silhouette over the full difference array."""
+    """Every tile of rows leaves every score byte-equal to the silhouette
+    over the full difference array, summed over cluster-sorted columns."""
 
     @pytest.mark.parametrize("d", [*range(1, 21), 130])
     @pytest.mark.parametrize("rows", [1, 4, 10, None])
     def test_matches_blocked_reference(self, monkeypatch, d, rows):
-        # 37 records: no block size here divides them; None keeps the
-        # default block, which takes all rows at once
+        # 37 records: no tile size here divides them; None keeps the
+        # default tile, which takes all rows at once
         from qkmeans import metrics
         rng = np.random.default_rng(d)
         data = rng.normal(size=(37, d)) * rng.uniform(0.1, 10.0, size=d)
         labels = rng.integers(0, 3, 37)
         labels[5] = 7  # a singleton cluster
-        block = metrics._SILHOUETTE_BLOCK if rows is None else rows * 37 * d
-        monkeypatch.setattr(metrics, "_SILHOUETTE_BLOCK", block)
-        assert silhouette(data, labels) == silhouette_blocked_reference(
-            data, labels, block)
+        if rows is not None:
+            monkeypatch.setattr(metrics, "_SILHOUETTE_TILE", rows * 37)
+        assert silhouette(data, labels) == silhouette_sorted_reference(
+            data, labels)
 
     def test_blobs_peak_memory(self):
         from qkmeans.data import BLOB_CENTERS, gen_blobs
@@ -143,9 +170,10 @@ class TestSilhouetteBytes:
             tracemalloc.stop()
         assert peak < 14 * 2**20
 
-    def test_blobs_peak_memory_holds_one_block(self):
-        # one reused 4 MiB block buffer plus one tile's temporaries; a
-        # fresh array per elementwise pass would need 8 MiB
+    def test_blobs_peak_memory_holds_one_tile(self):
+        # one reused 256 KiB tile buffer, one temporary of the same size in
+        # _sq_distances, and the sorted records; the one-hot product's 4 MiB
+        # block buffer took 4.45 MiB
         std, labels = _benchmark_blobs()
         tracemalloc.start()
         try:
@@ -153,27 +181,31 @@ class TestSilhouetteBytes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 2**20
 
     @pytest.mark.parametrize("case", ["blobs2048x2", "normal4096x3"])
     @pytest.mark.parametrize("tile_rows", [None, 1, 7, 24])
     def test_benchmark_scale_matches_blocked_reference(self, monkeypatch,
                                                        case, tile_rows):
-        # the default block is 256 rows at 2048x2 and 85 rows at 4096x3;
-        # 24 divides neither, and None keeps the default tile
+        # the default tile is 16 rows at 2048x2 and 8 rows at 4096x3; 7 and
+        # 24 divide neither record count, and None keeps the default tile.
+        # The reference builds 4096x3's difference array 512 rows at a time
+        # (the full one would take 400 MB)
         from qkmeans import metrics
         if case == "blobs2048x2":
             data, labels = _benchmark_blobs()
+            rows = None
         else:
             rng = np.random.default_rng(3)
             data = rng.normal(size=(4096, 3)) * [0.5, 2.0, 7.0]
             labels = rng.integers(0, 4, 4096)
             labels[100] = 9  # a singleton cluster
+            rows = 512
         if tile_rows is not None:
             monkeypatch.setattr(metrics, "_SILHOUETTE_TILE",
                                 tile_rows * len(data))
-        assert silhouette(data, labels) == silhouette_blocked_reference(
-            data, labels)
+        assert silhouette(data, labels) == silhouette_sorted_reference(
+            data, labels, rows)
 
 
 def _benchmark_blobs():
