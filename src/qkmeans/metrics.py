@@ -21,9 +21,12 @@ from .encoding import require_finite, standardize
 
 def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     """Sum of squared distances of each record to its assigned centroid.
-    Refuses a label count or a centroid width that differs from the data."""
+    Refuses labels that are not 1-D, and a label count or a centroid width
+    that differs from the data."""
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
+    if labels.ndim != 1:
+        raise ValueError(f"sse needs 1-D labels, got shape {labels.shape}")
     if len(labels) != len(data):
         raise ValueError(f"sse needs one label per record, got "
                          f"{len(labels)} labels for {len(data)} records")
@@ -36,11 +39,13 @@ def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-# Distances are formed _SILHOUETTE_TILE // M rows (at least one) at a time:
-# a tile of 256 KiB, so the elementwise passes run in cache.  No score
-# depends on it.  At 2048 x 2 on one CPU, tiles of 2^15 to 2^17 elements ran
-# within 1 ms of each other (18-19 ms a call); 2^14 and below, and 2^18 and
-# above, were slower, and larger tiles raise the peak memory.
+# A band holds at most _SILHOUETTE_TILE distances (256 KiB), or one row
+# when a row is longer, so the elementwise passes run in cache.  The tile
+# sets where the bands split, and so how each record's per-cluster sums are
+# grouped above 181 records: a score may move with it by rounding.  At
+# 2048 x 2 on one CPU, 2^14 to 2^17 ran within 2 ms of each other (12-15 ms
+# a call); 2^13 and below, and 2^18 and above, were slower, and each
+# doubling above 2^15 adds about 0.5 MiB to the peak memory.
 _SILHOUETTE_TILE = 1 << 15
 
 
@@ -50,18 +55,29 @@ def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
     ``a`` is the mean distance to the other members of the point's own
     cluster, ``b`` the smallest mean distance to any other cluster.
     Singleton clusters contribute 0 for their lone point.  The records are
-    laid out once, stable-sorted by cluster, as Fortran-ordered columns, so
-    each cluster is one segment.  Rows are scored in record order, a tile
-    at a time: ``_sq_distances`` fills one reused buffer, ``sqrt`` runs in
-    place, and one ``np.add.reduceat`` over the segments gives each row's
-    per-cluster sums.  A row's sums do not depend on the tile size or the
-    BLAS build.  Refuses records that are not 2-D or not finite, and a
-    label count other than the record count.
+    laid out once, stable-sorted by cluster, so each cluster is one
+    segment, and each record pair's distance is formed once.  A band of
+    sorted rows ``[s, e)`` holds at most ``_SILHOUETTE_TILE`` distances
+    (or one row): ``_sq_distances`` fills one reused buffer with its
+    distances to the sorted records ``s:`` and ``sqrt`` runs in place.
+    One ``np.add.reduceat`` along the band's rows adds their per-cluster
+    sums.  Right of the band, the columns of each of the band's cluster
+    segments are summed over its rows, in row order, and added to the
+    later rows' sums for that cluster.  When one band holds every row (up
+    to 181 records), each row's sums are one ``reduceat`` over its whole
+    row, as if no band split them; above that only the grouping of the
+    sums changes, at rounding level.  The scores are scattered back
+    to record order before the mean.  Refuses records that are not 2-D or
+    not finite, labels that are not 1-D, and a label count other than the
+    record count.
     """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if data.ndim != 2:
         raise ValueError(f"silhouette needs 2-D records, got {data.ndim}-D")
+    if labels.ndim != 1:
+        raise ValueError(f"silhouette needs 1-D labels, got shape "
+                         f"{labels.shape}")
     if len(labels) != len(data):
         raise ValueError(f"silhouette needs one label per record, got "
                          f"{len(labels)} labels for {len(data)} records")
@@ -71,26 +87,37 @@ def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
     if len(sizes) < 2:
         raise ValueError("silhouette needs at least 2 distinct clusters")
     m = data.shape[0]
-    starts = np.cumsum(sizes) - sizes
-    columns = np.asfortranarray(data[np.argsort(cluster, kind="stable")])
-    tile = max(1, _SILHOUETTE_TILE // m)
-    buffer = np.empty((min(tile, m), m))
-    scores = np.zeros(m)
-    for start in range(0, m, tile):
-        rows = slice(start, min(start + tile, m))
-        dist = _sq_distances(data[rows], columns,
-                             out=buffer[:rows.stop - start])
-        np.sqrt(dist, out=dist)
-        sums = np.add.reduceat(dist, starts, axis=1)
-        own = cluster[rows]
-        at = np.arange(len(own))
-        a = sums[at, own] / np.maximum(sizes[own] - 1, 1)
-        means = sums / sizes
-        means[at, own] = np.inf
-        b = means.min(axis=1)
-        denom = np.maximum(a, b)
-        np.divide(b - a, denom, out=scores[rows],
-                  where=(denom > 0) & (sizes[own] > 1))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    order = np.argsort(cluster, kind="stable")
+    own = cluster[order]
+    records = np.ascontiguousarray(data[order])
+    # sums[c, i]: distances from sorted record i to the members of cluster c
+    sums = np.zeros((len(sizes), m))
+    buffer = np.empty(min(m * m, max(_SILHOUETTE_TILE, m)))
+    s = 0
+    while s < m:
+        e = min(m, s + max(1, _SILHOUETTE_TILE // (m - s)))
+        band = buffer[:(e - s) * (m - s)].reshape(e - s, m - s)
+        _sq_distances(records[s:e], records[s:], out=band)
+        np.sqrt(band, out=band)
+        first, last = own[s], own[e - 1] + 1
+        sums[first:, s:e] += np.add.reduceat(
+            band, np.maximum(starts[first:] - s, 0), axis=1).T
+        for c in range(first, last):
+            segment = slice(max(starts[c] - s, 0), min(ends[c] - s, e - s))
+            sums[c, e:] += band[segment, e - s:].sum(axis=0)
+        s = e
+    at = np.arange(m)
+    a = sums[own, at] / np.maximum(sizes[own] - 1, 1)
+    means = sums / sizes[:, None]
+    means[own, at] = np.inf
+    b = means.min(axis=0)
+    denom = np.maximum(a, b)
+    ranked = np.zeros(m)
+    np.divide(b - a, denom, out=ranked, where=(denom > 0) & (sizes[own] > 1))
+    scores = np.empty(m)
+    scores[order] = ranked
     return float(scores.mean())
 
 

@@ -14,7 +14,12 @@
 * The silhouette over the full ``(M, M, d)`` difference array, reduced
   with ``np.sum(..., axis=2)``, with each record's per-cluster sums taken
   by one ``np.add.reduceat`` over the cluster-sorted columns.  The package
-  must match it byte for byte at every tile size.
+  must match it byte for byte when one band holds every record.
+* The silhouette over bands of the cluster-sorted records, each band's
+  distances from its own difference array and each pair's distance formed
+  once, summed along the band rows and down the columns right of the band
+  in a stated order.  The package must match it byte for byte at every
+  tile size.
 * Single-vector forms of helpers the package now applies to whole arrays:
   the inverse stereographic projection of one vector and the marginal of a
   histogram over a subset of qubits.
@@ -397,37 +402,78 @@ def silhouette_reference(data, labels):
     return sum(scores) / m
 
 
-def silhouette_sorted_reference(data, labels, rows=None):
+def silhouette_sorted_reference(data, labels):
     """Mean silhouette from the full ``(M, M, d)`` difference array: each
     distance is ``np.sqrt(np.sum(diff * diff, axis=2))``, and each record's
     per-cluster sums come from one ``np.add.reduceat`` over the columns
-    stable-sorted by cluster.  ``rows`` forms the array that many rows at a
-    time instead, for record counts whose full array would not fit in
-    memory; a row's distances and sums do not depend on it."""
+    stable-sorted by cluster."""
+    data = np.asarray(data, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    _, cluster = np.unique(labels, return_inverse=True)
+    order = np.argsort(cluster, kind="stable")
+    sizes = np.bincount(cluster)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    diff = data[:, None, :] - data[None, order, :]
+    sums = np.add.reduceat(np.sqrt(np.sum(diff * diff, axis=2)), starts,
+                           axis=1)
+    return float(_silhouette_scores(sums, cluster, sizes).mean())
+
+
+def silhouette_band_reference(data, labels, rows=None):
+    """Mean silhouette over bands of the records stable-sorted by cluster,
+    each record pair's distance formed once.  The band that starts at
+    sorted row ``s`` takes ``max(1, rows * M // (M - s))`` rows (``None``:
+    all of them) and forms its distances to the sorted records ``s:`` from
+    its own ``(band rows, M - s, d)`` difference array, as
+    ``np.sqrt(np.sum(diff * diff, axis=2))``.  Each sorted row's
+    per-cluster sums start at 0 and take, band by band: for every earlier
+    band, each of its cluster segments' column sums, added up row by row
+    in sorted order; then one ``np.add.reduceat`` along its own band row.
+    The scores are scattered back to record order before the mean."""
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels, dtype=int)
     _, cluster = np.unique(labels, return_inverse=True)
     m = data.shape[0]
     order = np.argsort(cluster, kind="stable")
+    ranked = data[order]
+    own = cluster[order]
     sizes = np.bincount(cluster)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    step = m if rows is None else rows
-    scores = np.zeros(m)
-    for lo in range(0, m, step):
-        span = slice(lo, min(lo + step, m))
-        diff = data[span, None, :] - data[None, order, :]
-        sums = np.add.reduceat(np.sqrt(np.sum(diff * diff, axis=2)), starts,
-                               axis=1)
-        own = cluster[span]
-        at = np.arange(len(own))
-        a = sums[at, own] / np.maximum(sizes[own] - 1, 1)
-        means = sums / sizes
-        means[at, own] = np.inf
-        b = means.min(axis=1)
-        denom = np.maximum(a, b)
-        np.divide(b - a, denom, out=scores[span],
-                  where=(denom > 0) & (sizes[own] > 1))
+    sums = np.zeros((m, len(sizes)))
+    lo = 0
+    while lo < m:
+        hi = m if rows is None else min(m, lo + max(1, rows * m // (m - lo)))
+        diff = ranked[lo:hi, None, :] - ranked[None, lo:, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        first = own[lo]
+        sums[lo:hi, first:] += np.add.reduceat(
+            dist, np.maximum(starts[first:] - lo, 0), axis=1)
+        for c in range(first, own[hi - 1] + 1):
+            segment = [i - lo for i in range(lo, hi) if own[i] == c]
+            column = dist[segment[0], hi - lo:].copy()
+            for i in segment[1:]:
+                column += dist[i, hi - lo:]
+            sums[hi:, c] += column
+        lo = hi
+    scores = np.empty(m)
+    scores[order] = _silhouette_scores(sums, own, sizes)
     return float(scores.mean())
+
+
+def _silhouette_scores(sums, cluster, sizes):
+    """Per-row silhouette from each row's per-cluster distance sums
+    ``(rows, K)``, its cluster index and the cluster sizes; 0 for a
+    singleton's lone record."""
+    at = np.arange(len(cluster))
+    a = sums[at, cluster] / np.maximum(sizes[cluster] - 1, 1)
+    means = sums / sizes
+    means[at, cluster] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.zeros(len(cluster))
+    np.divide(b - a, denom, out=scores,
+              where=(denom > 0) & (sizes[cluster] > 1))
+    return scores
 
 
 def v_measure_reference(labels_true, labels_pred):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkmeans.clustering import ClusteringParams, Strategy, assign_classical
+from qkmeans.clustering import (
+    ClusteringParams,
+    Strategy,
+    assign_classical,
+    run,
+)
+from qkmeans.data import builtin
 from qkmeans.encoding import standardize
 from qkmeans.metrics import (
     elbow,
@@ -17,6 +23,7 @@ from qkmeans.metrics import (
 )
 from reference_impls import (
     pair_confusion_reference,
+    silhouette_band_reference,
     silhouette_reference,
     silhouette_sorted_reference,
     v_measure_reference,
@@ -54,6 +61,17 @@ class TestSse:
         # a single label would otherwise broadcast over every record
         with pytest.raises(ValueError, match=message):
             sse(np.ones((3, 2)), labels, centroids)
+
+    def test_labels_must_be_1d(self):
+        # a column of labels would otherwise index (M, 1, d) centroids and
+        # broadcast: these flat labels give 1.0, the column gave 1608.0
+        data = np.array([[0.0, 0], [1, 0], [10, 10], [10, 11]])
+        centroids = np.array([[0.5, 0], [10, 10.5]])
+        labels = np.array([0, 0, 1, 1])
+        assert sse(data, labels, centroids) == 1.0
+        with pytest.raises(ValueError,
+                           match=r"sse needs 1-D labels, got shape \(4, 1\)"):
+            sse(data, labels.reshape(-1, 1), centroids)
 
     def test_classical_assignment_minimizes(self):
         rng = np.random.default_rng(1)
@@ -99,6 +117,12 @@ class TestSilhouette:
                                  f"for 4 records"):
             silhouette(data, [0, 1, 0, 1, 0][:count])
 
+    def test_labels_must_be_1d(self):
+        data = np.array([[0.0, 0], [0, 0.01], [10, 10], [10, 10.01]])
+        with pytest.raises(ValueError, match=r"silhouette needs 1-D labels, "
+                                             r"got shape \(4, 1\)"):
+            silhouette(data, np.array([[0], [0], [1], [1]]))
+
     @pytest.mark.parametrize("data", [np.zeros(4), np.zeros((4, 2, 1))])
     def test_records_must_be_2d(self, data):
         with pytest.raises(ValueError,
@@ -128,6 +152,49 @@ class TestSilhouette:
         assert silhouette(data, labels) == pytest.approx(
             silhouette_reference(data, labels), abs=1e-9)
 
+    @pytest.mark.parametrize("rows", [1, 4, 10])
+    def test_bands_match_direct_formula(self, monkeypatch, rows):
+        # sorted cluster sizes 1, 6, 15, 18 start at rows 0, 1, 7 and 22: a
+        # singleton, then clusters starting inside the first band at 4 and
+        # 10 rows; at 1 row the first 20 bands take one row each
+        from qkmeans import metrics
+        monkeypatch.setattr(metrics, "_SILHOUETTE_TILE", rows * 40)
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(40, 3))
+        labels = rng.permutation(np.repeat([3, 0, 9, 5], [1, 6, 15, 18]))
+        assert abs(silhouette(data, labels)
+                   - silhouette_reference(data, labels)) <= 1e-12
+
+    def test_each_pair_formed_once(self, monkeypatch):
+        # bands form only the distances on or right of their own diagonal:
+        # about M^2 / 2, where a row per record forms all M^2
+        from qkmeans import metrics
+        formed = []
+        sq_distances = metrics._sq_distances
+
+        def counting(a, b, out=None):
+            out = sq_distances(a, b, out=out)
+            formed.append(out.size)
+            return out
+
+        monkeypatch.setattr(metrics, "_sq_distances", counting)
+        data, labels = _benchmark_blobs()
+        silhouette(data, labels)
+        assert sum(formed) < 0.55 * len(data) ** 2
+
+    @pytest.mark.parametrize("name", ["iris", "wine"])
+    @pytest.mark.parametrize("source", ["truth", "kmeans"])
+    def test_one_band_keeps_full_row_sums(self, name, source):
+        # up to 181 records one band holds every row, so each row's sums
+        # are one reduceat over the whole row, as with no bands at all
+        ds = builtin(name)
+        std, _, _ = standardize(ds.matrix)
+        labels = (ds.ground_truth if source == "truth" else
+                  run(ds.matrix, ClusteringParams(k=3, seed=1)).labels)
+        assert len(std) <= 181
+        assert silhouette(std, labels) == silhouette_sorted_reference(
+            std, labels)
+
     def test_record_order_moves_score_by_rounding_only(self):
         # the per-cluster sums run in the sorted order of a permutation's
         # records, so only their rounding may change
@@ -140,23 +207,27 @@ class TestSilhouette:
 
 
 class TestSilhouetteBytes:
-    """Every tile of rows leaves every score byte-equal to the silhouette
-    over the full difference array, summed over cluster-sorted columns."""
+    """At every tile, each score is byte-equal to the silhouette over the
+    same bands of cluster-sorted records, each band's distances formed from
+    its own difference array; with one band, to the silhouette over the
+    full difference array summed over cluster-sorted columns."""
 
     @pytest.mark.parametrize("d", [*range(1, 21), 130])
     @pytest.mark.parametrize("rows", [1, 4, 10, None])
     def test_matches_blocked_reference(self, monkeypatch, d, rows):
-        # 37 records: no tile size here divides them; None keeps the
-        # default tile, which takes all rows at once
+        # 37 records: bands of 1, 4 and 10 rows at first, growing as they
+        # near the last row; None keeps the default tile, one band
         from qkmeans import metrics
         rng = np.random.default_rng(d)
         data = rng.normal(size=(37, d)) * rng.uniform(0.1, 10.0, size=d)
         labels = rng.integers(0, 3, 37)
         labels[5] = 7  # a singleton cluster
-        if rows is not None:
+        if rows is None:
+            expect = silhouette_sorted_reference(data, labels)
+        else:
             monkeypatch.setattr(metrics, "_SILHOUETTE_TILE", rows * 37)
-        assert silhouette(data, labels) == silhouette_sorted_reference(
-            data, labels)
+            expect = silhouette_band_reference(data, labels, rows)
+        assert silhouette(data, labels) == expect
 
     def test_blobs_peak_memory(self):
         from qkmeans.data import BLOB_CENTERS, gen_blobs
@@ -187,25 +258,23 @@ class TestSilhouetteBytes:
     @pytest.mark.parametrize("tile_rows", [None, 1, 7, 24])
     def test_benchmark_scale_matches_blocked_reference(self, monkeypatch,
                                                        case, tile_rows):
-        # the default tile is 16 rows at 2048x2 and 8 rows at 4096x3; 7 and
-        # 24 divide neither record count, and None keeps the default tile.
-        # The reference builds 4096x3's difference array 512 rows at a time
-        # (the full one would take 400 MB)
+        # the default tile is exactly 16 rows of 2048 and 8 rows of 4096;
+        # 7 and 24 divide neither record count, and None keeps the default
         from qkmeans import metrics
         if case == "blobs2048x2":
             data, labels = _benchmark_blobs()
-            rows = None
         else:
             rng = np.random.default_rng(3)
             data = rng.normal(size=(4096, 3)) * [0.5, 2.0, 7.0]
             labels = rng.integers(0, 4, 4096)
             labels[100] = 9  # a singleton cluster
-            rows = 512
-        if tile_rows is not None:
+        if tile_rows is None:
+            tile_rows = metrics._SILHOUETTE_TILE // len(data)
+        else:
             monkeypatch.setattr(metrics, "_SILHOUETTE_TILE",
                                 tile_rows * len(data))
-        assert silhouette(data, labels) == silhouette_sorted_reference(
-            data, labels, rows)
+        assert silhouette(data, labels) == silhouette_band_reference(
+            data, labels, tile_rows)
 
 
 def _benchmark_blobs():
