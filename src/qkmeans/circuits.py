@@ -505,12 +505,13 @@ def circuit_stats(plan: CircuitPlan) -> CircuitStats:
     Depth schedules two gates in the same layer iff their qubit sets
     (target plus controls) are disjoint.
     """
+    gates = plan.gates
     levels: dict[int, int] = {}
     depth = 0
-    for gate in plan.gates:
+    for gate in gates:
         qubits = gate.qubits
         level = 1 + max((levels.get(q, 0) for q in qubits), default=0)
         for q in qubits:
             levels[q] = level
         depth = max(depth, level)
-    return CircuitStats(plan.num_qubits, len(plan.gates), depth)
+    return CircuitStats(plan.num_qubits, len(gates), depth)

@@ -108,6 +108,9 @@ class ClusteringParams:
     delta: float = 0.0
     analytic: bool = False
 
+    def __post_init__(self):  # "q11" becomes Strategy.Q11; "bogus" raises
+        self.assignment = Strategy(self.assignment)
+
     def validate(self, num_records: int, num_features: int) -> None:
         """Reject settings that cannot run on ``num_records`` records of
         ``num_features`` features, before any work starts."""
@@ -397,9 +400,8 @@ def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
         records.angles[:, None, None], centroids.angles[:, None], params, ite,
         lambda plan, hist, **sampled: estimate_distance(plan, hist,
                                                         **sampled)[0]))
-    dists = recover_distance(d_proj.reshape(m, k), records.norms[:, None],
+    return _recovered_labels(d_proj.reshape(m, k), records.norms,
                              centroids.norms)
-    return np.argmin(dists, axis=1)
 
 
 def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
@@ -410,24 +412,28 @@ def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
                                        decode_qc2))
 
 
+def _recovered_labels(d_proj: np.ndarray, record_norms: np.ndarray,
+                      centroid_norms: np.ndarray) -> np.ndarray:
+    """Nearest centroid per record from projected distances ``(m, k)``: the
+    argmin of the recovered original-space ones, ties to the lowest index."""
+    return np.argmin(recover_distance(d_proj, record_norms[:, None],
+                                      centroid_norms), axis=1)
+
+
 def _recovered_nearest(records: PreparedVectors, centroids: PreparedVectors,
-                       r: int) -> int:
-    """Exact nearest centroid computed classically from the stored
-    projections and norms (fallback for record slots that got no shots)."""
-    dists = [
-        recover_distance(
-            float(np.linalg.norm(records.projected[r] - centroids.projected[j])),
-            records.norms[r], centroids.norms[j])
-        for j in range(len(centroids))
-    ]
-    return int(np.argmin(dists))
+                       rows: np.ndarray) -> np.ndarray:
+    """Exact nearest centroid of the records ``rows`` (the fallback for slots
+    that kept no shot): q1:1's rule on exact projected distances."""
+    d_proj = np.sqrt(_sq_distances(records.projected[rows],
+                                   centroids.projected))
+    return _recovered_labels(d_proj, records.norms[rows], centroids.norms)
 
 
 def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
                params: ClusteringParams, ite: int = 0) -> np.ndarray:
     """Batched assignment: contiguous batches of ``m1`` records, one circuit
     per batch, batch b being row b; unassigned slots fall back to the
-    classical nearest centroid.
+    classical nearest centroid, all of an iteration's in one step.
 
     The records are zero-padded to whole batches: a short last batch leaves
     its unused slots empty (zero angles load nothing), and their labels are
@@ -439,10 +445,13 @@ def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
     padded[:m] = records.angles
     passes = _assign_rows(padded.reshape(batches, m1, records.slots),
                           centroids.angles, params, ite, decode_qc3)
-    labels = [label for part in passes for label in part]
-    return np.array([
-        _recovered_nearest(records, centroids, r) if label is None else label
-        for r, label in enumerate(labels[:m])], dtype=np.int64)
+    labels = np.array([-1 if label is None else label
+                       for part in passes for label in part][:m],
+                      dtype=np.int64)
+    missing = np.flatnonzero(labels < 0)
+    if missing.size:
+        labels[missing] = _recovered_nearest(records, centroids, missing)
+    return labels
 
 
 def _update_centroids(data: np.ndarray, labels: np.ndarray,

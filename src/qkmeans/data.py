@@ -26,8 +26,6 @@ BLOB_CENTERS = (
 )
 # Conventional anisotropic transform applied to the blobs.
 ANISO_TRANSFORM = ((0.6, -0.6), (-0.4, 0.8))
-BLOBS_STD = 0.6          # well-separated
-BLOBS2_STD = (1.0, 2.5, 0.5)  # overlapping
 BLOBS3_CENTERS = ((-5.0, -5.0), (5.0, 5.0))
 
 SYNTHETIC_SIZE = 1500
@@ -240,39 +238,45 @@ def load_wine() -> Dataset:
 IRIS_FEATURES = ["sepal length", "petal length", "petal width"]
 WINE_TOP_VARIANCE = 7
 
+# The defaults of the generator parameters each synthetic dataset takes.
+_SYNTHETIC_DEFAULTS = {
+    "blobs": {"m": SYNTHETIC_SIZE, "std": 0.6},  # well-separated
+    "blobs2": {"m": SYNTHETIC_SIZE, "std": (1.0, 2.5, 0.5)},  # overlapping
+    "aniso": {"m": SYNTHETIC_SIZE, "std": 1.0},
+    "moon": {"m": SYNTHETIC_SIZE, "noise": 0.05},
+    "blobs3": {"m": 16, "std": 0.8},
+}
+
 
 def builtin(name: str, m: int | None = None, seed: int = 0,
             std=None, noise: float | None = None) -> Dataset:
     """Named dataset registry used by the command-line harness.
 
-    ``m``/``std``/``noise`` override the generator defaults where they
-    apply.  Real datasets come pre-selected to their experiment feature
-    sets: iris keeps sepal length / petal length / petal width, wine keeps
-    its 7 highest-variance features.
+    ``m``/``std``/``noise`` override the generator defaults; one that the
+    generator does not take is refused, by name.  Real datasets come
+    pre-selected to their experiment feature sets: iris keeps sepal length
+    / petal length / petal width, wine keeps its 7 highest-variance features.
     """
     key = name.lower()
-    if key in ("iris", "wine") and (m is not None or std is not None
-                                    or noise is not None):
-        raise ValueError(f"{name} takes no generator parameters")
-    if m is None:
-        m = 16 if key == "blobs3" else SYNTHETIC_SIZE
-    if key == "blobs":
-        return gen_blobs(m, BLOB_CENTERS,
-                         std if std is not None else BLOBS_STD, seed)
-    if key == "blobs2":
-        return gen_blobs(m, BLOB_CENTERS,
-                         std if std is not None else BLOBS2_STD, seed,
-                         name="blobs2")
-    if key == "aniso":
-        return gen_aniso(m, seed, std=std if std is not None else 1.0)
-    if key == "moon":
-        return gen_moons(m, noise if noise is not None else 0.05, seed)
-    if key == "blobs3":
-        return gen_blobs(m, BLOBS3_CENTERS,
-                         std if std is not None else 0.8, seed,
-                         name="blobs3")
-    if key == "iris":
-        return select_features(load_iris(), names=IRIS_FEATURES)
-    if key == "wine":
+    given = {p: v for p, v in (("m", m), ("std", std), ("noise", noise))
+             if v is not None}
+    if key in ("iris", "wine"):
+        if given:
+            raise ValueError(f"{name} takes no generator parameters")
+        if key == "iris":
+            return select_features(load_iris(), names=IRIS_FEATURES)
         return select_features(load_wine(), top_variance=WINE_TOP_VARIANCE)
-    raise ValueError(f"unknown dataset {name!r}")
+    if key not in _SYNTHETIC_DEFAULTS:
+        raise ValueError(f"unknown dataset {name!r}")
+    takes = _SYNTHETIC_DEFAULTS[key]
+    refused = [p for p in given if p not in takes]
+    if refused:
+        raise ValueError(f"{name} takes no {' or '.join(refused)} parameter; "
+                         f"it takes {', '.join(takes)}")
+    args = {**takes, **given}
+    if key == "moon":
+        return gen_moons(args["m"], args["noise"], seed)
+    if key == "aniso":
+        return gen_aniso(args["m"], seed, std=args["std"])
+    centers = BLOBS3_CENTERS if key == "blobs3" else BLOB_CENTERS
+    return gen_blobs(args["m"], centers, args["std"], seed, name=key)

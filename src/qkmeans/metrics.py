@@ -24,12 +24,7 @@ def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     Refuses labels that are not 1-D, and a label count or a centroid width
     that differs from the data."""
     data = np.asarray(data, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if labels.ndim != 1:
-        raise ValueError(f"sse needs 1-D labels, got shape {labels.shape}")
-    if len(labels) != len(data):
-        raise ValueError(f"sse needs one label per record, got "
-                         f"{len(labels)} labels for {len(data)} records")
+    labels = _checked_labels(labels, len(data), "sse")
     if centroids.shape[1] != data.shape[1]:
         raise ValueError(f"sse needs centroids as wide as the records, got "
                          f"{centroids.shape[1]} features for {data.shape[1]}")
@@ -37,6 +32,17 @@ def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
         raise ValueError("label out of range")
     diff = data - centroids[labels]
     return float(np.sum(diff * diff))
+
+
+def _checked_labels(labels, records: int, what: str) -> np.ndarray:
+    """``labels`` as 1-D ints, one per record, or refused naming ``what``."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.ndim != 1:
+        raise ValueError(f"{what} needs 1-D labels, got shape {labels.shape}")
+    if len(labels) != records:
+        raise ValueError(f"{what} needs one label per record, got "
+                         f"{len(labels)} labels for {records} records")
+    return labels
 
 
 # A band holds at most _SILHOUETTE_TILE distances (256 KiB), or one row
@@ -72,15 +78,9 @@ def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
     record count.
     """
     data = np.asarray(data, dtype=float)
-    labels = np.asarray(labels, dtype=int)
     if data.ndim != 2:
         raise ValueError(f"silhouette needs 2-D records, got {data.ndim}-D")
-    if labels.ndim != 1:
-        raise ValueError(f"silhouette needs 1-D labels, got shape "
-                         f"{labels.shape}")
-    if len(labels) != len(data):
-        raise ValueError(f"silhouette needs one label per record, got "
-                         f"{len(labels)} labels for {len(data)} records")
+    labels = _checked_labels(labels, len(data), "silhouette")
     require_finite(data)
     cluster = np.unique(labels, return_inverse=True)[1]
     sizes = np.bincount(cluster)
@@ -225,18 +225,17 @@ def summarize_run(data: np.ndarray, result: ClusteringRun,
 def elbow(data: np.ndarray, k_range, params: ClusteringParams,
           n_seeds: int = 5) -> list[tuple[int, float]]:
     """SSE-vs-k curve, taking the best of ``n_seeds`` seeded runs per k.
-    Before any run, the widest k must validate (qubits only grow with k)
-    and fit the distinct standardized records k-Means++ can seed from."""
+    Before any run, every k must validate, widest first, and the widest
+    must fit the distinct standardized records k-Means++ can seed from."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     std, _, _ = standardize(data)
     k_range = list(k_range)
-    if k_range:
-        widest = max(k_range)
-        dataclasses.replace(params, k=widest).validate(*std.shape)
-        distinct = len(np.unique(std, axis=0))
-        if widest > distinct:
-            raise ValueError(f"k {widest} exceeds {distinct} distinct records")
+    for k in sorted(k_range, reverse=True):
+        dataclasses.replace(params, k=k).validate(*std.shape)
+    widest, distinct = max(k_range, default=0), len(np.unique(std, axis=0))
+    if widest > distinct:
+        raise ValueError(f"k {widest} exceeds {distinct} distinct records")
     curve = []
     for k in k_range:
         values = []

@@ -23,12 +23,11 @@ register; q is read from the last axis.  A leading batch axis, ``(B, 2^q)``,
 holds B circuits that share one gate list, and an RY angle may then be a
 length-B array, one angle per row.  Histograms keep the same leading axis.
 
-``measure`` measures every qubit: exact probabilities, or shots drawn over
-all 2^q basis states.  Post-selection is not done here.  The assignment
-circuits are measured exactly, and their decoders (``circuits``) draw
-their shots over the few post-selected cells they read, which gives the
-counts the same distribution as shots over all basis states followed by
-post-selection.
+``measure`` gives exact probabilities and draws no shots; nor does it
+post-select.  The decoders (``circuits``), given ``Sampled`` as
+``sampled=``, draw shots over the few post-selected cells they read, which
+gives the counts the distribution of shots over all basis states followed
+by post-selection.
 
 Real amplitudes are exact, not an approximation.  H, X and RY are real
 matrices and every circuit starts from |0...0>, so a complex128 run would
@@ -231,13 +230,12 @@ class Analytic:
 
 @dataclass(frozen=True)
 class Sampled:
-    """t i.i.d. shots drawn from the final-state distribution.
+    """t i.i.d. shots, which a decoder given this as ``sampled=`` draws
+    over the cells it reads.
 
     ``seed`` is a seed or a ``numpy.random.Generator``.  A generator is drawn
-    from and advanced, so successive measurements continue one stream; a
-    batched state draws its rows from it in row order, each row as a 1-D
-    ``multinomial`` of that generator would.  The decoders in ``circuits``
-    take one by keyword and draw the same way over their cells."""
+    from and advanced, so successive draws continue one stream; a batch
+    draws its rows from it in row order."""
 
     shots: int
     seed: int | np.random.Generator = 0
@@ -247,21 +245,15 @@ class Sampled:
             raise ValueError("shots must be >= 1")
 
 
-MeasureMode = Analytic | Sampled
-
-
 @dataclass
 class Histogram:
     """Weights of measured basis states over all qubits.
 
     ``weights`` is a dense array over the 2^q basis states, with the
-    state's leading batch axis if it had one.  Sampled measurements produce
-    int64 counts summing to the shot count per row; analytic measurements
-    produce the exact float64 probabilities (weights summing to 1), so
-    post-selection works identically in both modes.  The decoders' sums of
-    counts are exact below 2^53, so they give the same values for either
-    dtype.  The assignment passes hand the decoders analytic histograms
-    only; a sampled pass draws its shots over the decoder's cells.
+    state's leading batch axis if it had one: ``measure``'s exact float64
+    probabilities, or dense counts such as a test's reference draw.  The
+    decoders' sums of counts are exact below 2^53, so they give the same
+    values for int64 and float64 counts.
     """
 
     weights: np.ndarray
@@ -281,19 +273,12 @@ class Histogram:
         return Histogram(np.where(keep, self.weights, 0.0))
 
 
-def measure(amps: np.ndarray, mode: MeasureMode) -> Histogram:
-    """Measure all qubits.
-
-    Analytic mode returns the exact distribution; Sampled mode draws
-    ``mode.shots`` i.i.d. outcomes per row over all 2^q basis states,
-    reproducibly for a fixed seed or generator state.  Post-selection is
-    left to the caller.  The assignment passes measure analytically and
-    draw their shots over the post-selected cells in the decoders, which
-    has the same distribution over what the decoders read.
-    """
-    probs = probabilities(amps)
-    if isinstance(mode, Analytic):
-        return Histogram(probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return Histogram(
-        np.random.default_rng(mode.seed).multinomial(mode.shots, probs))
+def measure(amps: np.ndarray, mode: Analytic) -> Histogram:
+    """The exact distribution over all qubits, one row per circuit of a
+    batched state; post-selection is left to the caller.  Shots are drawn
+    only by the decoders, given ``Sampled`` as ``sampled=``."""
+    if not isinstance(mode, Analytic):
+        raise ValueError(f"measure gives exact probabilities only, not "
+                         f"{type(mode).__name__}; draw shots with a "
+                         f"decoder's sampled= keyword")
+    return Histogram(probabilities(amps))

@@ -37,7 +37,11 @@
   They reuse the package's decoders on single circuits, and define the
   sampled streams a batched assignment must reproduce.
 * ``measure_reference`` with shots: the dense draw over all 2^q basis
-  states, against which the cell-level draws are checked in distribution.
+  states, against which the cell-level draws are checked in distribution,
+  and which gives the tests their dense counts.
+* The qM:k fallback one record and one centroid at a time, with the 1-D
+  ``np.linalg.norm`` of each projection difference; the package's array
+  step must give its labels.
 """
 
 import math
@@ -52,12 +56,7 @@ from qkmeans.circuits import (
     decode_qc3,
     estimate_distance,
 )
-from qkmeans.clustering import (
-    SeedDomain,
-    _recovered_nearest,
-    _sq_distances,
-    derive_seed,
-)
+from qkmeans.clustering import SeedDomain, _sq_distances, derive_seed
 from qkmeans.encoding import recover_distance
 from qkmeans.simulator import Histogram, Sampled, h, ry
 
@@ -293,13 +292,15 @@ def simulate_reference(plan):
 
 
 def measure_reference(amps, shots=None, rng=None):
-    """Exact probabilities when ``shots`` is None, else ``shots`` draws from
-    the generator ``rng``."""
-    probs = np.abs(amps) ** 2
+    """Exact probabilities when ``shots`` is None, else the dense draw:
+    ``shots`` int64 counts per row over all 2^q basis states, each row
+    normalised on its own and drawn in row order from ``rng``, a seed or a
+    Generator, which a Generator carries on from."""
+    probs = np.square(np.abs(amps))
     if shots is None:
         return Histogram(probs)
-    draws = rng.multinomial(shots, probs / probs.sum())
-    return Histogram(draws.astype(float))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return Histogram(np.random.default_rng(rng).multinomial(shots, probs))
 
 
 def _streams(params, ite):
@@ -355,6 +356,19 @@ def assign_q1k_reference(records, centroids, params, ite=0):
     return labels
 
 
+def recovered_nearest_reference(records, centroids, r):
+    """Exact nearest centroid of record ``r``, one centroid at a time: the
+    1-D ``np.linalg.norm`` of each projection difference, recovered to the
+    original space; ties break to the lowest index."""
+    dists = [
+        recover_distance(float(np.linalg.norm(
+            records.projected[r] - centroids.projected[j])),
+            records.norms[r], centroids.norms[j])
+        for j in range(len(centroids))
+    ]
+    return int(np.argmin(dists))
+
+
 def assign_qmk_reference(records, centroids, params, ite=0):
     m = len(records)
     streams = _streams(params, ite)
@@ -373,7 +387,8 @@ def assign_qmk_reference(records, centroids, params, ite=0):
             plan, decode_qc3, m1 * k * params.shots_base, streams)
         for v, label in enumerate(batch_labels):
             if label is None:
-                label = _recovered_nearest(records, centroids, start + v)
+                label = recovered_nearest_reference(records, centroids,
+                                                    start + v)
             labels[start + v] = label
     return labels
 

@@ -34,8 +34,12 @@ from qkmeans.metrics import (
     summarize_run,
     v_measure,
 )
-from qkmeans.simulator import Analytic, Sampled, measure
-from reference_impls import silhouette_reference, v_measure_reference
+from qkmeans.simulator import Analytic, measure
+from reference_impls import (
+    measure_reference,
+    silhouette_reference,
+    v_measure_reference,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -82,8 +86,8 @@ def test_criterion_02_distance_oracle_sampled():
     for i in range(100):
         x, y = unit_rows(rng, 2, 4)
         plan = build_qc3(angles_of(x[None]), angles_of(y[None]))
-        hist = measure(simulate(plan),
-                       Sampled(2 ** 15, seed=derive_seed(102, i)))
+        hist = measure_reference(simulate(plan), 2 ** 15,
+                                 derive_seed(102, i))
         d_hat, _ = estimate_distance(plan, hist)
         if abs(d_hat - float(np.linalg.norm(x - y))) <= 0.1:
             hits += 1

@@ -33,6 +33,7 @@ from reference_impls import (
     build_qc2_reference,
     build_qc3_reference,
     marginal_reference,
+    measure_reference,
 )
 
 
@@ -135,7 +136,7 @@ class TestEstimateDistance:
             x, y = unit_rows(rng, 2, 4)
             plan = qc1(angles_of(x), angles_of(y))
             d_hat, _ = estimate_distance(
-                plan, measure(simulate(plan), Sampled(2 ** 15, seed=1000 + i)))
+                plan, measure_reference(simulate(plan), 2 ** 15, 1000 + i))
             if abs(d_hat - float(np.linalg.norm(x - y))) <= 0.1:
                 hits += 1
         assert hits >= 95
@@ -274,13 +275,13 @@ class TestDecodeQc3:
         records[2, 2] = 0.0
         centroids = angles_of(unit_rows(rng, 2, 4))
         plan = build_qc3(records, centroids)
-        hist = measure(simulate(plan), Sampled(4, 3))
+        hist = measure_reference(simulate(plan), 4, 3)
         rng = np.random.default_rng(3)  # the rows' draws, one by one
         want = []
         for row in records:
             single = build_qc3(row, centroids)
-            want += decode_qc3(single, measure(simulate(single),
-                                               Sampled(4, rng)))
+            want += decode_qc3(single, measure_reference(simulate(single), 4,
+                                                         rng))
         got = decode_qc3(plan, hist)
         assert got == want
         assert None in got
@@ -422,13 +423,13 @@ class TestBatchedCircuits:
         rng = np.random.default_rng(15)
         records, centroids = unit_rows(rng, 6, 4), unit_rows(rng, 3, 4)
         plan = qc2(angles_of(records), angles_of(centroids))
-        hist = measure(simulate(plan), Sampled(300, seed=0))
+        hist = measure_reference(simulate(plan), 300, 0)
         labels = decode_qc2(plan, hist)
         buckets = assignment_histogram(plan, hist)
         rng = np.random.default_rng(0)  # the rows' draws, one by one
         for r in range(6):
             single = qc2(angles_of(records[r]), angles_of(centroids))
-            alone = measure(simulate(single), Sampled(300, seed=rng))
+            alone = measure_reference(simulate(single), 300, rng)
             assert labels[r] == decode_qc2(single, alone)
             assert np.array_equal(buckets.counts[r, 0],
                                   assignment_histogram(single, alone).counts[0])
@@ -444,9 +445,10 @@ class TestBatchedCircuits:
 
 
 class TestCountDtype:
-    """A sampled histogram holds int64 counts and an analytic one float64
-    probabilities; every decoder reads the same values from a histogram's
-    counts whichever of the two dtypes holds them."""
+    """A dense draw (``measure_reference``) holds int64 counts and an
+    analytic histogram float64 probabilities; every decoder reads the same
+    values from a histogram's counts whichever of the two dtypes holds
+    them."""
 
     @staticmethod
     def as_float(hist):
@@ -455,14 +457,14 @@ class TestCountDtype:
     def test_sampled_counts_are_int64(self):
         plan = qc1(np.full((2, 4), 0.5), np.full((2, 4), 1.0))
         state = simulate(plan)
-        assert measure(state, Sampled(64, seed=0)).weights.dtype == np.int64
+        assert measure_reference(state, 64, 0).weights.dtype == np.int64
         assert measure(state, Analytic()).weights.dtype == np.float64
 
     def test_estimate_distance(self):
         rng = np.random.default_rng(22)
         plan = qc1(angles_of(unit_rows(rng, 6, 4)),
                    angles_of(unit_rows(rng, 6, 4)))
-        hist = measure(simulate(plan), Sampled(40, seed=1))
+        hist = measure_reference(simulate(plan), 40, 1)
         for got, want in zip(estimate_distance(plan, hist),
                              estimate_distance(plan, self.as_float(hist))):
             assert np.array_equal(got, want)
@@ -471,7 +473,7 @@ class TestCountDtype:
         rng = np.random.default_rng(23)
         plan = qc2(angles_of(unit_rows(rng, 6, 4)),
                    angles_of(unit_rows(rng, 3, 4)))
-        hist = measure(simulate(plan), Sampled(400, seed=2))
+        hist = measure_reference(simulate(plan), 400, 2)
         assert np.array_equal(decode_qc2(plan, hist),
                               decode_qc2(plan, self.as_float(hist)))
 
@@ -479,7 +481,7 @@ class TestCountDtype:
         rng = np.random.default_rng(24)
         plan = build_qc3(angles_of(unit_rows(rng, 6, 4)),
                          angles_of(unit_rows(rng, 3, 4)))
-        hist = measure(simulate(plan), Sampled(12, seed=3))
+        hist = measure_reference(simulate(plan), 12, 3)
         labels = decode_qc3(plan, hist)
         assert None in labels  # some slots come up empty at 12 shots
         assert labels == decode_qc3(plan, self.as_float(hist))
@@ -583,7 +585,7 @@ class TestCellDraws:
                 monkeypatch, DECODERS[decoder], plan, probs,
                 Sampled(shots, cell_rng))[1]
             dense = dense + dense_cells(
-                plan, measure(state, Sampled(shots, dense_rng)).weights)
+                plan, measure_reference(state, shots, dense_rng).weights)
 
         def with_discarded(counts):
             return np.concatenate(

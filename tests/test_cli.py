@@ -584,6 +584,17 @@ class TestGenCommand:
         labels = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert labels == {"0", "1"}
 
+    def test_parameter_the_generator_ignores_is_refused(self, runner,
+                                                        tmp_path):
+        out = tmp_path / "m.csv"
+        result = runner.invoke(main, ["gen", "--dataset", "moon", "--std",
+                                      "5", "--out", str(out)])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("moon takes no std parameter")
+        assert not out.exists()
+
     def test_same_seed_identical(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

@@ -290,6 +290,36 @@ class TestQuantumAssignments:
         assert np.array_equal(got, assign_classical(rows, crows))
 
 
+class TestRecoveredNearest:
+    """The qM:k fallback is q1:1's rule on exact projected distances, one
+    array step; it must give the labels of the scalar per-pair formula."""
+
+    @pytest.mark.parametrize("name", ["blobs", "blobs2", "aniso", "moon",
+                                      "blobs3", "iris", "wine"])
+    def test_matches_per_pair_reference(self, name):
+        import reference_impls
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+        std, _, _ = standardize(builtin(name).matrix)
+        # every record of the small sets; 150 of each synthetic one
+        std = std[::max(1, len(std) // 150)]
+        records = prepare_vectors(std)
+        rows = np.random.default_rng(0).permutation(len(std))  # any order
+        for k in range(1, 9):
+            for seed in range(3):
+                centroids_std = kmeanspp_init(std, k, seed)
+                if seed == 2 and k > 1:
+                    centroids_std[-1] = centroids_std[0]  # an exact tie
+                centroids = prepare_vectors(centroids_std,
+                                            slots=records.slots)
+                got = clustering._recovered_nearest(records, centroids, rows)
+                want = [reference_impls.recovered_nearest_reference(
+                    records, centroids, r) for r in rows]
+                assert got.tolist() == want, (k, seed)
+                if seed == 2 and k > 1:
+                    assert not np.any(got == k - 1)  # the tie goes low
+
+
 def blob_data(m=90, seed=0, std=1.0):
     return gen_blobs(m, BLOB_CENTERS, std, seed)
 
@@ -574,9 +604,9 @@ class TestBatchedAssignmentContract:
         from qkmeans import clustering
         fallbacks = []
 
-        def recording(records, centroids, r):
-            fallbacks.append(r)
-            return clustering_nearest(records, centroids, r)
+        def recording(records, centroids, rows):
+            fallbacks.append(rows.tolist())
+            return clustering_nearest(records, centroids, rows)
 
         clustering_nearest = clustering._recovered_nearest
         monkeypatch.setattr(clustering, "_recovered_nearest", recording)
@@ -588,9 +618,30 @@ class TestBatchedAssignmentContract:
         want = reference_impls.assign_qmk_reference(records, centroids,
                                                     params, ite=2)
         assert np.array_equal(got, want)
-        assert fallbacks
+        assert len(fallbacks) == 1 and fallbacks[0]  # one step for them all
         nearest = assign_classical(rows, crows)
-        assert all(got[r] == nearest[r] for r in fallbacks)
+        assert all(got[r] == nearest[r] for r in fallbacks[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_qmk_mostly_fallback_iris(self, monkeypatch, seed):
+        # 8 records per circuit at one base shot: about 70 % of the labels
+        # come from the classical fallback in every iteration
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+        fallbacks = []
+
+        def recording(records, centroids, rows):
+            fallbacks.append(len(rows))
+            return nearest(records, centroids, rows)
+
+        nearest = clustering._recovered_nearest
+        params = ClusteringParams(k=3, assignment=Strategy.QMK, m1=8,
+                                  shots_base=1, seed=seed, max_ite=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, "_recovered_nearest", recording)
+            self.runs_agree(monkeypatch, builtin("iris").matrix, params,
+                            "assign_qmk")
+        assert fallbacks and min(fallbacks) > 150 // 2
 
     def test_chunked_passes_match_one_pass(self, monkeypatch):
         from qkmeans import clustering
@@ -786,16 +837,16 @@ class TestSampledPass:
         records, centroids = self.antipodal(rng)
         fallbacks = []
 
-        def recording(records, centroids, r):
-            fallbacks.append(r)
-            return nearest(records, centroids, r)
+        def recording(records, centroids, rows):
+            fallbacks.append(rows.tolist())
+            return nearest(records, centroids, rows)
 
         nearest = clustering._recovered_nearest
         monkeypatch.setattr(clustering, "_recovered_nearest", recording)
         params = ClusteringParams(k=2, shots_base=1024, seed=0)
         labels = assign_qmk(records, centroids, params, ite=2)
-        assert fallbacks == [0]
-        assert labels[0] == nearest(records, centroids, 0)
+        assert fallbacks == [[0]]
+        assert labels[0] == nearest(records, centroids, np.array([0]))[0]
 
     def test_qmk_pass_peaks_near_two_states(self):
         """A sampled 20-qubit qM:k pass (16,384 records of 4 slots against
@@ -948,6 +999,23 @@ class TestCircuitShape:
     def test_records_and_centroids_per_circuit(self, strategy, m1, shape):
         params = ClusteringParams(k=3, assignment=strategy, m1=m1)
         assert circuit_shape(params, 150) == shape
+
+
+class TestStrategyNames:
+    @pytest.mark.parametrize("name", [s.value for s in Strategy])
+    def test_name_runs_as_its_member(self, name):
+        from qkmeans.data import builtin
+        data = builtin("iris").matrix
+        by_name = run(data, ClusteringParams(k=3, assignment=name, seed=4,
+                                             max_ite=2, analytic=True))
+        by_member = run(data, ClusteringParams(
+            k=3, assignment=Strategy(name), seed=4, max_ite=2,
+            analytic=True))
+        assert np.array_equal(by_name.labels, by_member.labels)
+
+    def test_unknown_name_refused_on_construction(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid"):
+            ClusteringParams(k=3, assignment="bogus")
 
 
 class TestSeedValidation:

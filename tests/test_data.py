@@ -222,6 +222,29 @@ class TestBuiltin:
         with pytest.raises(ValueError, match="no generator parameters"):
             builtin(name, **override)
 
+    @pytest.mark.parametrize("name, override, refused", [
+        ("blobs", {"noise": 0.3}, "noise"),
+        ("blobs2", {"noise": 0.3}, "noise"),
+        ("aniso", {"noise": 0.3}, "noise"),
+        ("blobs3", {"noise": 0.3}, "noise"),
+        ("moon", {"std": 5.0}, "std"),
+    ])
+    def test_parameter_the_generator_ignores_is_refused(self, name, override,
+                                                        refused):
+        with pytest.raises(ValueError,
+                           match=f"{name} takes no {refused} parameter"):
+            builtin(name, seed=0, **override)
+
+    @pytest.mark.parametrize("name, override", [
+        ("blobs", {"std": 2.0}), ("blobs2", {"std": 2.0}),
+        ("aniso", {"std": 2.0}), ("blobs3", {"std": 2.0}),
+        ("moon", {"noise": 0.3}),
+    ])
+    def test_parameter_the_generator_takes_changes_the_data(self, name,
+                                                            override):
+        assert not np.array_equal(builtin(name, seed=0).matrix,
+                                  builtin(name, seed=0, **override).matrix)
+
     def test_subsample(self):
         ds = subsample(builtin("blobs", seed=0), 150, 3)
         assert len(ds) == 150

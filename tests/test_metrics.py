@@ -379,6 +379,22 @@ class TestElbow:
             elbow(data, [9, 2], params)
         assert elbow(data, range(3, 3), params) == []
 
+    def test_every_k_checked_before_any_run(self, monkeypatch):
+        from qkmeans import metrics
+        from qkmeans.data import builtin
+        runs = []
+
+        def counting(data, params):
+            runs.append(params.k)
+            return run(data, params)
+
+        run = metrics.run
+        monkeypatch.setattr(metrics, "run", counting)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 150\], "
+                                             r"got 0"):
+            elbow(builtin("iris").matrix, [3, 0], ClusteringParams(k=3))
+        assert runs == []
+
     def test_non_finite_record_refused_before_any_run(self, monkeypatch):
         from qkmeans import metrics
 

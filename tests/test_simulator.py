@@ -26,6 +26,7 @@ from qkmeans.simulator import (
 from reference_impls import (
     apply_gate_reference,
     marginal_reference,
+    measure_reference,
     simulate_reference,
 )
 
@@ -214,35 +215,18 @@ class TestMeasure:
         hist = measure(state, Analytic())
         assert hist.weights == pytest.approx([0.5, 0.5])
 
-    def test_sampled_within_binomial_bound(self):
+    def test_analytic_weights_are_the_probabilities(self):
+        state = apply_gate(new_state(3, rows=2), ry(np.array([0.3, 2.0]), 1))
+        apply_gate(state, h(0))
+        hist = measure(state, Analytic())
+        assert hist.weights.dtype == np.float64
+        assert np.array_equal(hist.weights, probabilities(state))
+
+    def test_sampled_is_refused(self):
+        # shots are drawn by the decoders, over the cells they read
         state = apply_gate(new_state(1), h(0))
-        hist = measure(state, Sampled(4096, seed=99))
-        assert abs(hist.weights[0] / 4096 - 0.5) <= 3 * math.sqrt(0.25 / 4096)
-
-    def test_single_shot(self):
-        state = apply_gate(new_state(2), h(1))
-        hist = measure(state, Sampled(1, seed=0))
-        assert hist.shots == 1
-        assert set(hist.weights[hist.weights > 0]) == {1}
-
-    def test_deterministic_for_fixed_seed(self):
-        state = apply_gate(new_state(3), h(0))
-        apply_gate(state, h(2))
-        a = measure(state, Sampled(2048, seed=7))
-        b = measure(state, Sampled(2048, seed=7))
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_sampling_consistency_4_sigma(self):
-        rng = np.random.default_rng(11)
-        amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        amps /= np.linalg.norm(amps)
-        state = amps
-        t = 2 ** 16
-        hist = measure(state, Sampled(t, seed=5))
-        probs = probabilities(state)
-        for b, p in enumerate(probs):
-            f = hist.weights[b] / t
-            assert abs(f - p) <= 4 * math.sqrt(p * (1 - p) / t) + 1e-12
+        with pytest.raises(ValueError, match="sampled= keyword"):
+            measure(state, Sampled(4096, seed=99))
 
     def test_shots_validation(self):
         with pytest.raises(ValueError):
@@ -359,19 +343,23 @@ class TestBatchedKernel:
             ry(np.zeros((2, 2)), 0)
 
     def test_sampled_rows_draw_in_order_from_one_generator(self):
+        # the tests' dense draw: each row normalised on its own, rows drawn
+        # in order from one generator
         state = apply_gate(new_state(3, rows=2), ry(np.array([0.3, 2.0]), 1))
         apply_gate(state, h(0))
-        hist = measure(state, Sampled(500, seed=11))
+        state[1] *= 0.5  # a row whose probabilities sum to 1/4
+        hist = measure_reference(state, 500, 11)
+        assert hist.weights.dtype == np.int64
         rng = np.random.default_rng(11)
         for r in range(2):
             probs = probabilities(state[r])
             alone = rng.multinomial(500, probs / probs.sum())
             assert np.array_equal(hist.weights[r], alone)
-        # a generator carries on from one measurement to the next
+        # a generator carries on from one draw to the next
         rng = np.random.default_rng(11)
         for r in range(2):
             single = state[r].copy()
-            alone = measure(single, Sampled(500, seed=rng))
+            alone = measure_reference(single, 500, rng)
             assert np.array_equal(hist.weights[r], alone.weights)
 
     def test_histogram_rows_postselect_and_marginal(self):

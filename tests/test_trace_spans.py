@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkmeans import circuits, clustering, metrics, simulator
+from qkmeans import circuits, clustering, metrics
+from reference_impls import measure_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -69,8 +70,7 @@ def test_decode_fallbacks_count_the_empty_slots():
     records = rng.uniform(0.1, 3.0, (3, 4, 4))
     records[2, 3] = 0.0  # the short last batch's empty slot
     plan = circuits.build_qc3(records, rng.uniform(0.1, 3.0, (3, 4)))
-    hist = simulator.measure(circuits.simulate(plan),
-                             simulator.Sampled(4, 7))
+    hist = measure_reference(circuits.simulate(plan), 4, 7)
     labels = circuits.decode_qc3(plan, hist)
     assert len(labels) == 12 and None in labels
     tracer = spans.Tracer(circuits)
@@ -96,8 +96,7 @@ def test_estimate_counts_the_register_postselection():
     rng = np.random.default_rng(2)
     plan = circuits.build_qc3(rng.uniform(0.1, 3.0, (5, 1, 4)),
                               rng.uniform(0.1, 3.0, (5, 1, 4)))
-    hist = simulator.measure(circuits.simulate(plan),
-                             simulator.Sampled(64, 3))
+    hist = measure_reference(circuits.simulate(plan), 64, 3)
     result = circuits.estimate_distance(plan, hist)
     tracer = spans.Tracer(circuits)
     tracer._count_estimate((plan, hist), result, None)
@@ -120,8 +119,7 @@ def test_decode_counts_the_assignment_postselection():
     rng = np.random.default_rng(4)
     plan = circuits.build_qc3(rng.uniform(0.1, 3.0, (3, 4, 4)),
                               rng.uniform(0.1, 3.0, (2, 4)))
-    hist = simulator.measure(circuits.simulate(plan),
-                             simulator.Sampled(256, 5))
+    hist = measure_reference(circuits.simulate(plan), 256, 5)
     tracer = spans.Tracer(circuits)
     tracer._count_decode((plan, hist), circuits.decode_qc3(plan, hist), None)
     kept = _weight(hist, [(plan.layout.register, 1),
