@@ -160,7 +160,9 @@ class CircuitPlan:
     record table ``(M, 1, ...)`` against a centroid table ``(k, ...)``
     makes the ``(M, k)`` grid of every record against every centroid.  The
     state and everything measured from it keep one flat row axis of
-    ``rows`` circuits.  The tables are checked once, here."""
+    ``rows`` circuits.  The tables are checked once, here; a plan derived
+    by ``with_centroids`` checks only its new centroid table and shares its
+    parent's record branch."""
 
     layout: Layout
     records: np.ndarray
@@ -170,29 +172,67 @@ class CircuitPlan:
     lead: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slots = 1 << len(self.layout.index)
         for name, table, address in self._branches():
-            require_real(table, f"plan {name} angles")
-            if not np.isfinite(table).all():
-                raise ValueError(f"plan {name} angles must be finite")
-            if table.ndim < 2 or table.shape[-2:] != (
-                    1 << len(address), slots):
-                raise ValueError(f"a {name} angle table of shape "
-                                 f"{table.shape} does not fit {len(address)} "
-                                 f"address and {len(self.layout.index)} "
-                                 f"index qubits")
+            self._require_table(name, table, 1 << len(address), address)
+        object.__setattr__(self, "lead", self._lead())
+
+    def _require_table(self, name: str, table, rows: int, address) -> None:
+        """Refuse a ``name`` angle table that is complex or non-finite, or
+        that is not ``(..., rows, slots)``."""
+        require_real(table, f"plan {name} angles")
+        if not np.isfinite(table).all():
+            raise ValueError(f"plan {name} angles must be finite")
+        n_index = len(self.layout.index)
+        if table.ndim < 2 or table.shape[-2:] != (rows, 1 << n_index):
+            raise ValueError(f"a {name} angle table of shape "
+                             f"{table.shape} does not fit {len(address)} "
+                             f"address and {n_index} index qubits: expected "
+                             f"(..., {rows}, {1 << n_index})")
+
+    def _lead(self) -> tuple[int, ...]:
+        """The broadcast of the two tables' leading axes, refused where the
+        centroid table would add an axis or does not broadcast."""
         lead, shared = self.records.shape[:-2], self.centroids.shape[:-2]
-        if shared and shared != lead:
-            try:
-                grid = np.broadcast_shapes(lead, shared)
-            except ValueError:
-                grid = None
-            if grid is None or len(grid) > len(lead):
-                raise ValueError(f"{math.prod(shared)} angle tables of lead "
-                                 f"shape {shared} for a plan whose record "
-                                 f"tables have lead shape {lead}")
-            lead = grid
-        object.__setattr__(self, "lead", lead)
+        if not shared or shared == lead:
+            return lead
+        try:
+            grid = np.broadcast_shapes(lead, shared)
+        except ValueError:
+            grid = None
+        if grid is None or len(grid) > len(lead):
+            raise ValueError(f"{math.prod(shared)} angle tables of lead "
+                             f"shape {shared} for a plan whose record "
+                             f"tables have lead shape {lead}")
+        return grid
+
+    @functools.cached_property
+    def record_branch(self) -> np.ndarray:
+        """The record branch after the H layer and its gates, as
+        ``_branch_registers`` gives it: computed at most once per plan,
+        read-only, and carried over by ``with_centroids``."""
+        branch = _branch_registers(
+            self.records, (1, self.records.shape[-2]),
+            hadamard_amplitude(len(self.layout.hadamards)))
+        branch.flags.writeable = False
+        return branch
+
+    def with_centroids(self, centroid_angles) -> CircuitPlan:
+        """This plan with centroid angles ``(..., num_clusters, slots)`` in
+        place of its own, zero-padded as ``build_qc3`` pads them.
+
+        Only the new table is checked, with the messages of a plan built
+        afresh; the layout, the record table and its branch are this plan's,
+        the branch computed here if it has not been yet.  So a run that
+        keeps its records and moves its centroids builds each pass's record
+        side once."""
+        angles = np.asarray(centroid_angles)
+        cluster = self.layout.cluster
+        self._require_table("centroids", angles, self.num_clusters, cluster)
+        self.record_branch  # computed before the copy, so the plans share it
+        plan = object.__new__(CircuitPlan)  # a copy that skips __post_init__
+        vars(plan).update(vars(self), centroids=_table(angles, len(cluster)))
+        object.__setattr__(plan, "lead", plan._lead())
+        return plan
 
     def _branches(self):
         """(name, table, address register) per ancilla branch, 0 then 1."""
@@ -305,11 +345,9 @@ def simulate(plan: CircuitPlan) -> np.ndarray:
     circuit.  The state comes back with one flat row axis, ``(rows,
     2^q)``, or ``(2^q,)`` for one circuit."""
     require_qubits(plan.num_qubits, "a state")
-    amplitude = hadamard_amplitude(len(plan.layout.hadamards))
-    rec = _branch_registers(plan.records, (1, plan.records.shape[-2]),
-                            amplitude)
+    rec = plan.record_branch
     cen = _branch_registers(plan.centroids, (plan.centroids.shape[-2], 1),
-                            amplitude)
+                            hadamard_amplitude(len(plan.layout.hadamards)))
     amps = np.empty(plan.lead + (1 << plan.num_qubits,))
     view = _layout_view(plan, amps)
     (u00, u01), (u10, u11) = _H_MATRIX

@@ -44,9 +44,9 @@ from .simulator import require_qubits
 
 SCHEMA_VERSION = 1
 
-# derive_seed takes key parts in [0, 2^64); every --seed is refused below 0
-# up front, before any work starts.
-SEED = click.IntRange(min=0)
+# derive_seed takes key parts in [0, 2^64); every --seed outside that range
+# is refused up front, as a usage error, before any work starts.
+SEED = click.IntRange(0, 2**64 - 1)
 # Every count option is refused below 1 by the parser, as a usage error.
 COUNT = click.IntRange(min=1)
 

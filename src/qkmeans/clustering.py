@@ -15,7 +15,10 @@ The three quantum strategies differ only in the rows they hand to one
 driver, ``_assign_rows``: each row is one QC3 circuit loading M1 records
 against k centroids (1 and 1, 1 and k, or ``m1`` and k).  The driver runs
 the rows of an iteration in batched passes of build, simulate, measure and
-decode.
+decode.  The records stay fixed through a run and only the k centroids move,
+so iteration 1 builds each pass's plan and every later iteration derives it
+with ``CircuitPlan.with_centroids``: the padded record table, its checks and
+its record branch are built once per run.
 
 All clustering happens in standardized feature space; the quantum strategies
 re-project the current centroids onto the sphere every iteration before
@@ -44,6 +47,7 @@ from .encoding import (
     num_slots,
     prepare_vectors,
     recover_distance,
+    require_finite,
     standardize,
 )
 from . import simulator
@@ -114,8 +118,8 @@ class ClusteringParams:
     def validate(self, num_records: int, num_features: int) -> None:
         """Reject settings that cannot run on ``num_records`` records of
         ``num_features`` features, before any work starts."""
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 1 <= self.k <= num_records:
             raise ValueError(f"k must be in [1, {num_records}], got {self.k}")
         if not self.sc_thresh > 0:
@@ -197,9 +201,26 @@ class ClusteringRun:
 
 
 def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k-Means++ seeding: first centroid uniform, each next drawn with
-    probability proportional to the squared distance to the nearest one."""
+    """k-Means++ seeding (Arthur and Vassilvitskii, SODA 2007): first
+    centroid uniform, each next drawn with probability proportional to the
+    squared distance to the nearest one.
+
+    Each draw is numpy's own algorithm for ``Generator.choice(m, p=d2 /
+    total)`` (``numpy/random/_generator.pyx``, sampling with replacement
+    and ``p`` given)::
+
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        uniform_samples = self.random(shape)
+        idx = cdf.searchsorted(uniform_samples, side='right')
+
+    The same operations on the same generator draw the same index, without
+    ``choice``'s checks of ``p``; a test holds the centroids byte-equal to
+    ``choice``'s.  Its NaN check is replaced by refusing non-finite records
+    before any draw, naming the first one's row and column, and squared
+    distances that overflow to an infinite total."""
     data = np.asarray(data, dtype=float)
+    require_finite(data)
     m = data.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
@@ -211,8 +232,13 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
         total = d2.sum()
         if total <= 0.0:
             raise ValueError("k exceeds the number of distinct records")
-        centroids[i] = data[rng.choice(m, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1))
+        if not total < math.inf:
+            raise ValueError("squared distances between the records overflow "
+                             "float64; standardize them first")
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        centroids[i] = data[cdf.searchsorted(rng.random(), side="right")]
+        np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1), out=d2)
     return centroids
 
 
@@ -324,12 +350,22 @@ MAX_BATCH_AMPLITUDES = 1 << 20
 
 
 def _assign_rows(records: np.ndarray, centroids: np.ndarray,
-                 params: ClusteringParams, ite: int, decode) -> list:
+                 params: ClusteringParams, ite: int, decode,
+                 plans: list | None = None) -> list:
     """Build, simulate, measure and decode one assignment circuit per row,
     in passes over the records' first axis.  Returns the decoded values of
     each pass, in order: one result per pass as ``decode`` returns it, one
     value per row of the pass.  A sampled row draws ``M1 * k *
     shots_base`` shots.
+
+    ``plans`` carries the passes' plans from call to call of one run, whose
+    records stay fixed: a pass that has no plan there yet is built with
+    ``build_qc3`` and its plan appended, and a pass that has one takes it
+    with ``with_centroids``, so its padded record table, the table's checks
+    and its record branch are built once per run.  Each call of a run with
+    the same records makes the same passes, so iteration 1 builds them all
+    and every later iteration derives them.  Without ``plans`` every pass is
+    built afresh.
 
     Records ``(B, M1, slots)`` make B rows against centroids ``(k,
     slots)``.  Centroids ``(n, ..., k, slots)`` with leading axes make the
@@ -363,8 +399,13 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
             derive_seed(params.seed, SeedDomain.ASSIGN, ite)))
     retry_rng = None
     decoded = []
-    for start in range(0, len(records), step):
-        plan = build_qc3(records[start:start + step], centroids)
+    plans = [] if plans is None else plans
+    for n, start in enumerate(range(0, len(records), step)):
+        if n < len(plans):
+            plan = plans[n].with_centroids(centroids)
+        else:
+            plan = build_qc3(records[start:start + step], centroids)
+            plans.append(plan)
         hist = measure(simulate(plan), Analytic())
         try:
             decoded.append(decode(plan, hist, sampled=sampled))
@@ -390,26 +431,30 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
 
 
 def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
-               params: ClusteringParams, ite: int = 0) -> np.ndarray:
+               params: ClusteringParams, ite: int = 0,
+               plans: list | None = None) -> np.ndarray:
     """One distance circuit per (record, centroid) pair, argmin over the
     recovered original-space distances.  The pairs are the grid of records
     ``(M, 1, 1, slots)`` against centroids ``(k, 1, slots)``: pair (r, j)
-    is row r*k + j."""
+    is row r*k + j.  ``plans`` is the run's, as ``_assign_rows`` takes it."""
     m, k = len(records), len(centroids)
     d_proj = np.concatenate(_assign_rows(
         records.angles[:, None, None], centroids.angles[:, None], params, ite,
         lambda plan, hist, **sampled: estimate_distance(plan, hist,
-                                                        **sampled)[0]))
+                                                        **sampled)[0],
+        plans))
     return _recovered_labels(d_proj.reshape(m, k), records.norms,
                              centroids.norms)
 
 
 def assign_q1k(records: PreparedVectors, centroids: PreparedVectors,
-               params: ClusteringParams, ite: int = 0) -> np.ndarray:
-    """One multi-centroid circuit per record: record r is row r."""
+               params: ClusteringParams, ite: int = 0,
+               plans: list | None = None) -> np.ndarray:
+    """One multi-centroid circuit per record: record r is row r.
+    ``plans`` is the run's, as ``_assign_rows`` takes it."""
     return np.concatenate(_assign_rows(records.angles[:, None],
                                        centroids.angles, params, ite,
-                                       decode_qc2))
+                                       decode_qc2, plans))
 
 
 def _recovered_labels(d_proj: np.ndarray, record_norms: np.ndarray,
@@ -430,21 +475,22 @@ def _recovered_nearest(records: PreparedVectors, centroids: PreparedVectors,
 
 
 def assign_qmk(records: PreparedVectors, centroids: PreparedVectors,
-               params: ClusteringParams, ite: int = 0) -> np.ndarray:
+               params: ClusteringParams, ite: int = 0,
+               plans: list | None = None) -> np.ndarray:
     """Batched assignment: contiguous batches of ``m1`` records, one circuit
     per batch, batch b being row b; unassigned slots fall back to the
     classical nearest centroid, all of an iteration's in one step.
 
     The records are zero-padded to whole batches: a short last batch leaves
     its unused slots empty (zero angles load nothing), and their labels are
-    dropped."""
+    dropped.  ``plans`` is the run's, as ``_assign_rows`` takes it."""
     m = len(records)
     m1, _ = circuit_shape(params, m)
     batches = -(-m // m1)
     padded = np.zeros((batches * m1, records.slots))
     padded[:m] = records.angles
     passes = _assign_rows(padded.reshape(batches, m1, records.slots),
-                          centroids.angles, params, ite, decode_qc3)
+                          centroids.angles, params, ite, decode_qc3, plans)
     labels = np.array([-1 if label is None else label
                        for part in passes for label in part][:m],
                       dtype=np.int64)
@@ -479,7 +525,7 @@ def _update_centroids(data: np.ndarray, labels: np.ndarray,
 
 
 def _dispatch(strategy: Strategy, std: np.ndarray, records, centroids_std,
-              params: ClusteringParams, ite: int) -> np.ndarray:
+              params: ClusteringParams, ite: int, plans: list) -> np.ndarray:
     if strategy is Strategy.CLASSICAL:
         return assign_classical(std, centroids_std)
     if strategy is Strategy.DELTA:
@@ -487,10 +533,10 @@ def _dispatch(strategy: Strategy, std: np.ndarray, records, centroids_std,
                             derive_seed(params.seed, SeedDomain.DELTA, ite))
     centroids = prepare_vectors(centroids_std, slots=records.slots)
     if strategy is Strategy.Q11:
-        return assign_q11(records, centroids, params, ite)
+        return assign_q11(records, centroids, params, ite, plans)
     if strategy is Strategy.Q1K:
-        return assign_q1k(records, centroids, params, ite)
-    return assign_qmk(records, centroids, params, ite)
+        return assign_q1k(records, centroids, params, ite, plans)
+    return assign_qmk(records, centroids, params, ite, plans)
 
 
 def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:
@@ -501,7 +547,9 @@ def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:
     relative Frobenius change of the centroids drops below ``sc_thresh`` or
     ``max_ite`` is reached.  Every iteration also records the percentage of
     records on which the strategy agreed with the classical assignment under
-    the same centroids.
+    the same centroids; the classical strategy's own labels are that
+    assignment.  A quantum run keeps its assignment passes' plans in one
+    list, so each pass's record side is built once per run.
     """
     data = np.asarray(data, dtype=float)
     std, _, _ = standardize(data)
@@ -512,10 +560,12 @@ def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:
     history: list[IterationRecord] = []
     converged = False
     labels = np.zeros(std.shape[0], dtype=np.int64)
+    plans: list = []
     for ite in range(1, params.max_ite + 1):
         labels = _dispatch(params.assignment, std, records, centroids,
-                           params, ite)
-        reference = assign_classical(std, centroids)
+                           params, ite, plans)
+        reference = (labels if params.assignment is Strategy.CLASSICAL
+                     else assign_classical(std, centroids))
         similarity = 100.0 * float(np.mean(labels == reference))
         new_centroids = _update_centroids(std, labels, centroids)
         history.append(IterationRecord(centroids.copy(), labels.copy(),

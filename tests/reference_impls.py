@@ -26,6 +26,9 @@
 * The per-cluster centroid update: a masked mean of each cluster's
   records, previous centroid kept for an empty cluster.  The package's
   one-pass update must match it byte for byte.
+* k-Means++ seeding through ``Generator.choice(m, p=d2 / d2.sum())``,
+  numpy's checked draw; the package's cdf search must pick the same
+  centroids, byte for byte.
 * The per-record delta-k-Means loop, which finds each record's candidate
   centroids on its own and draws only for records with more than one.
 * The per-circuit assignment loops of q1:1, q1:k and qM:k: one circuit per
@@ -134,6 +137,24 @@ def update_centroids_reference(data, labels, previous):
         if members.shape[0] > 0:
             new[j] = members.mean(axis=0)
     return new
+
+
+def kmeanspp_reference(data, k, seed):
+    """k-Means++ seeding with each next centroid drawn by
+    ``Generator.choice`` over the normalised squared distances."""
+    data = np.asarray(data, dtype=float)
+    m = data.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, data.shape[1]))
+    centroids[0] = data[rng.integers(m)]
+    d2 = np.sum((data - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            raise ValueError("k exceeds the number of distinct records")
+        centroids[i] = data[rng.choice(m, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1))
+    return centroids
 
 
 def assign_delta_reference(data, centroids, delta, seed):
@@ -325,7 +346,9 @@ def _decode_reference(plan, decode, shots, streams):
         return decode(plan, hist, sampled=Sampled(4 * shots, retry_rng))
 
 
-def assign_q11_reference(records, centroids, params, ite=0):
+# Each assign_*_reference takes a run's ``plans`` as assign_* does, so it
+# can stand in for it inside ``run``; it builds every circuit afresh.
+def assign_q11_reference(records, centroids, params, ite=0, plans=None):
     n_index = records.slots.bit_length() - 1
     streams = _streams(params, ite)
     labels = np.empty(len(records), dtype=np.int64)
@@ -342,7 +365,7 @@ def assign_q11_reference(records, centroids, params, ite=0):
     return labels
 
 
-def assign_q1k_reference(records, centroids, params, ite=0):
+def assign_q1k_reference(records, centroids, params, ite=0, plans=None):
     n_index = records.slots.bit_length() - 1
     streams = _streams(params, ite)
     k = len(centroids)
@@ -369,7 +392,7 @@ def recovered_nearest_reference(records, centroids, r):
     return int(np.argmin(dists))
 
 
-def assign_qmk_reference(records, centroids, params, ite=0):
+def assign_qmk_reference(records, centroids, params, ite=0, plans=None):
     m = len(records)
     streams = _streams(params, ite)
     m1 = params.m1 if params.m1 is not None else m

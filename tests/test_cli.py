@@ -282,6 +282,39 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestSeedAboveRange:
+    """Seeds are key parts of derive_seed, which takes them below 2^64:
+    every command refuses a larger one as a usage error."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--dataset", "iris", "--algorithm", "q1k"],
+        ["run", "--dataset", "iris", "--algorithm", "kmeans"],
+        ["elbow", "--dataset", "iris", "--k-min", "2", "--k-max", "2"],
+        ["postselect", "--slots", "4"],
+        ["stats", "--dataset", "iris", "--variant", "q11", "--k", "3"],
+        ["gen", "--dataset", "blobs3"],
+    ])
+    def test_rejected_before_any_output(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        extra = {"stats": [], "gen": ["--out", str(out)]}.get(
+            command[0], ["--out-dir", str(out)])
+        result = runner.invoke(main, command + ["--seed", str(2 ** 64),
+                                                *extra])
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output
+        assert not out.exists()
+
+    def test_every_seed_option_stops_below_2_64(self):
+        import click
+        seeds = [param.type for command in main.commands.values()
+                 for param in command.params if param.opts[0] == "--seed"]
+        assert len(seeds) == len(main.commands)
+        for seed in seeds:
+            assert isinstance(seed, click.IntRange)
+            assert (seed.min, seed.max) == (0, 2 ** 64 - 1)
+            assert not seed.max_open
+
+
 class TestCountsBelowOne:
     """Every count option below 1, and --slots below 2, is a usage error,
     refused before any work and before any output."""

@@ -32,6 +32,7 @@ from qkmeans.encoding import (
 )
 from reference_impls import (
     assign_delta_reference,
+    kmeanspp_reference,
     update_centroids_reference,
 )
 
@@ -70,6 +71,51 @@ class TestKmeansppInit:
         data = np.zeros((5, 2))
         with pytest.raises(ValueError):
             kmeanspp_init(data, 2, seed=1)
+
+    @pytest.mark.parametrize("name", ["iris", "wine", "blobs", "duplicated"])
+    def test_matches_choice_reference(self, name):
+        """The cdf search draws what ``Generator.choice`` draws, to the
+        byte, k 1 to 8 at seeds 0 to 299; the duplicated records give
+        zero-probability entries in every draw after the first."""
+        from qkmeans.data import builtin
+        if name == "blobs":
+            data = builtin("blobs", m=2048, seed=3).matrix
+        elif name == "duplicated":
+            data = np.repeat(builtin("iris").matrix[:20], 5, axis=0)
+        else:
+            data = builtin(name).matrix
+        std, _, _ = standardize(data)
+        for k in range(1, 9):
+            for seed in range(300):
+                assert kmeanspp_init(std, k, seed).tobytes() == \
+                    kmeanspp_reference(std, k, seed).tobytes(), (k, seed)
+
+    def test_overflowing_distances_refused(self):
+        """Finite records whose squared distances overflow give an infinite
+        total and a NaN cdf, which ``choice`` refused and a search would
+        index silently."""
+        data = np.array([[0.0, 0.0], [1e200, 0.0], [-1e200, 1.0],
+                         [5.0, 5.0]])
+        for seed in range(3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="Probabilities"):
+                    kmeanspp_reference(data, 3, seed)
+                with pytest.raises(ValueError, match="overflow float64"):
+                    kmeanspp_init(data, 3, seed)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_records_refused_before_any_draw(self, monkeypatch,
+                                                        value):
+        def never(*args, **kwargs):
+            raise AssertionError("drew on a non-finite record")
+
+        data = blob_data(m=30).matrix.copy()
+        data[3, 1] = value
+        monkeypatch.setattr(np.random, "default_rng", never)
+        with pytest.raises(ValueError,
+                           match=f"row 3, column 1 holds {value}; every "
+                                 f"value must be finite"):
+            kmeanspp_init(data, 3, seed=0)
 
 
 class TestAssignClassical:
@@ -350,6 +396,39 @@ class TestRun:
             if best is None or result.n_ite < best.n_ite:
                 best = result
         assert best.converged and best.n_ite == 2
+
+    def test_classical_labels_once_per_iteration(self, monkeypatch):
+        """A classical run's labels are its own similarity reference: one
+        ``assign_classical`` per iteration, similarity exactly 100.  The
+        digest, over n_ite, every iteration's centroids, labels and
+        similarity, and the final centroids of wine runs at k 4, was
+        recorded while each iteration assigned a second time."""
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+        calls = []
+
+        def counting(data, centroids):
+            calls.append(1)
+            return classical(data, centroids)
+
+        classical = clustering.assign_classical
+        monkeypatch.setattr(clustering, "assign_classical", counting)
+        wine = builtin("wine").matrix
+        digest = hashlib.sha256()
+        for seed in (0, 1, 2):
+            calls.clear()
+            result = run(wine, ClusteringParams(k=4, seed=seed, max_ite=10,
+                                                sc_thresh=1e-9))
+            assert len(calls) == result.n_ite > 1
+            digest.update(np.int64(result.n_ite).tobytes())
+            for record in result.history:
+                assert record.similarity == 100.0
+                digest.update(record.centroids.tobytes())
+                digest.update(record.labels.astype(np.int64).tobytes())
+                digest.update(np.float64(record.similarity).tobytes())
+            digest.update(result.centroids.tobytes())
+        assert digest.hexdigest() == (
+            "e6af7fa8c1aca4a5fedd8e0e60ed43c21fa6661fd1adc1ca8b962b15929084d6")
 
     def test_delta_zero_reduces_to_classical(self):
         ds = blob_data(seed=4)
@@ -785,6 +864,52 @@ class TestBatchedAssignmentContract:
         assert isinstance(failure.value.__cause__, EstimationFailure)
 
 
+class TestRecordSideOncePerRun:
+    @pytest.mark.parametrize("strategy, m1, analytic", [
+        (Strategy.Q11, None, True),
+        (Strategy.Q11, None, False),
+        (Strategy.Q1K, None, True),
+        (Strategy.QMK, 16, False),
+    ])
+    def test_each_pass_record_branch_once(self, monkeypatch, strategy, m1,
+                                          analytic):
+        """Iteration 1 builds every pass's plan and computes its record
+        branch; later iterations derive their plans from those and compute
+        only centroid branches.  A small pass size makes several passes."""
+        from qkmeans import circuits, clustering
+        from qkmeans.data import builtin
+        built, simulated, record_branches = [], [], []
+
+        def building(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def simulating(plan):
+            simulated.append(plan)
+            return simulate(plan)
+
+        def branch(table, spread, amplitude):
+            if any(table is plan.records for plan in built):
+                record_branches.append(table)
+            return registers(table, spread, amplitude)
+
+        build, simulate = clustering.build_qc3, clustering.simulate
+        registers = circuits._branch_registers
+        monkeypatch.setattr(clustering, "build_qc3", building)
+        monkeypatch.setattr(clustering, "simulate", simulating)
+        monkeypatch.setattr(circuits, "_branch_registers", branch)
+        monkeypatch.setattr(clustering, "MAX_BATCH_AMPLITUDES", 1 << 10)
+        result = run(builtin("iris").matrix, ClusteringParams(
+            k=3, assignment=strategy, m1=m1, analytic=analytic, max_ite=3,
+            sc_thresh=1e-12, seed=4))
+        assert result.n_ite == 3
+        assert len(built) > 1
+        assert len(simulated) == 3 * len(built)
+        assert len(record_branches) == len(built)
+        assert {id(plan.record_branch) for plan in simulated} == {
+            id(plan.record_branch) for plan in built}
+
+
 class TestSampledPass:
     """A sampled pass measures exact probabilities and its decoder draws
     over the cells it reads."""
@@ -1029,6 +1154,29 @@ class TestSeedValidation:
         monkeypatch.setattr(clustering, "kmeanspp_init", never)
         with pytest.raises(ValueError, match="seed"):
             run(builtin("iris").matrix, ClusteringParams(k=3, seed=-1))
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_seed_of_2_64_fails_before_seeding(self, monkeypatch, strategy):
+        """derive_seed takes key parts below 2^64, so such a seed would
+        fail in iteration 1 of every strategy that derives one."""
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+
+        def never(*args, **kwargs):
+            raise AssertionError("k-Means++ ran with a seed of 2**64")
+
+        monkeypatch.setattr(clustering, "kmeanspp_init", never)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, "
+                                             r"2\*\*64\), got "
+                                             f"{2 ** 64}"):
+            run(builtin("iris").matrix, ClusteringParams(
+                k=3, assignment=strategy, seed=2 ** 64, analytic=True))
+
+    def test_largest_seed_runs(self):
+        from qkmeans.data import builtin
+        result = run(builtin("iris").matrix, ClusteringParams(
+            k=3, assignment=Strategy.Q1K, seed=2 ** 64 - 1, max_ite=2))
+        assert result.n_ite >= 1
 
 
 class TestConvergenceThreshold:

@@ -578,6 +578,89 @@ class TestEncodingBlocks:
         assert extra_peak(build_qc3(records[r, 0], centroids[j])) > bound
 
 
+def same_gates(a, b):
+    """Equal gate lists, angles compared by their bytes and types."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.kind, x.target, x.controls) == (y.kind, y.target,
+                                                  y.controls)
+        assert type(x.theta) is type(y.theta)
+        assert np.asarray(x.theta).tobytes() == np.asarray(y.theta).tobytes()
+
+
+def prepared_pass(name, k):
+    """The record and centroid angles of a benchmark pass on real data:
+    iris's q1:1 grid and its q1:k pass, and the 2,048 blobs in one qM:k
+    circuit, against the k-means++ centroids of seeds 0 and 1."""
+    from qkmeans.clustering import kmeanspp_init
+    from qkmeans.data import builtin
+    from qkmeans.encoding import prepare_vectors, standardize
+    std, _, _ = standardize(builtin(
+        "blobs", m=2048, seed=7).matrix if name == "qmk" else builtin(
+            "iris").matrix)
+    records = prepare_vectors(std)
+    centroids = [prepare_vectors(kmeanspp_init(std, k, seed),
+                                 slots=records.slots).angles
+                 for seed in (0, 1)]
+    if name == "q11":
+        return records.angles[:, None, None], [c[:, None] for c in centroids]
+    if name == "q1k":
+        return records.angles[:, None], centroids
+    return records.angles[None], centroids
+
+
+class TestWithCentroids:
+    """A plan derived with new centroids is the plan built afresh: the same
+    gates, and ``simulate`` the same bytes as the fresh plan and as
+    ``apply_gate`` over its gate list."""
+
+    @pytest.mark.parametrize("name, k", [("q11", 3), ("q1k", 8), ("qmk", 3)])
+    def test_matches_a_fresh_plan(self, name, k):
+        records, (first, second) = prepared_pass(name, k)
+        derived = build_qc3(records, first).with_centroids(second)
+        fresh = build_qc3(records, second)
+        assert (derived.lead, derived.rows) == (fresh.lead, fresh.rows)
+        got = simulate(derived)
+        assert got.tobytes() == simulate(fresh).tobytes()
+        same_gates(derived.gates, fresh.gates)
+        assert circuits.circuit_stats(derived) == \
+            circuits.circuit_stats(fresh)
+        gate_by_gate = apply_gates(new_state(derived.num_qubits,
+                                             derived.rows), derived.gates)
+        assert got.tobytes() == gate_by_gate.tobytes()
+
+    def test_shares_the_record_branch(self):
+        rng = np.random.default_rng(0)
+        plan = build_qc3(random_table(rng, (5, 1, 4)),
+                         random_table(rng, (3, 4)))
+        derived = plan.with_centroids(random_table(rng, (3, 4)))
+        assert derived.record_branch is plan.record_branch
+        assert derived.with_centroids(plan.centroids[:3]).record_branch \
+            is plan.record_branch
+        assert not plan.record_branch.flags.writeable
+        assert derived.records is plan.records
+
+    def test_refusals(self):
+        """Only the new table is checked, with the messages of a plan
+        built afresh."""
+        plan = build_qc3(np.full((2, 1, 4), 0.3), np.full((3, 4), 0.2))
+        with pytest.raises(ValueError,
+                           match="plan centroids angles must be real, got "
+                                 "complex128"):
+            plan.with_centroids(np.zeros((3, 4), dtype=complex))
+        for value in (np.nan, np.inf, -np.inf):
+            table = np.full((3, 4), 0.2)
+            table[1, 2] = value
+            with pytest.raises(ValueError,
+                               match="plan centroids angles must be finite"):
+                plan.with_centroids(table)
+        for shape in ((4, 4), (2, 4), (3, 8), (3, 2), (4,)):
+            with pytest.raises(ValueError, match="does not fit"):
+                plan.with_centroids(np.zeros(shape))
+        with pytest.raises(ValueError, match="3 angle tables"):
+            plan.with_centroids(np.zeros((3, 3, 4)))
+
+
 class TestRealAmplitudes:
     """A state is float64: H, X and RY are real, so a complex128 run of the
     same circuit holds the same real parts, up to the sign of an exact
