@@ -37,7 +37,6 @@ from .encoding import (
     standardize,
 )
 from .metrics import (
-    MetricsReport,
     PairConfusion,
     elbow,
     pair_confusion,

@@ -85,7 +85,8 @@ def _dataset_options(fn):
     fn = click.option("--m", type=COUNT, default=None,
                       help="Synthetic dataset size.")(fn)
     fn = click.option("--sample", type=COUNT, default=None,
-                      help="Random subsample size.")(fn)
+                      help="Random subsample size, at most the record "
+                           "count.")(fn)
     return fn
 
 
@@ -105,7 +106,7 @@ def _resolve_dataset(dataset, dataset_csv, label_column, features,
                  else [f.strip() for f in features.split(",")])
         ds = datasets.select_features(ds, names=names,
                                       top_variance=top_variance)
-    if sample is not None and sample < len(ds):
+    if sample is not None and sample != len(ds):  # subsample refuses more
         ds = datasets.subsample(ds, sample,
                                 derive_seed(seed, SeedDomain.SUBSAMPLE))
     return ds
@@ -146,29 +147,24 @@ def _build_params(algorithm, k, shots, m1, delta, sc_thresh, max_ite,
 
 
 def _repetition_task(payload):
-    """One repetition: ``params`` already carry the repetition's seed."""
+    """One repetition: ``params`` already carry the repetition's seed.  A
+    classical one is its own pair-confusion reference."""
     matrix, truth, params = payload
     started = time.perf_counter()
     result = run_clustering(matrix, params)
     cluster_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    report = summarize_run(matrix, result, truth)
-    classical = dataclasses.replace(params, assignment=Strategy.CLASSICAL,
-                                    analytic=False)
-    reference = run_clustering(matrix, classical)
+    metrics = summarize_run(matrix, result, truth)
+    reference = (result if params.assignment is Strategy.CLASSICAL
+                 else run_clustering(matrix, dataclasses.replace(
+                     params, assignment=Strategy.CLASSICAL, analytic=False)))
     confusion = pair_confusion(reference.labels, result.labels)
     metrics_seconds = time.perf_counter() - started
 
     return {
         "seed": params.seed,
-        "metrics": {
-            "ite": report.n_ite,
-            "sim": report.avg_similarity,
-            "sse": report.sse,
-            "sil": report.silhouette,
-            "vm": report.v_measure,
-        },
+        "metrics": metrics,
         "converged": result.converged,
         "pair_confusion_vs_classical": dataclasses.asdict(confusion),
         "timing": {"cluster_seconds": cluster_seconds,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +95,11 @@ class Strategy(str, enum.Enum):
 
 QUANTUM_STRATEGIES = (Strategy.Q11, Strategy.Q1K, Strategy.QMK)
 
-# Largest expected number of sampled q1:1 rows, over a whole run, that keep
-# no shot in their draw and in its 4x redraw; a run that expects more is
-# refused before iteration 1.
+# A sampled row whose post-selection came up empty is drawn once more at
+# REDRAW_FACTOR times its shots.  A run that expects more than
+# MAX_EXPECTED_EMPTY_ROWS sampled q1:1 rows to stay empty after that redraw
+# is refused before iteration 1.
+REDRAW_FACTOR = 4
 MAX_EXPECTED_EMPTY_ROWS = 1e-3
 
 
@@ -112,8 +115,20 @@ class ClusteringParams:
     delta: float = 0.0
     analytic: bool = False
 
-    def __post_init__(self):  # "q11" becomes Strategy.Q11; "bogus" raises
+    def __post_init__(self):
+        """A strategy name becomes its member ("bogus" raises); a numpy
+        integer count becomes an int, and a float one is refused naming its
+        field."""
         self.assignment = Strategy(self.assignment)
+        for name in ("k", "shots_base", "max_ite", "m1", "seed"):
+            value = getattr(self, name)
+            if name == "m1" and value is None:
+                continue
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{value!r}") from None
 
     def validate(self, num_records: int, num_features: int) -> None:
         """Reject settings that cannot run on ``num_records`` records of
@@ -147,13 +162,14 @@ class ClusteringParams:
         least ``shots_base`` that passes.
 
         A QC1 row keeps register 1 with probability exactly ``1 / slots``
-        whatever the data, and its draw and redraw hold ``5 * shots_base``
-        shots in all; an iteration runs ``num_records * k`` rows."""
+        whatever the data, and its draw and redraw hold ``(1 +
+        REDRAW_FACTOR) * shots_base`` shots in all; an iteration runs
+        ``num_records * k`` rows."""
         miss = 1.0 - 1.0 / num_slots(num_features + 1)
         rows = num_records * self.k * self.max_ite
 
         def expected(shots_base):
-            return rows * miss ** (5 * shots_base)
+            return rows * miss ** ((1 + REDRAW_FACTOR) * shots_base)
 
         if expected(self.shots_base) <= MAX_EXPECTED_EMPTY_ROWS:
             return
@@ -165,7 +181,8 @@ class ClusteringParams:
             f"{num_records} records of {num_features} features, k "
             f"{self.k}, max_ite {self.max_ite}: "
             f"{expected(self.shots_base):.3g} rows are expected to keep no "
-            f"shot even after the 4x redraw; use shots_base >= {least}")
+            f"shot even after the {REDRAW_FACTOR}x redraw; use shots_base >= "
+            f"{least}")
 
 
 def circuit_shape(params: ClusteringParams,
@@ -192,8 +209,11 @@ class ClusteringRun:
     labels: np.ndarray
     centroids: np.ndarray
     history: list[IterationRecord]
-    n_ite: int
     converged: bool
+
+    @property
+    def n_ite(self) -> int:
+        return len(self.history)
 
     @property
     def avg_similarity(self) -> float:
@@ -382,10 +402,10 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
     Sampled rows draw in row order from one generator keyed
     ``(seed, ASSIGN, ite)``, which carries on from pass to pass, so the
     draws do not depend on the pass size.  Rows whose post-selection came up
-    empty are drawn once more at 4x the shots, in row order, from the same
-    cells and a second generator keyed ``(seed, RETRY, ite)``; the other
-    rows keep their draws.  Rows still empty after that raise
-    ``EstimationFailure`` naming the iteration, how many of the pass's
+    empty are drawn once more at ``REDRAW_FACTOR`` times the shots, in row
+    order, from the same cells and a second generator keyed ``(seed, RETRY,
+    ite)``; the other rows keep their draws.  Rows still empty after that
+    raise ``EstimationFailure`` naming the iteration, how many of the pass's
     circuits are empty and the retry's shots per row.  Rows no draw can
     fill, those of an analytic run and those whose exact kept probability
     is 0, raise at once, naming the iteration."""
@@ -417,14 +437,15 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
                 retry_rng = np.random.default_rng(
                     derive_seed(params.seed, SeedDomain.RETRY, ite))
             values, empty = failure.values, failure.rows
+            retry_shots = REDRAW_FACTOR * shots
             try:
                 values[empty] = decode(plan, Histogram(hist.weights[empty]),
-                                       sampled=Sampled(4 * shots, retry_rng))
+                                       sampled=Sampled(retry_shots, retry_rng))
             except EstimationFailure as again:
                 raise EstimationFailure(
                     f"iteration {ite}: {again} in {len(again.rows)} of "
                     f"{plan.rows} rows of a pass, even redrawn at "
-                    f"{4 * shots} shots per row; use a larger shots_base",
+                    f"{retry_shots} shots per row; use a larger shots_base",
                     empty[again.rows]) from again
             decoded.append(values)
     return decoded
@@ -576,4 +597,4 @@ def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:
         if shift <= params.sc_thresh:
             converged = True
             break
-    return ClusteringRun(labels, centroids, history, len(history), converged)
+    return ClusteringRun(labels, centroids, history, converged)

@@ -21,8 +21,8 @@ from .encoding import require_finite, standardize
 
 def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     """Sum of squared distances of each record to its assigned centroid.
-    Refuses labels that are not 1-D, and a label count or a centroid width
-    that differs from the data."""
+    Refuses labels that are not 1-D integers, and a label count or a
+    centroid width that differs from the data."""
     data = np.asarray(data, dtype=float)
     labels = _checked_labels(labels, len(data), "sse")
     if centroids.shape[1] != data.shape[1]:
@@ -34,12 +34,16 @@ def sse(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-def _checked_labels(labels, records: int, what: str) -> np.ndarray:
-    """``labels`` as 1-D ints, one per record, or refused naming ``what``."""
-    labels = np.asarray(labels, dtype=int)
+def _checked_labels(labels, records: int | None, what: str) -> np.ndarray:
+    """``labels`` as a 1-D integer array, one per record if ``records`` is
+    given, or refused naming ``what``."""
+    labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"{what} needs 1-D labels, got shape {labels.shape}")
-    if len(labels) != records:
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"{what} needs integer labels, got dtype "
+                         f"{labels.dtype}")
+    if records is not None and len(labels) != records:
         raise ValueError(f"{what} needs one label per record, got "
                          f"{len(labels)} labels for {records} records")
     return labels
@@ -74,8 +78,8 @@ def silhouette(data: np.ndarray, labels: np.ndarray) -> float:
     row, as if no band split them; above that only the grouping of the
     sums changes, at rounding level.  The scores are scattered back
     to record order before the mean.  Refuses records that are not 2-D or
-    not finite, labels that are not 1-D, and a label count other than the
-    record count.
+    not finite, labels that are not 1-D integers, and a label count other
+    than the record count.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -138,10 +142,8 @@ def _entropy(counts: np.ndarray) -> float:
 def v_measure(labels_true, labels_pred) -> float:
     """Harmonic mean of homogeneity and completeness (beta = 1), computed
     from conditional entropies of the contingency table."""
-    labels_true = np.asarray(labels_true)
-    labels_pred = np.asarray(labels_pred)
-    if labels_true.shape != labels_pred.shape:
-        raise ValueError("label arrays must have the same length")
+    labels_true = _checked_labels(labels_true, None, "v_measure")
+    labels_pred = _checked_labels(labels_pred, len(labels_true), "v_measure")
     table = _contingency(labels_true, labels_pred)
     n = table.sum()
     h_true = _entropy(table.sum(axis=1))
@@ -175,11 +177,10 @@ class PairConfusion:
 
 def pair_confusion(labels_ref, labels_other) -> PairConfusion:
     """Pairwise co-clustering confusion with ``labels_ref`` as reference."""
-    labels_ref = np.asarray(labels_ref)
-    labels_other = np.asarray(labels_other)
-    if labels_ref.shape != labels_other.shape:
-        raise ValueError("label arrays must have the same length")
-    m = labels_ref.shape[0]
+    labels_ref = _checked_labels(labels_ref, None, "pair_confusion")
+    labels_other = _checked_labels(labels_other, len(labels_ref),
+                                   "pair_confusion")
+    m = len(labels_ref)
     if m < 2:
         raise ValueError("need at least 2 records")
 
@@ -196,30 +197,21 @@ def pair_confusion(labels_ref, labels_other) -> PairConfusion:
     return PairConfusion(tp * scale, fp * scale, fn * scale, tn * scale)
 
 
-@dataclass
-class MetricsReport:
-    """Per-run summary in the shape the result tables use."""
-
-    n_ite: int
-    avg_similarity: float
-    sse: float
-    silhouette: float | None
-    v_measure: float | None
-
-
 def summarize_run(data: np.ndarray, result: ClusteringRun,
-                  ground_truth=None) -> MetricsReport:
-    """Metrics of a finished run, computed in standardized feature space."""
+                  ground_truth=None) -> dict:
+    """Metrics of a finished run in standardized feature space, keyed as a
+    ``qkmeans run`` artifact's ``metrics``; ``sil`` is None below two
+    clusters and ``vm`` None without ``ground_truth``."""
     std, _, _ = standardize(data)
     effective = len(np.unique(result.labels))
-    return MetricsReport(
-        n_ite=result.n_ite,
-        avg_similarity=result.avg_similarity,
-        sse=sse(std, result.labels, result.centroids),
-        silhouette=silhouette(std, result.labels) if effective >= 2 else None,
-        v_measure=(v_measure(ground_truth, result.labels)
-                   if ground_truth is not None else None),
-    )
+    return {
+        "ite": result.n_ite,
+        "sim": result.avg_similarity,
+        "sse": sse(std, result.labels, result.centroids),
+        "sil": silhouette(std, result.labels) if effective >= 2 else None,
+        "vm": (v_measure(ground_truth, result.labels)
+               if ground_truth is not None else None),
+    }
 
 
 def elbow(data: np.ndarray, k_range, params: ClusteringParams,

@@ -157,8 +157,8 @@ def test_criterion_05_table1_q11_sampled():
             result = run(ds.matrix, ClusteringParams(
                 k=k, assignment=Strategy.Q11, seed=seed))
             summary = summarize_run(ds.matrix, result, ds.ground_truth)
-            sims.append(summary.avg_similarity)
-            vms.append(summary.v_measure)
+            sims.append(summary["sim"])
+            vms.append(summary["vm"])
         results[name] = (medians(sims), medians(vms))
     elapsed = time.perf_counter() - started
     ok = (results["blobs"][1] >= 0.95 and results["blobs"][0] >= 98.0
@@ -185,8 +185,8 @@ def test_criterion_06_table3_qmk_batching():
                 result = run(ds.matrix, ClusteringParams(
                     k=3, assignment=Strategy.QMK, m1=m1, seed=seed))
                 summary = summarize_run(ds.matrix, result, ds.ground_truth)
-                sims.append(summary.avg_similarity)
-                vms.append(summary.v_measure)
+                sims.append(summary["sim"])
+                vms.append(summary["vm"])
             median_sims[m1] = medians(sims)
             median_vms[m1] = medians(vms)
         spread = max(median_vms.values()) - min(median_vms.values())
@@ -308,10 +308,10 @@ def test_criterion_11_desk_scale_exclusions_and_iris_ranges():
         result = run(ds.matrix, ClusteringParams(k=3,
                                                  seed=derive_seed(111, s)))
         summary = summarize_run(ds.matrix, result, ds.ground_truth)
-        if best is None or summary.sse < best.sse:
+        if best is None or summary["sse"] < best["sse"]:
             best = summary
-    ok = 0.45 <= best.silhouette <= 0.60
+    ok = 0.45 <= best["sil"] <= 0.60
     report(11, ok,
-           f"iris classical k=3 silhouette {best.silhouette:.3f} in "
+           f"iris classical k=3 silhouette {best['sil']:.3f} in "
            f"[0.45, 0.60]; transpiled counts / hardware runs / exact "
            f"real-dataset SSE excluded by design")

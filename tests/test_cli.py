@@ -50,6 +50,54 @@ class TestRunCommand:
             pc = rep["pair_confusion_vs_classical"]
             assert pc["fp"] == 0.0 and pc["fn"] == 0.0
 
+    def test_classical_repetition_is_its_own_reference(self, runner,
+                                                       tmp_path, monkeypatch):
+        """One classical run per repetition.  The digests of the JSON,
+        without its timing blocks, and of the CSV were recorded while each
+        classical repetition reran the same classical run as its
+        pair-confusion reference."""
+        import hashlib
+
+        from qkmeans import cli
+        calls = []
+        original = cli.run_clustering
+
+        def counting(matrix, params):
+            calls.append(params.seed)
+            return original(matrix, params)
+
+        monkeypatch.setattr(cli, "run_clustering", counting)
+        result = runner.invoke(main, [
+            "run", "--dataset", "iris", "--algorithm", "kmeans", "--reps",
+            "2", "--seed", "1", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        artifact = json.loads((tmp_path / "iris_kmeans.json").read_text())
+        assert calls == [rep["seed"] for rep in artifact["repetitions"]]
+        body = json.dumps(strip_timing(artifact), sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == (
+            "53d642d253a4b16fd883145c77fb1f99a063d279f7c1c908dfffcf499a2ea377")
+        csv = (tmp_path / "iris_kmeans.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "da0010850908437b8b975fbdfeed65a5731be9ba7d5aaefd280e568d6f94b1b9")
+
+    def test_other_repetitions_take_a_classical_reference(self, runner,
+                                                          tmp_path,
+                                                          monkeypatch):
+        from qkmeans import cli
+        strategies = []
+        original = cli.run_clustering
+
+        def counting(matrix, params):
+            strategies.append((params.assignment.value, params.analytic))
+            return original(matrix, params)
+
+        monkeypatch.setattr(cli, "run_clustering", counting)
+        result = runner.invoke(main, [
+            "run", "--dataset", "blobs3", "--algorithm", "q1k", "--analytic",
+            "--reps", "2", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert strategies == [("q1k", True), ("classical", False)] * 2
+
     def test_deterministic_reruns(self, runner, tmp_path):
         args = ["run", "--dataset", "blobs3", "--algorithm", "qmk",
                 "--m1", "4", "--shots", "64", "--reps", "2", "--seed", "9"]
@@ -218,6 +266,42 @@ class TestRunCommand:
                                          "sampled q11")
         assert "use shots_base >= 11" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--k", "2"],
+        ["elbow", "--k-min", "2", "--k-max", "2"],
+        ["stats", "--k", "2"],
+    ])
+    def test_sample_over_the_record_count_refused(self, runner, tmp_path,
+                                                  command):
+        out = tmp_path / "out"
+        extra = [] if command[0] == "stats" else ["--out-dir", str(out)]
+        result = runner.invoke(main, command + [
+            "--dataset", "blobs", "--m", "10", "--sample", "11", *extra])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err == {"error": "ValueError",
+                       "message": "cannot sample 11 of 10 records"}
+        assert not out.exists()
+
+    def test_sample_of_the_record_count_keeps_the_data_whole(self, runner,
+                                                             tmp_path):
+        args = ["run", "--dataset", "blobs", "--m", "10", "--k", "2",
+                "--reps", "2", "--seed", "3"]
+        whole, sampled = tmp_path / "whole", tmp_path / "sampled"
+        assert runner.invoke(main, args + ["--out-dir", str(whole)]
+                             ).exit_code == 0
+        assert runner.invoke(main, args + ["--sample", "10",
+                                           "--out-dir", str(sampled)]
+                             ).exit_code == 0
+        assert ((whole / "blobs_kmeans.csv").read_bytes()
+                == (sampled / "blobs_kmeans.csv").read_bytes())
+        a, b = (strip_timing(json.loads((out / "blobs_kmeans.json")
+                                        .read_text()))
+                for out in (whole, sampled))
+        assert b["config"]["dataset"].pop("sample") == 10
+        assert a["config"]["dataset"].pop("sample") is None
+        assert a == b
 
     def test_stats_draws_no_shots_so_is_not_shot_bounded(self, runner,
                                                          tmp_path):

@@ -1193,3 +1193,124 @@ class TestConvergenceThreshold:
                            match=rf"sc_thresh must be > 0, got {sc_thresh}"):
             run(builtin("iris").matrix,
                 ClusteringParams(k=3, sc_thresh=sc_thresh))
+
+
+class TestClusteringRunIterations:
+    def test_n_ite_is_the_history_length(self):
+        from qkmeans.clustering import ClusteringRun
+        assert "n_ite" not in {f.name for f in dataclasses.fields(
+            ClusteringRun)}
+        ds = blob_data(m=40)
+        for max_ite in (1, 3, 8):
+            result = run(ds.matrix, ClusteringParams(k=3, max_ite=max_ite))
+            assert result.n_ite == len(result.history) <= max_ite
+
+    def test_replaced_labels_keep_the_iterations(self):
+        # the benchmark's oracles corrupt a run with dataclasses.replace
+        result = run(blob_data(m=40).matrix, ClusteringParams(k=3, seed=1))
+        shifted = dataclasses.replace(result, labels=result.labels + 1)
+        assert np.array_equal(shifted.labels, result.labels + 1)
+        assert shifted.n_ite == result.n_ite
+        assert shifted.history is result.history
+        short = dataclasses.replace(result, history=result.history[:1])
+        assert short.n_ite == 1
+
+
+class TestIntegerParams:
+    """The count fields go through ``operator.index``: numpy integers become
+    ints, and anything else is refused naming its field."""
+
+    def test_numpy_integers_become_ints(self):
+        params = ClusteringParams(
+            k=np.int64(3), assignment="q1k", shots_base=np.int32(64),
+            max_ite=np.uint8(2), m1=np.int16(5), seed=np.uint64(2 ** 64 - 1))
+        for name in ("k", "shots_base", "max_ite", "m1", "seed"):
+            assert type(getattr(params, name)) is int
+        params.validate(150, 3)
+        replaced = dataclasses.replace(params, k=np.int64(4))
+        assert type(replaced.k) is int and replaced.k == 4
+
+    def test_numpy_k_runs_a_quantum_strategy(self):
+        from qkmeans.data import builtin
+        data = builtin("iris").matrix
+        got = run(data, ClusteringParams(k=np.int64(3), assignment="q1k",
+                                         analytic=True, max_ite=2))
+        want = run(data, ClusteringParams(k=3, assignment="q1k",
+                                          analytic=True, max_ite=2))
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_elbow_over_a_numpy_range(self):
+        from qkmeans.data import builtin
+        from qkmeans.metrics import elbow
+        data = builtin("iris").matrix
+        params = ClusteringParams(k=2, assignment="q1k", analytic=True,
+                                  max_ite=2)
+        assert (elbow(data, np.arange(2, 5), params, n_seeds=1)
+                == elbow(data, range(2, 5), params, n_seeds=1))
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", 3.0),
+        ("shots_base", 64.5),
+        ("max_ite", 2.0),
+        ("m1", 7.5),
+        ("seed", 1.0),
+        ("k", None),
+        ("shots_base", "64"),
+    ])
+    def test_non_integers_refused_naming_the_field(self, name, value):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be an integer, got "):
+            ClusteringParams(**{"k": 3, "assignment": "qmk", name: value})
+
+    def test_fractional_shots_never_reach_a_sampled_run(self, monkeypatch):
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+
+        def never(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(clustering, "kmeanspp_init", never)
+        with pytest.raises(ValueError, match="shots_base must be an integer"):
+            run(builtin("iris").matrix, ClusteringParams(
+                k=3, assignment=Strategy.Q11, shots_base=64.5))
+
+
+class TestRedrawFactor:
+    """One constant sets both the redraw's shots and the q1:1 shot bound
+    that prices it."""
+
+    def test_redraw_draws_factor_times_the_shots(self, monkeypatch):
+        from qkmeans import clustering
+        shots = []
+
+        def recording(plan, hist, sampled=None):
+            shots.append(sampled.shots)
+            return estimate_distance(plan, hist, sampled=sampled)
+
+        monkeypatch.setattr(clustering, "estimate_distance", recording)
+        monkeypatch.setattr(clustering, "REDRAW_FACTOR", 5)
+        rng = np.random.default_rng(12)
+        _, records = unit_prepared(rng, 6, 4)
+        _, centroids = unit_prepared(rng, 2, 4)
+        params = ClusteringParams(k=2, shots_base=4, seed=0)
+        try:
+            assign_q11(records, centroids, params, ite=3)
+        except EstimationFailure as failure:
+            assert "redrawn at 20 shots per row" in str(failure)
+        assert shots == [4, 20]
+
+    @pytest.mark.parametrize("factor", [1, 4, 9])
+    def test_shot_bound_follows_the_factor(self, monkeypatch, factor):
+        from qkmeans import clustering
+        monkeypatch.setattr(clustering, "REDRAW_FACTOR", factor)
+        params = ClusteringParams(k=3, assignment=Strategy.Q11, shots_base=1,
+                                  max_ite=2)
+        with pytest.raises(ValueError, match=rf"after the {factor}x redraw; "
+                                             r"use shots_base >= (\d+)$") as r:
+            params.validate(150, 3)
+        least = int(str(r.value).rsplit(" ", 1)[1])
+        # iris: 4 slots, so a row misses register 1 with probability 3/4
+        rows = 150 * 3 * 2
+        assert rows * 0.75 ** ((1 + factor) * least) <= 1e-3
+        assert rows * 0.75 ** ((1 + factor) * (least - 1)) > 1e-3
+        dataclasses.replace(params, shots_base=least).validate(150, 3)

@@ -305,7 +305,8 @@ class TestVMeasure:
                 v_measure_reference(a, b), abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="v_measure needs one label per "
+                                             "record, got 3 labels for 2"):
             v_measure([0, 1], [0, 1, 2])
 
     @settings(max_examples=30, deadline=None)
@@ -352,7 +353,8 @@ class TestPairConfusion:
                 pair_confusion_reference(a, b))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pair_confusion needs one label "
+                                             "per record, got 3 labels for 2"):
             pair_confusion([0, 1], [0, 1, 1])
 
 
@@ -450,10 +452,100 @@ class TestSummarizeRun:
         ds = gen_blobs(60, BLOB_CENTERS, 1.0, seed=1)
         result = run(ds.matrix, ClusteringParams(k=3, seed=0))
         report = summarize_run(ds.matrix, result, ds.ground_truth)
-        assert report.n_ite == result.n_ite
-        assert report.avg_similarity == 100.0
+        assert report["ite"] == result.n_ite
+        assert report["sim"] == 100.0
         std, _, _ = standardize(ds.matrix)
-        assert report.sse == pytest.approx(
+        assert report["sse"] == pytest.approx(
             sse(std, result.labels, result.centroids))
-        assert -1.0 <= report.silhouette <= 1.0
-        assert 0.0 <= report.v_measure <= 1.0
+        assert -1.0 <= report["sil"] <= 1.0
+        assert 0.0 <= report["vm"] <= 1.0
+
+    def test_is_the_artifact_metrics(self, tmp_path):
+        """The mapping, keys in order and values, is each repetition's
+        ``metrics`` entry of a ``qkmeans run`` artifact."""
+        import json
+
+        from click.testing import CliRunner
+
+        from qkmeans import cli
+        from qkmeans.clustering import SeedDomain, derive_seed
+        result = CliRunner().invoke(cli.main, [
+            "run", "--dataset", "blobs3", "--algorithm", "q1k", "--shots",
+            "64", "--reps", "2", "--seed", "5", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        artifact = json.loads((tmp_path / "blobs3_q1k.json").read_text())
+        ds = builtin("blobs3", seed=5)
+        params = ClusteringParams(**artifact["config"]["params"])
+        assert (params.k, params.shots_base) == (2, 64)
+        for rep, entry in enumerate(artifact["repetitions"]):
+            params.seed = derive_seed(5, SeedDomain.REPETITION, rep)
+            report = summarize_run(ds.matrix, run(ds.matrix, params),
+                                   ds.ground_truth)
+            assert list(report) == list(entry["metrics"]) == list(cli.METRICS)
+            assert report == entry["metrics"]
+
+    def test_no_silhouette_below_two_clusters_nor_vm_without_truth(self):
+        data = np.arange(8.0).reshape(4, 2)
+        report = summarize_run(data, run(data, ClusteringParams(k=1)))
+        assert report["sil"] is None and report["vm"] is None
+
+
+class TestLabelContract:
+    """sse, silhouette, v_measure and pair_confusion take labels through one
+    check: 1-D, of an integer dtype, one per record, refused naming the
+    metric."""
+
+    DATA = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0]])
+    CENTROIDS = np.array([[0.0, 0.5], [5.0, 5.5]])
+
+    def call(self, metric, labels):
+        if metric == "sse":
+            return sse(self.DATA, labels, self.CENTROIDS)
+        if metric == "silhouette":
+            return silhouette(self.DATA, labels)
+        if metric == "v_measure":
+            return v_measure([0, 0, 1, 1], labels)
+        return pair_confusion([0, 0, 1, 1], labels)
+
+    METRICS = ("sse", "silhouette", "v_measure", "pair_confusion")
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_integer_labels_of_any_width_score_alike(self, metric):
+        want = self.call(metric, [0, 0, 1, 1])
+        for dtype in (np.int8, np.uint16, np.int64):
+            assert self.call(metric, np.array([0, 0, 1, 1], dtype)) == want
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("labels", [
+        [0.0, 0.0, 1.0, 1.0],
+        [0.7, 0.2, 1.7, 1.2],
+        [False, False, True, True],
+    ])
+    def test_non_integer_labels_refused(self, metric, labels):
+        dtype = np.asarray(labels).dtype
+        with pytest.raises(ValueError, match=f"{metric} needs integer "
+                                             f"labels, got dtype {dtype}"):
+            self.call(metric, labels)
+
+    def test_fractional_labels_are_not_truncated(self):
+        # cast to int, [0.2, 1.7, 2.9] would score as clusters 0, 1 and 2,
+        # and 0.7 as cluster 0
+        data = np.array([[0.0], [1.0], [4.0]])
+        with pytest.raises(ValueError, match="silhouette needs integer"):
+            silhouette(data, [0.2, 1.7, 2.9])
+        with pytest.raises(ValueError, match="sse needs integer"):
+            sse(data, [0.7, 0.7, 0.7], np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_two_dimensional_labels_refused(self, metric):
+        with pytest.raises(ValueError, match=rf"{metric} needs 1-D labels, "
+                                             rf"got shape \(2, 2\)"):
+            self.call(metric, np.zeros((2, 2), dtype=int))
+
+    @pytest.mark.parametrize("metric", ["v_measure", "pair_confusion"])
+    def test_two_dimensional_reference_refused(self, metric):
+        # 2-D labels once passed pair_confusion's own check: tn = -500.0
+        labels = np.zeros((2, 2), dtype=int)
+        function = v_measure if metric == "v_measure" else pair_confusion
+        with pytest.raises(ValueError, match=f"{metric} needs 1-D labels"):
+            function(labels, labels)
