@@ -28,8 +28,8 @@ Each encoding branch is one uniformly controlled RY on the register qubit
 (Möttönen et al. 2004), held as a zero-padded angle table: the ancilla-0
 branch loads ``CircuitPlan.records``, addressed by the batch register, and
 the ancilla-1 branch ``CircuitPlan.centroids``, addressed by the cluster
-register.  ``CircuitPlan.gates`` expands the two tables into the per-slot
-gate list, which stays the source of truth.
+register.  ``CircuitPlan.gates`` expands them into the per-slot gate list,
+the source of truth, which ``circuit_stats`` counts from the tables alone.
 
 ``simulate`` does not run that list.  This is the interference circuit of
 Schuld, Fingerhuth and Petruccione (arXiv:1703.10793), and its final state
@@ -258,8 +258,7 @@ class CircuitPlan:
         layout = self.layout
         gates = [h(q) for q in layout.hadamards]
         for branch, (_, table, address) in enumerate(self._branches()):
-            used = np.any(table != 0.0, axis=tuple(range(table.ndim - 2)))
-            for a, slot in zip(*np.nonzero(used)):
+            for a, slot in zip(*np.nonzero(_used_slots(table))):
                 theta = table[..., a, slot]
                 controls = (_pattern(layout.index, slot)
                             + ((layout.ancilla, branch),)
@@ -269,6 +268,11 @@ class CircuitPlan:
                                 layout.register, controls))
         gates.append(h(layout.ancilla))
         return gates
+
+
+def _used_slots(table: np.ndarray) -> np.ndarray:
+    """The (address, slot) columns nonzero in some row, one RY each."""
+    return np.any(table != 0.0, axis=tuple(range(table.ndim - 2)))
 
 
 def _table(angles: np.ndarray, address_qubits: int) -> np.ndarray:
@@ -538,18 +542,12 @@ class CircuitStats:
 
 
 def circuit_stats(plan: CircuitPlan) -> CircuitStats:
-    """Qubit, gate and depth counts of the plan as built.
-
-    Depth schedules two gates in the same layer iff their qubit sets
-    (target plus controls) are disjoint.
-    """
-    gates = plan.gates
-    levels: dict[int, int] = {}
-    depth = 0
-    for gate in gates:
-        qubits = gate.qubits
-        level = 1 + max((levels.get(q, 0) for q in qubits), default=0)
-        for q in qubits:
-            levels[q] = level
-        depth = max(depth, level)
-    return CircuitStats(plan.num_qubits, len(gates), depth)
+    """Qubits, gates and depth of ``plan.gates``, read from the tables: an H
+    layer on distinct qubits, one RY per nonzero column (-0.0 is zero), each
+    on the register qubit under ancilla control, and a final H on the
+    ancilla.  Two gates share a layer iff their qubit sets are disjoint, so
+    the RYs serialize and depth is their count plus 2."""
+    rys = sum(int(np.count_nonzero(_used_slots(table)))
+              for _, table, _ in plan._branches())
+    return CircuitStats(plan.num_qubits, len(plan.layout.hadamards) + rys + 1,
+                        rys + 2)

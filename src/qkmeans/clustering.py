@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -116,9 +117,8 @@ class ClusteringParams:
     analytic: bool = False
 
     def __post_init__(self):
-        """A strategy name becomes its member ("bogus" raises); a numpy
-        integer count becomes an int, and a float one is refused naming its
-        field."""
+        """A strategy name becomes its member ("bogus" raises) and a numpy
+        integer count an int; a field of the wrong type is refused by name."""
         self.assignment = Strategy(self.assignment)
         for name in ("k", "shots_base", "max_ite", "m1", "seed"):
             value = getattr(self, name)
@@ -129,6 +129,12 @@ class ClusteringParams:
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got "
                                  f"{value!r}") from None
+        for name, kind, what in (("sc_thresh", numbers.Real, "a real number"),
+                                 ("delta", numbers.Real, "a real number"),
+                                 ("analytic", bool, "a bool")):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
     def validate(self, num_records: int, num_features: int) -> None:
         """Reject settings that cannot run on ``num_records`` records of

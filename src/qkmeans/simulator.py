@@ -91,11 +91,6 @@ class Gate:
         if self.target in control_qubits:
             raise ValueError("target qubit cannot also be a control")
 
-    @property
-    def qubits(self) -> set[int]:
-        """All qubits the gate touches (target plus controls)."""
-        return {self.target, *(q for q, _ in self.controls)}
-
     def matrix(self) -> np.ndarray:
         """The 2x2 block; shape (2, 2, B) for a per-row RY angle."""
         if self.kind == "h":

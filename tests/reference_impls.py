@@ -11,6 +11,9 @@
   one pattern-controlled RY per nonzero slot; the package builds all three
   as instances of one QC3 builder, whose expanded gate lists must equal
   theirs.
+* The generic layer scheduler that counts a gate list's depth, one gate
+  at a time; the package counts its circuits from their angle tables, and
+  must give the scheduler's qubits, gates and depth.
 * The silhouette over the full ``(M, M, d)`` difference array, reduced
   with ``np.sum(..., axis=2)``, with each record's per-cluster sums taken
   by one ``np.add.reduceat`` over the cluster-sorted columns.  The package
@@ -53,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qkmeans.circuits import (
+    CircuitStats,
     EstimationFailure,
     Layout,
     decode_qc2,
@@ -104,6 +108,21 @@ def encode_vector(plan, angles, index_qubits, register_qubit,
         )
         plan.gates.append(ry(theta.copy() if theta.ndim else float(theta),
                              register_qubit, pattern + tuple(extra_controls)))
+
+
+def circuit_stats_reference(plan):
+    """Qubit, gate and depth counts of ``plan.gates``, each gate scheduled
+    one layer past the last gate on any of its qubits (target plus
+    controls): two gates share a layer iff their qubit sets are disjoint."""
+    levels = {}
+    depth = 0
+    for gate in plan.gates:
+        qubits = {gate.target, *(q for q, _ in gate.controls)}
+        level = 1 + max((levels.get(q, 0) for q in qubits), default=0)
+        for q in qubits:
+            levels[q] = level
+        depth = max(depth, level)
+    return CircuitStats(plan.num_qubits, len(plan.gates), depth)
 
 
 def isp_reference(x):

@@ -32,6 +32,7 @@ from reference_impls import (
     build_qc1_reference,
     build_qc2_reference,
     build_qc3_reference,
+    circuit_stats_reference,
     marginal_reference,
     measure_reference,
 )
@@ -379,18 +380,21 @@ class TestPostselectionProbability:
 
 
 class TestCircuitStats:
+    """The reference scheduler on bare gate lists, and ``circuit_stats`` on
+    a plan."""
+
     def test_empty_plan(self):
         plan = GatePlan(circuit_layout(4))
-        stats = circuit_stats(plan)
+        stats = circuit_stats_reference(plan)
         assert (stats.qubits, stats.gate_count, stats.depth) == (4, 0, 0)
 
     def test_sequential_on_same_qubit(self):
         plan = GatePlan(circuit_layout(2), [h(0), h(0)])
-        assert circuit_stats(plan).depth == 2
+        assert circuit_stats_reference(plan).depth == 2
 
     def test_parallel_on_disjoint_qubits(self):
         plan = GatePlan(circuit_layout(2), [h(0), h(1)])
-        assert circuit_stats(plan).depth == 1
+        assert circuit_stats_reference(plan).depth == 1
 
     def test_gate_count_is_plan_length(self):
         rng = np.random.default_rng(13)
@@ -605,7 +609,8 @@ class TestCellDraws:
 
 class TestOneBuilder:
     """``build_qc3`` builds QC1 and QC2 as one-record QC3 instances; its
-    gate lists equal those of the three separate reference builders."""
+    gate lists equal those of the three separate reference builders, and
+    ``circuit_stats`` counts them as the reference scheduler does."""
 
     @staticmethod
     def assert_same_plan(got, want):
@@ -655,6 +660,20 @@ class TestOneBuilder:
                                            (m1 - 1).bit_length(),
                                            (k - 1).bit_length())
             self.assert_same_plan(got, want)
+            assert circuit_stats(got) == circuit_stats_reference(got)
+
+        # QC2 rows with record slot 3 zero in every row and slot 2 zero
+        # too, one row holding -0.0: neither column is a gate
+        r, c = angles(3, 4), angles(2, 4)
+        r[:, 2:] = 0.0
+        r[1, 2] = -0.0
+        got = qc2(r, c)
+        self.assert_same_plan(got, build_qc2_reference(r, c, 2, 1))
+        stats = circuit_stats(got)
+        assert stats == circuit_stats_reference(got)
+        rys = 2 + np.count_nonzero(c)
+        assert (stats.qubits, stats.gate_count, stats.depth) == \
+            (5, 4 + rys + 1, rys + 2)
 
     def test_rows_must_agree(self):
         with pytest.raises(ValueError):

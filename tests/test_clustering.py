@@ -1256,10 +1256,16 @@ class TestIntegerParams:
         ("seed", 1.0),
         ("k", None),
         ("shots_base", "64"),
+        ("sc_thresh", "1e-4"),
+        ("delta", "0.1"),
+        ("sc_thresh", None),
+        ("analytic", "no"),
+        ("analytic", 1),
     ])
     def test_non_integers_refused_naming_the_field(self, name, value):
-        with pytest.raises(ValueError,
-                           match=rf"^{name} must be an integer, got "):
+        kind = {"sc_thresh": "a real number", "delta": "a real number",
+                "analytic": "a bool"}.get(name, "an integer")
+        with pytest.raises(ValueError, match=rf"^{name} must be {kind}, got "):
             ClusteringParams(**{"k": 3, "assignment": "qmk", name: value})
 
     def test_fractional_shots_never_reach_a_sampled_run(self, monkeypatch):
