@@ -427,9 +427,9 @@ def estimate_distance(plan: CircuitPlan, hist: Histogram, *,
     """Distance estimate from a QC1 histogram.
 
     Post-selects the register qubit on 1, takes the surviving ancilla-0
-    frequency p and returns (sqrt(max(0, 4 - 4p)), kept shots).  This is the
-    distance between the encoded (projected) unit vectors.  A batched
-    histogram gives one estimate and one kept count per row.
+    frequency p and returns sqrt(max(0, 4 - 4p)).  This is the distance
+    between the encoded (projected) unit vectors.  A batched histogram
+    gives one estimate per row.
 
     With ``sampled``, ``hist`` holds exact probabilities, and the kept
     weights are ``sampled.shots`` shots drawn over two cells per row:
@@ -447,11 +447,11 @@ def estimate_distance(plan: CircuitPlan, hist: Histogram, *,
         zeros, t_prime = counts[..., 0], counts.sum(axis=-1)
         distance = _distance(zeros / np.maximum(t_prime, 1))
         _empty_rows(t_prime, "register post-selection", distance)
-        return distance, t_prime
+        return distance
     t_prime = _ordered_sum(kept.reshape(kept.shape[:-2] + (-1,)))
     _empty_rows(t_prime, "register post-selection")
     zeros = _ordered_sum(kept[..., 0])  # ancilla = 0
-    return _distance(zeros / t_prime), t_prime
+    return _distance(zeros / t_prime)
 
 
 def _distance(p_hat):

@@ -29,6 +29,7 @@ from .circuits import (
     postselection_probability,
 )
 from .clustering import (
+    QUANTUM_STRATEGIES,
     ClusteringParams,
     SeedDomain,
     Strategy,
@@ -39,7 +40,7 @@ from .clustering import (
 )
 from .encoding import prepare_vectors, rotation_angles, standardize
 from .metrics import elbow as elbow_sweep
-from .metrics import pair_confusion, summarize_run
+from .metrics import PairConfusion, pair_confusion, summarize_run
 from .simulator import require_qubits
 
 SCHEMA_VERSION = 1
@@ -68,6 +69,8 @@ REFERENCE_COMPLEXITY_IRIS_K3 = {
 
 # Per-repetition metrics, in artifact and CSV column order.
 METRICS = ("ite", "sim", "sse", "sil", "vm")
+# Pair-confusion cells against the classical run, in CSV column order.
+CONFUSION = tuple(field.name for field in dataclasses.fields(PairConfusion))
 
 
 def _dataset_options(fn):
@@ -177,11 +180,9 @@ def _aggregate(repetitions):
     for key in METRICS:
         values = [rep["metrics"][key] for rep in repetitions
                   if rep["metrics"][key] is not None]
-        if values:
-            out[key] = {"mean": float(statistics.fmean(values)),
-                        "median": float(statistics.median(values))}
-        else:
-            out[key] = None
+        out[key] = None if not values else {
+            "mean": float(statistics.fmean(values)),
+            "median": float(statistics.median(values))}
     return out
 
 
@@ -286,11 +287,11 @@ def cmd_run(dataset, dataset_csv, label_column, features, top_variance, m,
         "timing": {"dataset_seconds": dataset_seconds},
     }
     rows = [(rep, result["seed"], *(result["metrics"][key] for key in METRICS),
-             *(result["pair_confusion_vs_classical"][key]
-               for key in ("tp", "fp", "fn", "tn")))
+             *(result["pair_confusion_vs_classical"][c] for c in CONFUSION))
             for rep, result in enumerate(repetitions)]
     _write_table(out_dir, f"{ds.name}_{algorithm}", "run",
-                 "rep,seed,ite,sim,sse,sil,vm,tp,fp,fn,tn", rows, artifact)
+                 ",".join(("rep", "seed", *METRICS, *CONFUSION)), rows,
+                 artifact)
 
 
 @main.command("elbow")
@@ -358,7 +359,8 @@ def cmd_postselect(slots, k, m_min, m_max, seed, out_dir):
 
 @main.command("stats")
 @_dataset_options
-@click.option("--variant", type=click.Choice(["q11", "q1k", "qmk"]),
+@click.option("--variant",
+              type=click.Choice([s.value for s in QUANTUM_STRATEGIES]),
               default="q11", show_default=True)
 @click.option("--k", type=COUNT, default=None)
 @click.option("--m1", type=COUNT, default=None)
@@ -375,7 +377,7 @@ def cmd_stats(dataset, dataset_csv, label_column, features, top_variance, m,
                               assignment=ALGORITHMS[variant], m1=m1, seed=seed,
                               analytic=True)
     params.validate(*ds.matrix.shape)
-    std, _, _ = standardize(ds.matrix)
+    std = standardize(ds.matrix)
     records = prepare_vectors(std)
     centroids = prepare_vectors(kmeanspp_init(std, params.k, seed),
                                 slots=records.slots)

@@ -125,6 +125,8 @@ class ClusteringParams:
             if name == "m1" and value is None:
                 continue
             try:
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError
                 setattr(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got "
@@ -243,8 +245,8 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     The same operations on the same generator draw the same index, without
     ``choice``'s checks of ``p``; a test holds the centroids byte-equal to
     ``choice``'s.  Its NaN check is replaced by refusing non-finite records
-    before any draw, naming the first one's row and column, and squared
-    distances that overflow to an infinite total."""
+    before any draw, naming the first one's row and column, and a total of
+    squared distances that is 0 (too few distinct records) or infinite."""
     data = np.asarray(data, dtype=float)
     require_finite(data)
     m = data.shape[0]
@@ -256,16 +258,23 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     d2 = np.sum((data - centroids[0]) ** 2, axis=1)
     for i in range(1, k):
         total = d2.sum()
-        if total <= 0.0:
-            raise ValueError("k exceeds the number of distinct records")
-        if not total < math.inf:
-            raise ValueError("squared distances between the records overflow "
-                             "float64; standardize them first")
+        if not 0.0 < total < math.inf:  # 0 once every record is a centroid
+            require_distinct(data, k)
+            raise ValueError("squared distances between the records under- "
+                             "or overflow float64; standardize them first")
         cdf = (d2 / total).cumsum()
         cdf /= cdf[-1]
         centroids[i] = data[cdf.searchsorted(rng.random(), side="right")]
         np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1), out=d2)
     return centroids
+
+
+def require_distinct(data: np.ndarray, k: int) -> None:
+    """Refuse more centroids ``k`` than distinct records in ``data``,
+    naming both numbers."""
+    distinct = len(np.unique(data, axis=0))
+    if k > distinct:
+        raise ValueError(f"k {k} exceeds {distinct} distinct records")
 
 
 def _sq_distances(a: np.ndarray, b: np.ndarray,
@@ -467,9 +476,7 @@ def assign_q11(records: PreparedVectors, centroids: PreparedVectors,
     m, k = len(records), len(centroids)
     d_proj = np.concatenate(_assign_rows(
         records.angles[:, None, None], centroids.angles[:, None], params, ite,
-        lambda plan, hist, **sampled: estimate_distance(plan, hist,
-                                                        **sampled)[0],
-        plans))
+        estimate_distance, plans))
     return _recovered_labels(d_proj.reshape(m, k), records.norms,
                              centroids.norms)
 
@@ -578,15 +585,13 @@ def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:
     assignment.  A quantum run keeps its assignment passes' plans in one
     list, so each pass's record side is built once per run.
     """
-    data = np.asarray(data, dtype=float)
-    std, _, _ = standardize(data)
+    std = standardize(data)
     params.validate(*std.shape)
     records = (prepare_vectors(std)
                if params.assignment in QUANTUM_STRATEGIES else None)
     centroids = kmeanspp_init(std, params.k, params.seed)
     history: list[IterationRecord] = []
     converged = False
-    labels = np.zeros(std.shape[0], dtype=np.int64)
     plans: list = []
     for ite in range(1, params.max_ite + 1):
         labels = _dispatch(params.assignment, std, records, centroids,

@@ -114,20 +114,17 @@ def subsample(ds: Dataset, size: int, seed: int) -> Dataset:
     return Dataset(ds.name, ds.matrix[picked], truth, ds.feature_names)
 
 
-def load_csv(path, has_header: bool = True, label_column=None) -> Dataset:
-    """Numeric CSV loader; ``label_column`` (name or index) becomes the
-    integer-coded ground truth.  Non-numeric feature cells are rejected with
-    their row/column coordinates."""
+def load_csv(path, label_column=None) -> Dataset:
+    """Numeric CSV loader.  The first row is the header and names the
+    columns; ``label_column`` (name or index) becomes the integer-coded
+    ground truth.  Non-numeric feature cells are rejected with their
+    row/column coordinates."""
     path = Path(path)
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]
-    header: list[str] | None = None
-    if has_header:
-        if not rows:
-            raise ValueError(f"{path}: empty file")
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = [cell.strip() for cell in rows.pop(0)]
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
@@ -135,7 +132,7 @@ def load_csv(path, has_header: bool = True, label_column=None) -> Dataset:
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str):
-            if header is None or label_column not in header:
+            if label_column not in header:
                 raise ValueError(f"{path}: unknown label column {label_column!r}")
             label_idx = header.index(label_column)
         else:
@@ -164,12 +161,9 @@ def load_csv(path, has_header: bool = True, label_column=None) -> Dataset:
 
     truth = None
     if label_idx is not None:
-        classes = sorted(set(raw_labels))
-        coding = {cls: i for i, cls in enumerate(classes)}
+        coding = {cls: i for i, cls in enumerate(sorted(set(raw_labels)))}
         truth = np.array([coding[lab] for lab in raw_labels], dtype=np.int64)
-    names = None
-    if header is not None:
-        names = [name for i, name in enumerate(header) if i != label_idx]
+    names = [name for i, name in enumerate(header) if i != label_idx]
     return Dataset(path.stem, np.asarray(matrix, dtype=float), truth, names)
 
 

@@ -30,8 +30,8 @@ def require_finite(matrix: np.ndarray) -> None:
                          f"value must be finite")
 
 
-def standardize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-score each column (population std). Returns (standardized, mean, std).
+def standardize(data: np.ndarray) -> np.ndarray:
+    """Z-score each column (population std); returns the standardized matrix.
 
     Constant columns map to all-zeros.  Every clustering run, elbow sweep
     and CLI command that reads records standardizes them first, so a
@@ -41,10 +41,8 @@ def standardize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("standardize needs a 2-D matrix with at least 2 rows")
     require_finite(data)
-    mean = data.mean(axis=0)
     std = data.std(axis=0)
-    safe = np.where(std == 0.0, 1.0, std)
-    return (data - mean) / safe, mean, std
+    return (data - data.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
 
 
 def isp_rows(matrix: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from .clustering import (
     SeedDomain,
     _sq_distances,
     derive_seed,
+    require_distinct,
     run,
 )
 from .encoding import require_finite, standardize
@@ -202,7 +203,7 @@ def summarize_run(data: np.ndarray, result: ClusteringRun,
     """Metrics of a finished run in standardized feature space, keyed as a
     ``qkmeans run`` artifact's ``metrics``; ``sil`` is None below two
     clusters and ``vm`` None without ``ground_truth``."""
-    std, _, _ = standardize(data)
+    std = standardize(data)
     effective = len(np.unique(result.labels))
     return {
         "ite": result.n_ite,
@@ -221,13 +222,11 @@ def elbow(data: np.ndarray, k_range, params: ClusteringParams,
     must fit the distinct standardized records k-Means++ can seed from."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    std, _, _ = standardize(data)
+    std = standardize(data)
     k_range = list(k_range)
     for k in sorted(k_range, reverse=True):
         dataclasses.replace(params, k=k).validate(*std.shape)
-    widest, distinct = max(k_range, default=0), len(np.unique(std, axis=0))
-    if widest > distinct:
-        raise ValueError(f"k {widest} exceeds {distinct} distinct records")
+    require_distinct(std, max(k_range, default=0))
     curve = []
     for k in k_range:
         values = []

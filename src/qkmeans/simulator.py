@@ -19,9 +19,10 @@ two ancilla branches are disjoint, and the closed form applies the same
 IEEE operations to the same operands.
 
 A state is its float64 amplitude array, ``(2^q,)`` for one q-qubit
-register; q is read from the last axis.  A leading batch axis, ``(B, 2^q)``,
-holds B circuits that share one gate list, and an RY angle may then be a
-length-B array, one angle per row.  Histograms keep the same leading axis.
+register, as ``new_state`` makes it; q is read from the last axis.  A
+leading batch axis, ``(B, 2^q)``, holds B circuits that share one gate list,
+and an RY angle may then be a length-B array, one angle per row.  Histograms
+keep the same leading axis.
 
 ``measure`` gives exact probabilities and draws no shots; nor does it
 post-select.  The decoders (``circuits``), given ``Sampled`` as
@@ -34,9 +35,9 @@ matrices and every circuit starts from |0...0>, so a complex128 run would
 hold only imaginary parts of +-0.  The real part of a product
 (u + 0i)(x +- 0i) is u*x - (+-0) and complex sums add real parts alone, so
 every real part equals the float64 result, except perhaps the sign of an
-exact zero, which |amplitude|^2 drops.  Probabilities, and everything
+exact zero, which squaring drops.  Probabilities, and everything
 measured from them, are the same bytes at half the memory traffic.  Gate
-angles must therefore be real: a complex angle is refused.
+angles and amplitudes must therefore be real: complex ones are refused.
 """
 
 from __future__ import annotations
@@ -120,15 +121,14 @@ def ry(theta, target: int, controls=()) -> Gate:
     return Gate("ry", target, theta=theta, controls=tuple(controls))
 
 
-def new_state(num_qubits: int, rows: int | None = None) -> np.ndarray:
+def new_state(num_qubits: int) -> np.ndarray:
     """Fresh float64 |0...0> amplitudes on ``num_qubits`` qubits, at least 1
-    and at most ``MAX_QUBITS``; with ``rows``, a (rows, 2^q) array of them."""
+    and at most ``MAX_QUBITS``: one state, shape (2^q,)."""
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
     require_qubits(num_qubits, "a state")
-    lead = () if rows is None else (rows,)
-    amps = np.zeros(lead + (1 << num_qubits,), dtype=np.float64)
-    amps[..., 0] = 1.0
+    amps = np.zeros(1 << num_qubits)
+    amps[0] = 1.0
     return amps
 
 
@@ -212,10 +212,10 @@ def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def probabilities(amps: np.ndarray) -> np.ndarray:
-    """|amplitude|^2 per basis state: ``np.abs(amps) ** 2``, squared in
-    place so that it allocates one array, not two."""
-    probs = np.abs(amps)
-    return np.square(probs, out=probs)
+    """amplitude^2 per basis state, in one new array; complex amplitudes are
+    refused, and a real x gives x*x, which is |x|*|x| bit for bit."""
+    require_real(amps, "amplitudes")
+    return np.square(amps)
 
 
 @dataclass(frozen=True)

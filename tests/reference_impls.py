@@ -376,7 +376,7 @@ def assign_q11_reference(records, centroids, params, ite=0, plans=None):
         for j in range(len(centroids)):
             plan = build_qc1_reference(records.angles[r],
                                        centroids.angles[j], n_index)
-            d_proj, _ = _decode_reference(
+            d_proj = _decode_reference(
                 plan, estimate_distance, params.shots_base, streams)
             dists[j] = recover_distance(
                 d_proj, records.norms[r], centroids.norms[j])

@@ -73,7 +73,7 @@ def test_criterion_01_distance_oracle_analytic():
         dim = (2, 4, 8)[i % 3]
         x, y = unit_rows(rng, 2, dim)
         plan = build_qc3(angles_of(x[None]), angles_of(y[None]))
-        d, _ = estimate_distance(plan, measure(simulate(plan), Analytic()))
+        d = estimate_distance(plan, measure(simulate(plan), Analytic()))
         worst = max(worst, abs(d - float(np.linalg.norm(x - y))))
     elapsed = time.perf_counter() - started
     report(1, worst <= 1e-9 and elapsed < 10.0,
@@ -88,7 +88,7 @@ def test_criterion_02_distance_oracle_sampled():
         plan = build_qc3(angles_of(x[None]), angles_of(y[None]))
         hist = measure_reference(simulate(plan), 2 ** 15,
                                  derive_seed(102, i))
-        d_hat, _ = estimate_distance(plan, hist)
+        d_hat = estimate_distance(plan, hist)
         if abs(d_hat - float(np.linalg.norm(x - y))) <= 0.1:
             hits += 1
     report(2, hits >= 95, f"sampled distance within 0.1 on {hits}/100 pairs")

@@ -37,6 +37,15 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "blobs3_q11" in manifest["entries"]
 
+    def test_k_over_distinct_records_named(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run", "--dataset", "iris", "--algorithm", "kmeans", "--k",
+            "150", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.stderr.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": "k 150 exceeds 145 distinct records"}
+
     def test_classical_blobs_vm(self, runner, tmp_path):
         result = runner.invoke(main, [
             "run", "--dataset", "blobs", "--m", "120", "--algorithm",
@@ -210,7 +219,7 @@ class TestRunCommand:
         artifact = json.loads(json_path.read_text())
         assert artifact["config"]["dataset"]["features"] == 9
         ds = load_csv(csv_path, label_column="label")
-        std, _, _ = standardize(ds.matrix)
+        std = standardize(ds.matrix)
         for rep in artifact["repetitions"]:
             labels = run(ds.matrix, ClusteringParams(k=3, seed=rep["seed"])
                          ).labels

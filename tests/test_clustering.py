@@ -72,6 +72,27 @@ class TestKmeansppInit:
         with pytest.raises(ValueError):
             kmeanspp_init(data, 2, seed=1)
 
+    def test_too_few_distinct_names_both_numbers(self, monkeypatch):
+        """A run refuses k above the distinct records as ``elbow`` does,
+        and counts them only when it refuses."""
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+        iris = builtin("iris").matrix
+        with pytest.raises(ValueError,
+                           match="^k 150 exceeds 145 distinct records$"):
+            run(iris, ClusteringParams(k=150))
+
+        def never(*args):
+            raise AssertionError("distinct records counted")
+
+        monkeypatch.setattr(clustering, "require_distinct", never)
+        run(iris, ClusteringParams(k=145, max_ite=1))
+
+    def test_underflowing_distances_refused(self):
+        # two distinct records whose squared distance underflows to 0
+        with pytest.raises(ValueError, match="under- or overflow float64"):
+            kmeanspp_init(np.array([[0.0], [1e-200]]), 2, seed=0)
+
     @pytest.mark.parametrize("name", ["iris", "wine", "blobs", "duplicated"])
     def test_matches_choice_reference(self, name):
         """The cdf search draws what ``Generator.choice`` draws, to the
@@ -84,7 +105,7 @@ class TestKmeansppInit:
             data = np.repeat(builtin("iris").matrix[:20], 5, axis=0)
         else:
             data = builtin(name).matrix
-        std, _, _ = standardize(data)
+        std = standardize(data)
         for k in range(1, 9):
             for seed in range(300):
                 assert kmeanspp_init(std, k, seed).tobytes() == \
@@ -295,7 +316,7 @@ class TestQuantumAssignments:
     def test_q11_analytic_equals_classical(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(25, 3)) * 2.0 + 1.0
-        std, _, _ = standardize(data)
+        std = standardize(data)
         records = prepare_vectors(std)
         centroids_std = std[:4]
         centroids = prepare_vectors(centroids_std, slots=records.slots)
@@ -346,7 +367,7 @@ class TestRecoveredNearest:
         import reference_impls
         from qkmeans import clustering
         from qkmeans.data import builtin
-        std, _, _ = standardize(builtin(name).matrix)
+        std = standardize(builtin(name).matrix)
         # every record of the small sets; 150 of each synthetic one
         std = std[::max(1, len(std) // 150)]
         records = prepare_vectors(std)
@@ -442,7 +463,7 @@ class TestRun:
     def test_k1_is_global_mean(self):
         ds = blob_data(m=30)
         result = run(ds.matrix, ClusteringParams(k=1, seed=0))
-        std, _, _ = standardize(ds.matrix)
+        std = standardize(ds.matrix)
         assert result.converged
         assert np.allclose(result.centroids[0], std.mean(axis=0))
 
@@ -462,7 +483,7 @@ class TestRun:
         from qkmeans.metrics import sse
         rng = np.random.default_rng(13)
         data = rng.normal(size=(120, 2))
-        std, _, _ = standardize(data)
+        std = standardize(data)
         result = run(data, ClusteringParams(k=4, seed=3, max_ite=10,
                                             sc_thresh=1e-9))
         values = [sse(std, it.labels, it.centroids) for it in result.history]
@@ -789,7 +810,7 @@ class TestBatchedAssignmentContract:
 
         def recording(plan, hist, **sampled):
             result = estimate_distance(plan, hist, **sampled)
-            looped.append(result[0])
+            looped.append(result)
             return result
 
         monkeypatch.setattr(reference_impls, "estimate_distance", recording)
@@ -849,7 +870,7 @@ class TestBatchedAssignmentContract:
         from qkmeans.data import builtin
         params = ClusteringParams(k=3, assignment=Strategy.Q11, shots_base=4,
                                   max_ite=2, seed=0)
-        std, _, _ = standardize(builtin("iris").matrix)
+        std = standardize(builtin("iris").matrix)
         records = prepare_vectors(std)
         centroids = prepare_vectors(kmeanspp_init(std, 3, params.seed),
                                     slots=records.slots)
@@ -1103,7 +1124,7 @@ class TestQ11ShotBound:
         row keeps register 1 with probability 1/slots."""
         from qkmeans.circuits import build_qc3, postselection_probability
         from qkmeans.data import builtin
-        std, _, _ = standardize(builtin(dataset).matrix)
+        std = standardize(builtin(dataset).matrix)
         records = prepare_vectors(std)
         centroids = prepare_vectors(kmeanspp_init(std, 3, 0),
                                     slots=records.slots)
@@ -1261,6 +1282,11 @@ class TestIntegerParams:
         ("sc_thresh", None),
         ("analytic", "no"),
         ("analytic", 1),
+        ("k", True),
+        ("shots_base", True),
+        ("max_ite", True),
+        ("m1", True),
+        ("seed", False),
     ])
     def test_non_integers_refused_naming_the_field(self, name, value):
         kind = {"sc_thresh": "a real number", "delta": "a real number",

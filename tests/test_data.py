@@ -100,13 +100,6 @@ class TestCsv:
         with pytest.raises(ValueError):
             load_csv(path)
 
-    def test_headerless(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("1,2\n3,4\n")
-        ds = load_csv(path, has_header=False)
-        assert ds.matrix.shape == (2, 2)
-        assert ds.feature_names is None
-
     def test_non_numeric_coordinates(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,2\n3,oops\n")

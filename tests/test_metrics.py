@@ -188,7 +188,7 @@ class TestSilhouette:
         # up to 181 records one band holds every row, so each row's sums
         # are one reduceat over the whole row, as with no bands at all
         ds = builtin(name)
-        std, _, _ = standardize(ds.matrix)
+        std = standardize(ds.matrix)
         labels = (ds.ground_truth if source == "truth" else
                   run(ds.matrix, ClusteringParams(k=3, seed=1)).labels)
         assert len(std) <= 181
@@ -232,7 +232,7 @@ class TestSilhouetteBytes:
     def test_blobs_peak_memory(self):
         from qkmeans.data import BLOB_CENTERS, gen_blobs
         ds = gen_blobs(2048, BLOB_CENTERS, 1.0, seed=5)
-        std, _, _ = standardize(ds.matrix)
+        std = standardize(ds.matrix)
         tracemalloc.start()
         try:
             silhouette(std, ds.ground_truth)
@@ -281,7 +281,7 @@ def _benchmark_blobs():
     """The benchmark's qmk records, standardized, with their true labels."""
     from qkmeans.data import BLOB_CENTERS, gen_blobs
     ds = gen_blobs(2048, BLOB_CENTERS, 1.0, seed=5)
-    std, _, _ = standardize(ds.matrix)
+    std = standardize(ds.matrix)
     return std, ds.ground_truth
 
 
@@ -454,7 +454,7 @@ class TestSummarizeRun:
         report = summarize_run(ds.matrix, result, ds.ground_truth)
         assert report["ite"] == result.n_ite
         assert report["sim"] == 100.0
-        std, _, _ = standardize(ds.matrix)
+        std = standardize(ds.matrix)
         assert report["sse"] == pytest.approx(
             sse(std, result.labels, result.centroids))
         assert -1.0 <= report["sil"] <= 1.0

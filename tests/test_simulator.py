@@ -39,6 +39,13 @@ def apply_gates(state, gates):
     return state
 
 
+def fresh_state(num_qubits, rows=None):
+    """``new_state(num_qubits)``, tiled to a (rows, 2^q) batch if ``rows``
+    is given."""
+    state = new_state(num_qubits)
+    return state if rows is None else np.tile(state, (rows, 1))
+
+
 def histogram_of(num_qubits, counts):
     """A dense histogram with the given {basis: weight} entries."""
     weights = np.zeros(1 << num_qubits)
@@ -82,7 +89,7 @@ class TestNewState:
             for _ in range(4):
                 picked = rng.permutation(num_qubits)[
                     :int(rng.integers(num_qubits + 1))].tolist()
-                gates = apply_gates(new_state(num_qubits, rows),
+                gates = apply_gates(fresh_state(num_qubits, rows),
                                     [h(q) for q in picked])
                 written = np.zeros(lead + (2,) * num_qubits)
                 index = [0] * num_qubits
@@ -92,7 +99,7 @@ class TestNewState:
                 assert written.tobytes() == gates.tobytes()
 
     def test_eight_bytes_per_amplitude(self):
-        assert new_state(3, rows=2).dtype == np.float64
+        assert new_state(3).dtype == np.float64
         tracemalloc.start()
         try:
             amps = new_state(16)
@@ -201,12 +208,19 @@ class TestProbabilities:
         assert np.allclose(probabilities(state), [0, 1])
 
     def test_matches_modulus(self):
+        """Real amplitudes of either sign square to |amplitude|^2, bit for
+        bit, -0.0 included."""
         rng = np.random.default_rng(3)
-        amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        amps = rng.standard_normal(8)
         amps /= np.linalg.norm(amps)
-        state = amps
+        amps[[2, 5]] = -0.0, 0.0
         expect = np.array([abs(a) ** 2 for a in amps])
-        assert np.allclose(probabilities(state), expect, atol=1e-14)
+        assert probabilities(amps).tobytes() == expect.tobytes()
+
+    def test_complex_refused(self):
+        with pytest.raises(ValueError,
+                           match="amplitudes must be real, got complex128"):
+            probabilities(np.full(4, 0.5 + 0.0j))
 
 
 class TestMeasure:
@@ -216,7 +230,8 @@ class TestMeasure:
         assert hist.weights == pytest.approx([0.5, 0.5])
 
     def test_analytic_weights_are_the_probabilities(self):
-        state = apply_gate(new_state(3, rows=2), ry(np.array([0.3, 2.0]), 1))
+        state = apply_gate(fresh_state(3, rows=2),
+                           ry(np.array([0.3, 2.0]), 1))
         apply_gate(state, h(0))
         hist = measure(state, Analytic())
         assert hist.weights.dtype == np.float64
@@ -332,20 +347,21 @@ class TestBatchedKernel:
             assert np.max(np.abs(unbatched - single)) <= 1e-12
 
     def test_new_state_rows(self):
-        state = new_state(2, rows=3)
+        state = fresh_state(2, rows=3)
         assert state.shape == (3, 4)
         assert np.array_equal(probabilities(state)[:, 0], np.ones(3))
 
     def test_angle_count_must_match_rows(self):
         with pytest.raises(ValueError):
-            apply_gate(new_state(2, rows=3), ry(np.zeros(2), 0))
+            apply_gate(fresh_state(2, rows=3), ry(np.zeros(2), 0))
         with pytest.raises(ValueError):
             ry(np.zeros((2, 2)), 0)
 
     def test_sampled_rows_draw_in_order_from_one_generator(self):
         # the tests' dense draw: each row normalised on its own, rows drawn
         # in order from one generator
-        state = apply_gate(new_state(3, rows=2), ry(np.array([0.3, 2.0]), 1))
+        state = apply_gate(fresh_state(3, rows=2),
+                           ry(np.array([0.3, 2.0]), 1))
         apply_gate(state, h(0))
         state[1] *= 0.5  # a row whose probabilities sum to 1/4
         hist = measure_reference(state, 500, 11)
@@ -402,7 +418,7 @@ class TestEncodingBlocks:
             rng, (lead if per_row_centroids else ()) + (k, slots))
         plan = build_qc3(records, centroids)
         got = simulate(plan)
-        gate_by_gate = apply_gates(new_state(plan.num_qubits, plan.rows),
+        gate_by_gate = apply_gates(fresh_state(plan.num_qubits, plan.rows),
                                    plan.gates)
         assert got.tobytes() == gate_by_gate.tobytes()
 
@@ -516,7 +532,7 @@ class TestEncodingBlocks:
         rng = np.random.default_rng(records[0] + centroids[0])
         plan = build_qc3(random_table(rng, records),
                          random_table(rng, centroids))
-        gate_by_gate = apply_gates(new_state(plan.num_qubits, plan.rows),
+        gate_by_gate = apply_gates(fresh_state(plan.num_qubits, plan.rows),
                                    plan.gates)
         assert simulate(plan).tobytes() == gate_by_gate.tobytes()
 
@@ -595,7 +611,7 @@ def prepared_pass(name, k):
     from qkmeans.clustering import kmeanspp_init
     from qkmeans.data import builtin
     from qkmeans.encoding import prepare_vectors, standardize
-    std, _, _ = standardize(builtin(
+    std = standardize(builtin(
         "blobs", m=2048, seed=7).matrix if name == "qmk" else builtin(
             "iris").matrix)
     records = prepare_vectors(std)
@@ -625,8 +641,8 @@ class TestWithCentroids:
         same_gates(derived.gates, fresh.gates)
         assert circuits.circuit_stats(derived) == \
             circuits.circuit_stats(fresh)
-        gate_by_gate = apply_gates(new_state(derived.num_qubits,
-                                             derived.rows), derived.gates)
+        gate_by_gate = apply_gates(fresh_state(derived.num_qubits,
+                                               derived.rows), derived.gates)
         assert got.tobytes() == gate_by_gate.tobytes()
 
     def test_shares_the_record_branch(self):
