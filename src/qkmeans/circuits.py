@@ -363,8 +363,9 @@ def simulate(plan: CircuitPlan) -> np.ndarray:
 def _ordered_sum(values: np.ndarray) -> np.ndarray:
     """Sum over the last axis strictly left to right, the order in which the
     basis states are enumerated, so analytic weights round the same way for
-    one circuit and for any batch."""
-    return functools.reduce(np.add, np.moveaxis(values, -1, 0))
+    one circuit and for any batch; each term is a view of the last axis."""
+    return functools.reduce(np.add, (values[..., i]
+                                     for i in range(values.shape[-1])))
 
 
 def _layout_view(plan: CircuitPlan, values: np.ndarray) -> np.ndarray:

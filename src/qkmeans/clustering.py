@@ -255,8 +255,11 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, data.shape[1]))
     centroids[0] = data[rng.integers(m)]
-    d2 = np.sum((data - centroids[0]) ** 2, axis=1)
+    diff = np.empty_like(data)  # every draw's squared differences
+    d2 = np.full(m, math.inf)
     for i in range(1, k):
+        np.square(np.subtract(data, centroids[i - 1], out=diff), out=diff)
+        np.minimum(d2, diff.sum(axis=1), out=d2)
         total = d2.sum()
         if not 0.0 < total < math.inf:  # 0 once every record is a centroid
             require_distinct(data, k)
@@ -265,7 +268,6 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
         cdf = (d2 / total).cumsum()
         cdf /= cdf[-1]
         centroids[i] = data[cdf.searchsorted(rng.random(), side="right")]
-        np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1), out=d2)
     return centroids
 
 
@@ -539,23 +541,20 @@ def _update_centroids(data: np.ndarray, labels: np.ndarray,
     """Mean of each cluster's records; empty clusters keep their previous
     centroid.
 
-    Each feature's cluster sums come from one ``np.bincount`` over the
-    labels, divided by the member counts.  These are the bytes of each
-    cluster's ``mean(axis=0)``: numpy reduces axis 0 of a C-contiguous
-    block of two or more columns row by row, starting from +0.0, and
-    ``bincount`` adds each cluster's weights in record order from +0.0 as
-    well, so both sums round alike, signs of zero included, before the same
-    division by the count.  A single column is the exception: numpy sums
-    it as one contiguous run, pairwise, so single-feature centroids may
-    differ from those means in the last place."""
-    k = previous.shape[0]
-    counts = np.bincount(labels, minlength=k)
-    filled = counts > 0
-    new = previous.copy()
-    sums = np.stack([np.bincount(labels, weights=column, minlength=k)
-                     for column in data.T], axis=1)
-    new[filled] = sums[filled] / counts[filled, None]
-    return new
+    The sums come from one ``np.bincount`` over the (cluster, feature)
+    bins ``label * d + f`` of the records in C order, divided by the member
+    counts.  These are the bytes of each cluster's ``mean(axis=0)``: numpy
+    reduces axis 0 of a C-contiguous block of two or more columns row by
+    row, starting from +0.0, and ``bincount`` adds each bin's weights in
+    record order from +0.0 as well, so both sums round alike, signs of zero
+    included, before the same division.  A single column is the exception:
+    numpy sums it as one contiguous run, pairwise, so single-feature
+    centroids may differ from those means in the last place."""
+    k, d = previous.shape
+    counts = np.bincount(labels, minlength=k)[:, None]
+    sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(),
+                       weights=data.ravel(), minlength=k * d).reshape(k, d)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), previous)
 
 
 def _dispatch(strategy: Strategy, std: np.ndarray, records, centroids_std,
@@ -598,10 +597,10 @@ def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:
                            params, ite, plans)
         reference = (labels if params.assignment is Strategy.CLASSICAL
                      else assign_classical(std, centroids))
-        similarity = 100.0 * float(np.mean(labels == reference))
+        similarity = 100.0 * (int(np.count_nonzero(labels == reference))
+                              / len(labels))
         new_centroids = _update_centroids(std, labels, centroids)
-        history.append(IterationRecord(centroids.copy(), labels.copy(),
-                                       similarity))
+        history.append(IterationRecord(centroids, labels.copy(), similarity))
         shift = np.linalg.norm(new_centroids - centroids) / max(
             np.linalg.norm(centroids), 1e-12)
         centroids = new_centroids

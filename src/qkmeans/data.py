@@ -115,8 +115,8 @@ def subsample(ds: Dataset, size: int, seed: int) -> Dataset:
 
 
 def load_csv(path, label_column=None) -> Dataset:
-    """Numeric CSV loader.  The first row is the header and names the
-    columns; ``label_column`` (name or index) becomes the integer-coded
+    """Numeric CSV loader.  The first row is the header, one name per
+    column; ``label_column`` (name or index) becomes the integer-coded
     ground truth.  Non-numeric feature cells are rejected with their
     row/column coordinates."""
     path = Path(path)
@@ -128,7 +128,7 @@ def load_csv(path, label_column=None) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    width = len(rows[0])
+    width = len(header)
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -145,7 +145,7 @@ def load_csv(path, label_column=None) -> Dataset:
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: row {r + 1} has {len(row)} cells, "
-                             f"expected {width}")
+                             f"the header {width}")
         values = []
         for c, cell in enumerate(row):
             if c == label_idx:

@@ -35,14 +35,17 @@ def standardize(data: np.ndarray) -> np.ndarray:
 
     Constant columns map to all-zeros.  Every clustering run, elbow sweep
     and CLI command that reads records standardizes them first, so a
-    non-finite value is refused here, before any iteration.
+    non-finite value is refused here, before any iteration.  Centring once
+    and taking the std as numpy's ``std`` does (sum, divide, subtract,
+    multiply, sum, divide, sqrt) gives ``(data - mean) / std``'s bytes.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("standardize needs a 2-D matrix with at least 2 rows")
     require_finite(data)
-    std = data.std(axis=0)
-    return (data - data.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+    centered = data - data.mean(axis=0)
+    std = np.sqrt(np.mean(centered * centered, axis=0))
+    return np.divide(centered, np.where(std == 0.0, 1.0, std), out=centered)
 
 
 def isp_rows(matrix: np.ndarray) -> np.ndarray:
@@ -52,9 +55,13 @@ def isp_rows(matrix: np.ndarray) -> np.ndarray:
     ISP(x) = (2 x / (|x|^2 + 1), (|x|^2 - 1)/(|x|^2 + 1)); the origin maps to
     the south pole and unit vectors land on the equator unchanged.
     """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    return _isp(np.atleast_2d(np.asarray(matrix, dtype=float)))[0]
+
+
+def _isp(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``isp_rows`` of a 2-D matrix, and its rows' squared norms, (M, 1)."""
     s = np.sum(matrix * matrix, axis=1, keepdims=True)
-    return np.hstack([2.0 * matrix / (s + 1.0), (s - 1.0) / (s + 1.0)])
+    return np.hstack([2.0 * matrix / (s + 1.0), (s - 1.0) / (s + 1.0)]), s
 
 
 def recover_distance(dp, nx, ny):
@@ -115,10 +122,11 @@ class PreparedVectors:
 
 
 def prepare_vectors(std_rows: np.ndarray, slots: int | None = None) -> PreparedVectors:
-    """Project rows (already standardized) and compute encoding angles."""
-    std_rows = np.atleast_2d(np.asarray(std_rows, dtype=float))
-    projected = isp_rows(std_rows)
-    norms = np.linalg.norm(std_rows, axis=1)
+    """Project rows (already standardized) and compute encoding angles.  The
+    norms are the square roots of the squared norms the projection sums,
+    as ``np.linalg.norm(std_rows, axis=1)`` forms them, so the bytes agree."""
+    projected, s = _isp(np.atleast_2d(np.asarray(std_rows, dtype=float)))
+    norms = np.sqrt(s[:, 0])
     if slots is None:
         slots = num_slots(projected.shape[1])
     return PreparedVectors(projected, norms, rotation_angles(projected, slots))

@@ -23,6 +23,10 @@
   once, summed along the band rows and down the columns right of the band
   in a stated order.  The package must match it byte for byte at every
   tile size.
+* Standardization through ``np.std`` beside ``np.mean``, which centres
+  the columns twice, and the pre-projection norms through
+  ``np.linalg.norm``; the package's one-pass forms must match them byte
+  for byte.
 * Single-vector forms of helpers the package now applies to whole arrays:
   the inverse stereographic projection of one vector and the marginal of a
   histogram over a subset of qubits.
@@ -123,6 +127,17 @@ def circuit_stats_reference(plan):
             levels[q] = level
         depth = max(depth, level)
     return CircuitStats(plan.num_qubits, len(plan.gates), depth)
+
+
+def standardize_reference(data):
+    """Z-score each column through ``data.std`` and ``data.mean``."""
+    std = data.std(axis=0)
+    return (data - data.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+
+
+def norms_reference(rows):
+    """Euclidean norm of each row through ``np.linalg.norm``."""
+    return np.linalg.norm(rows, axis=1)
 
 
 def isp_reference(x):

@@ -146,6 +146,20 @@ class TestRunCommand:
             "--algorithm", "q1k", "--out-dir", str(tmp_path)])
         assert result.exit_code == 0, result.output
 
+    def test_header_width_mismatch_is_machine_readable(self, runner,
+                                                      tmp_path):
+        csv_path = tmp_path / "h.csv"
+        csv_path.write_text("a,b,c\n1,2\n3,4\n5,6\n")
+        result = runner.invoke(main, [
+            "stats", "--dataset-csv", str(csv_path), "--features", "c",
+            "--k", "2"])
+        assert result.exit_code == 1, result.output
+        err = json.loads(result.stderr.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert err["message"].endswith("h.csv: row 1 has 2 cells, "
+                                       "the header 3")
+        assert result.stdout == ""
+
     def test_error_is_machine_readable(self, runner, tmp_path):
         result = runner.invoke(main, [
             "run", "--dataset", "nope", "--out-dir", str(tmp_path)])

@@ -501,6 +501,16 @@ class TestRun:
         for it in sampled.history:
             assert 0.0 <= it.similarity <= 100.0
 
+    @pytest.mark.parametrize("strategy", [
+        Strategy.CLASSICAL, Strategy.Q11, Strategy.Q1K, Strategy.QMK])
+    def test_similarity_is_a_python_float(self, strategy):
+        """The artifact writes each similarity through its ``repr``, which
+        differs between a ``float`` and an ``np.float64`` of one value."""
+        result = run(blob_data(m=30).matrix, ClusteringParams(
+            k=3, assignment=strategy, m1=8, seed=2, max_ite=3))
+        for it in result.history:
+            assert type(it.similarity) is float
+
     def test_q11_analytic_run_matches_classical_run(self):
         ds = blob_data(seed=7)
         a = run(ds.matrix, ClusteringParams(k=3, seed=21))

@@ -100,6 +100,20 @@ class TestCsv:
         with pytest.raises(ValueError):
             load_csv(path)
 
+    def test_header_wider_than_rows_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,2\n3,4\n")
+        with pytest.raises(ValueError,
+                           match=r"t\.csv: row 1 has 2 cells, the header 3"):
+            load_csv(path)
+
+    def test_header_narrower_than_rows_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError,
+                           match=r"t\.csv: row 1 has 3 cells, the header 2"):
+            load_csv(path)
+
     def test_non_numeric_coordinates(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,2\n3,oops\n")

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qkmeans.circuits import circuit_layout
 from qkmeans.encoding import (
@@ -15,7 +16,31 @@ from qkmeans.encoding import (
     standardize,
 )
 from qkmeans.simulator import apply_gate, h, new_state, probabilities
-from reference_impls import GatePlan, encode_vector, isp_reference
+from reference_impls import (
+    GatePlan,
+    encode_vector,
+    isp_reference,
+    norms_reference,
+    standardize_reference,
+)
+
+
+@st.composite
+def records(draw):
+    """An m x d matrix, m from 2 and d from 1 to 20, of ±0.0 and of
+    magnitudes from 1e-3 to 1e3 of either sign, some columns constant."""
+    m = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 20))
+    magnitude = st.builds(lambda x, negative: -x if negative else x,
+                          st.floats(1e-3, 1e3), st.booleans())
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), magnitude)
+    data = draw(arrays(np.float64, (m, d), elements=entry))
+    for column in draw(st.sets(st.integers(0, d - 1))):
+        data[:, column] = data[0, column]
+    return data
+
+
+TWO_ROWS = np.array([[0.0, -0.0, 1e-3, 5.0], [-0.0, -0.0, -1e3, 5.0]])
 
 
 class TestStandardize:
@@ -32,6 +57,13 @@ class TestStandardize:
         out = standardize(rng.normal(3.0, 2.5, (10, 3)))
         assert np.max(np.abs(out.mean(axis=0))) <= 1e-12
         assert np.max(np.abs(out.std(axis=0) - 1)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(records())
+    @example(TWO_ROWS)
+    def test_bytes_equal_std_and_mean(self, data):
+        assert (standardize(data).tobytes()
+                == standardize_reference(data).tobytes())
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
@@ -223,6 +255,14 @@ class TestPrepare:
         # angle definition on the non-padded slots
         expect = 2 * np.arcsin(prepared.projected)
         assert np.allclose(prepared.angles[:, :4], expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(records())
+    @example(TWO_ROWS)
+    def test_norms_bytes_equal_linalg_norm(self, data):
+        for rows in (data, standardize(data)):
+            assert (prepare_vectors(rows).norms.tobytes()
+                    == norms_reference(rows).tobytes())
 
     def test_prepare_vectors_pads_to_power_of_two(self):
         rng = np.random.default_rng(9)
