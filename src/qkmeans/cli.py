@@ -98,8 +98,14 @@ def _resolve_dataset(dataset, dataset_csv, label_column, features,
     if (dataset is None) == (dataset_csv is None):
         raise ValueError("provide exactly one of --dataset / --dataset-csv")
     if dataset is not None:
+        if label_column is not None:
+            raise ValueError(f"--label-column applies to --dataset-csv, not "
+                             f"to --dataset {dataset}")
         ds = datasets.builtin(dataset, m=m, seed=seed)
     else:
+        if m is not None:
+            raise ValueError(f"--m applies to a synthetic --dataset, not to "
+                             f"--dataset-csv {dataset_csv}")
         label = label_column
         if label is not None and label.isdigit():
             label = int(label)

@@ -156,11 +156,20 @@ class ClusteringParams:
         if self.m1 is not None and not 1 <= self.m1 <= num_records:
             raise ValueError(f"m1 must be in [1, {num_records}], got {self.m1}")
         if self.assignment in QUANTUM_STRATEGIES:
-            layout = circuit_layout(num_slots(num_features + 1),
-                                    *circuit_shape(self, num_records))
+            m1, k = circuit_shape(self, num_records)
+            layout = circuit_layout(num_slots(num_features + 1), m1, k)
             simulator.require_qubits(
                 layout.num_qubits, f"{self.assignment.value} on {num_records} "
                 f"records of {num_features} features")
+            # numpy draws at most int64's largest count of shots at once
+            largest = np.iinfo(np.int64).max // (REDRAW_FACTOR * m1 * k)
+            if not self.analytic and self.shots_base > largest:
+                raise ValueError(
+                    f"shots_base {self.shots_base} is too large for sampled "
+                    f"{self.assignment.value} on {num_records} records: a "
+                    f"redrawn row draws {REDRAW_FACTOR} * {m1} * {k} * "
+                    f"shots_base shots, more than numpy can draw; use "
+                    f"shots_base <= {largest}")
         if self.assignment is Strategy.Q11 and not self.analytic:
             self._require_q11_shots(num_records, num_features)
 
@@ -279,81 +288,51 @@ def require_distinct(data: np.ndarray, k: int) -> None:
         raise ValueError(f"k {k} exceeds {distinct} distinct records")
 
 
+# A difference block of _sq_distances holds at most this many terms (256 KiB;
+# 2^14 to 2^17 timed alike at 8 and 13 features), or one row of its ``a``.
+_DIFF_BLOCK = 1 << 15
+
+
 def _sq_distances(a: np.ndarray, b: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``a`` and ``b``,
-    shape ``(len(a), len(b))``, written into ``out`` if given.
+    shape ``(len(a), len(b))``, written into ``out`` if given: the bytes of
+    ``np.sum(diff * diff, axis=2)`` over the C-ordered difference array.
 
-    ``b`` is read once per call as contiguous feature rows (its transpose,
-    copied if it is not already laid out that way).  Each feature's
-    differences are formed by writing ``a[:, f]`` down the target and
-    subtracting it from the contiguous row ``b.T[f]`` in place, so the
-    subtraction runs numpy's contiguous loop rather than its 2-D broadcast
-    one.  That forms ``b_j - a_i``, exactly ``-(a_i - b_j)`` under IEEE
-    round-to-nearest, and squaring drops the sign.  The squared columns are
-    summed in the order numpy's pairwise sum adds a row, so the result is
-    byte-equal to ``np.sum(diff * diff, axis=2)`` over the full
-    ``(len(a), len(b), d)`` difference array, which is never built.  The
-    first column of each partial sum is written in place; later columns go
-    through one reused temporary.
+    Below 8 features numpy adds a row's terms left to right, so the squared
+    columns are added left to right and no difference array is built.  The
+    first column is written into ``out``, later ones into one reused
+    temporary: ``a[:, f]`` is written down the target and subtracted from
+    the contiguous row ``b.T[f]`` in place, forming ``b_j - a_i``, exactly
+    ``-(a_i - b_j)``; squaring drops the sign.  From 8 features up, and for
+    none, ``np.sum`` itself reduces the difference array in row blocks of
+    ``_DIFF_BLOCK``, each in C order whatever the operands' layout.
     """
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"operands have {a.shape[1]} and {b.shape[1]} "
                          f"features; squared distances need the same width")
+    m, d = a.shape
     if out is None:
-        out = np.empty((a.shape[0], b.shape[0]))
-    if a.shape[1] == 0:
-        out[...] = 0.0
+        out = np.empty((m, b.shape[0]))
+    if 0 < d < 8:
+        bT = np.ascontiguousarray(b.T)
+        scratch = np.empty_like(out) if d > 1 else None
+        for f in range(d):
+            diff = scratch if f else out
+            diff[...] = a[:, f, None]
+            np.subtract(bT[f], diff, out=diff)
+            diff *= diff
+            if f:
+                out += diff
         return out
-    scratch = np.empty_like(out) if a.shape[1] > 1 else None
-    return _pairwise_columns(a, np.ascontiguousarray(b.T), 0, a.shape[1],
-                             out, scratch)
-
-
-def _pairwise_columns(a: np.ndarray, bT: np.ndarray, lo: int, hi: int,
-                      total: np.ndarray,
-                      scratch: np.ndarray | None) -> np.ndarray:
-    """Write into ``total`` the sum of the squared column differences over
-    features ``lo..hi-1``: left to right below 8 features, eight
-    interleaved partial sums up to 128, and two halves split at a multiple
-    of 8 above that."""
-    n = hi - lo
-    if n < 8:
-        return _column_run(a, bT, range(lo, hi), total, scratch)
-    if n > 128:
-        mid = lo + n // 2 - (n // 2) % 8
-        _pairwise_columns(a, bT, lo, mid, total, scratch)
-        total += _pairwise_columns(a, bT, mid, hi, np.empty_like(total),
-                                   scratch)
-        return total
-    end = hi - n % 8
-    partial = [total] + [np.empty_like(total) for _ in range(7)]
-    for j in range(8):
-        _column_run(a, bT, range(lo + j, end, 8), partial[j], scratch)
-    for width in (1, 2, 4):  # ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))
-        for j in range(0, 8, 2 * width):
-            partial[j] += partial[j + width]
-    return _column_run(a, bT, range(end, hi), total, scratch, add=True)
-
-
-def _column_run(a: np.ndarray, bT: np.ndarray, features: range,
-                total: np.ndarray, scratch: np.ndarray | None,
-                add: bool = False) -> np.ndarray:
-    """Sum the squared column differences of ``features`` left to right
-    into ``total``, onto its contents if ``add``, else over them.  ``bT``
-    holds the second operand's features as contiguous rows: feature ``f``
-    of row ``i`` against row ``j`` is ``bT[f, j] - a[i, f]``, written by
-    broadcasting ``a[:, f]`` down the target and subtracting it from the
-    row ``bT[f]``."""
-    for f in features:
-        diff = scratch if add else total
-        diff[...] = a[:, f, None]
-        np.subtract(bT[f], diff, out=diff)
-        diff *= diff
-        if add:
-            total += diff
-        add = True
-    return total
+    step = max(1, _DIFF_BLOCK // max(1, b.size))
+    block = np.empty((min(m, step),) + b.shape)
+    for s in range(0, m, step):
+        diff = block[:min(step, m - s)]
+        np.subtract(a[s:s + step, None], b, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=2, out=out[s:s + step])
+    return out
 
 
 def assign_classical(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -187,9 +187,9 @@ def save_csv(ds: Dataset, path) -> None:
 
 def select_features(ds: Dataset, names=None, top_variance: int | None = None
                     ) -> Dataset:
-    """Column selection: either the named columns (in the given order) or the
-    ``top_variance`` columns of largest sample variance (original column
-    order preserved, ties broken by column index)."""
+    """Column selection: either the named columns (in the given order, each
+    once) or the ``top_variance`` columns of largest sample variance
+    (original column order preserved, ties broken by column index)."""
     if (names is None) == (top_variance is None):
         raise ValueError("choose exactly one of names / top_variance")
     if names is not None:
@@ -198,6 +198,9 @@ def select_features(ds: Dataset, names=None, top_variance: int | None = None
         missing = [n for n in names if n not in ds.feature_names]
         if missing:
             raise ValueError(f"unknown feature name(s): {missing}")
+        repeated = list(dict.fromkeys(n for n in names if names.count(n) > 1))
+        if repeated:
+            raise ValueError(f"repeated feature name(s): {repeated}")
         cols = [ds.feature_names.index(n) for n in names]
         new_names = list(names)
     else:

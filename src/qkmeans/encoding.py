@@ -48,22 +48,6 @@ def standardize(data: np.ndarray) -> np.ndarray:
     return np.divide(centered, np.where(std == 0.0, 1.0, std), out=centered)
 
 
-def isp_rows(matrix: np.ndarray) -> np.ndarray:
-    """Project each row of an M x N matrix onto the unit sphere in N+1
-    dimensions; returns M x (N+1).
-
-    ISP(x) = (2 x / (|x|^2 + 1), (|x|^2 - 1)/(|x|^2 + 1)); the origin maps to
-    the south pole and unit vectors land on the equator unchanged.
-    """
-    return _isp(np.atleast_2d(np.asarray(matrix, dtype=float)))[0]
-
-
-def _isp(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``isp_rows`` of a 2-D matrix, and its rows' squared norms, (M, 1)."""
-    s = np.sum(matrix * matrix, axis=1, keepdims=True)
-    return np.hstack([2.0 * matrix / (s + 1.0), (s - 1.0) / (s + 1.0)]), s
-
-
 def recover_distance(dp, nx, ny):
     """Original-space distance from a projected-space one, elementwise over
     arrays.
@@ -122,10 +106,16 @@ class PreparedVectors:
 
 
 def prepare_vectors(std_rows: np.ndarray, slots: int | None = None) -> PreparedVectors:
-    """Project rows (already standardized) and compute encoding angles.  The
+    """Project rows (already standardized) onto the unit sphere in one more
+    dimension and compute encoding angles.
+
+    ISP(x) = (2 x / (|x|^2 + 1), (|x|^2 - 1)/(|x|^2 + 1)); the origin maps to
+    the south pole and unit vectors land on the equator unchanged.  The
     norms are the square roots of the squared norms the projection sums,
     as ``np.linalg.norm(std_rows, axis=1)`` forms them, so the bytes agree."""
-    projected, s = _isp(np.atleast_2d(np.asarray(std_rows, dtype=float)))
+    rows = np.atleast_2d(np.asarray(std_rows, dtype=float))
+    s = np.sum(rows * rows, axis=1, keepdims=True)
+    projected = np.hstack([2.0 * rows / (s + 1.0), (s - 1.0) / (s + 1.0)])
     norms = np.sqrt(s[:, 0])
     if slots is None:
         slots = num_slots(projected.shape[1])

@@ -25,7 +25,7 @@ from qkmeans.clustering import (
     run,
 )
 from qkmeans.data import builtin, subsample
-from qkmeans.encoding import isp_rows, recover_distance
+from qkmeans.encoding import prepare_vectors, recover_distance
 from qkmeans.metrics import (
     elbow,
     pair_confusion,
@@ -224,7 +224,7 @@ def test_criterion_08_isp_invariants():
     per_dim = 100_000 // 10
     for dim in range(1, 11):
         vectors = rng.normal(0.0, 3.0, (per_dim, dim))
-        projected = isp_rows(vectors)
+        projected = prepare_vectors(vectors).projected
         norms = np.linalg.norm(projected, axis=1)
         worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
         half = per_dim // 2

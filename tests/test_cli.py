@@ -375,6 +375,84 @@ class TestNonFiniteRecords:
         assert result.stdout == ""
 
 
+class TestDatasetFlagsThatDoNotApply:
+    """A dataset flag that does not apply to the chosen source is refused,
+    naming the flag and the source, before any work and any output."""
+
+    @staticmethod
+    def _refused(runner, tmp_path, command, message):
+        out = tmp_path / "out"
+        extra = [] if command[0] == "stats" else ["--out-dir", str(out)]
+        result = runner.invoke(main, command + extra)
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.stderr.splitlines()[-1]) == {
+            "error": "ValueError", "message": message}
+        assert not out.exists()
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--k", "2"],
+        ["elbow", "--k-min", "2", "--k-max", "2"],
+        ["stats", "--k", "2"],
+    ])
+    def test_m_with_a_csv(self, runner, tmp_path, command):
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text("a,b\n" + "".join(f"{r}.5,{r * r}.25\n"
+                                              for r in range(6)))
+        self._refused(runner, tmp_path, command + [
+            "--dataset-csv", str(csv_path), "--m", "100"],
+            f"--m applies to a synthetic --dataset, not to --dataset-csv "
+            f"{csv_path}")
+
+    @pytest.mark.parametrize("label", ["species", "nope"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--k", "3"],
+        ["elbow", "--k-min", "2", "--k-max", "2"],
+        ["stats", "--k", "3"],
+    ])
+    def test_label_column_with_a_builtin(self, runner, tmp_path, command,
+                                         label):
+        self._refused(runner, tmp_path, command + [
+            "--dataset", "iris", "--label-column", label],
+            "--label-column applies to --dataset-csv, not to --dataset iris")
+
+
+class TestRepeatedFeatures:
+    def test_refused_naming_the_name(self, runner, tmp_path):
+        from pathlib import Path
+
+        import qkmeans
+        iris = Path(qkmeans.__file__).parent / "datasets" / "iris.csv"
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--dataset-csv", str(iris),
+            "--label-column", "species", "--features",
+            "sepal length,sepal length", "--algorithm", "q1k",
+            "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.stderr.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": "repeated feature name(s): ['sepal length']"}
+        assert not out.exists()
+
+
+class TestShotsNumpyCannotDraw:
+    def test_refused_before_any_output(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--dataset", "iris", "--algorithm", "q1k", "--shots",
+            str(2 ** 62), "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.count("\n") == 1
+        err = json.loads(result.stderr)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"shots_base {2 ** 62} is too large "
+                                         f"for sampled q1k")
+        assert err["message"].endswith(
+            f"use shots_base <= {(2 ** 63 - 1) // 12}")
+        assert not out.exists()
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", [
         ["run", "--dataset", "iris", "--algorithm", "q11"],

@@ -172,7 +172,8 @@ class TestAssignClassical:
 
 
 class TestSqDistances:
-    """Summed by feature columns in numpy's pairwise order, the distances
+    """Summed by feature columns left to right below 8 features, and
+    reduced by ``np.sum`` in C-ordered row blocks from 8 up, the distances
     are byte-equal to reducing the full difference array."""
 
     @staticmethod
@@ -246,6 +247,35 @@ class TestSqDistances:
                            match=f"operands have {a_width} and {b_width} "
                                  f"features"):
             _sq_distances(np.zeros((4, a_width)), np.zeros((2, b_width)))
+
+    @pytest.mark.parametrize("d", [0, 8, 9, 13, 20])
+    @pytest.mark.parametrize("block", [1, 50, 101])
+    def test_row_blocks_of_any_size(self, monkeypatch, d, block):
+        # 1 and 50 terms hold one row of a against b from d 8 up; 101 hold
+        # two at d 8 and 9, so the last of the 11 rows is a block of its own
+        from qkmeans import clustering
+        monkeypatch.setattr(clustering, "_DIFF_BLOCK", block)
+        rng = np.random.default_rng(d + 4)
+        a = rng.normal(size=(11, d)) * rng.uniform(0.01, 100.0, size=d)
+        b = np.asfortranarray(rng.normal(size=(5, d)))
+        self._assert_full_reduction(a, b)
+
+    @pytest.mark.parametrize("d", [8, 13])
+    def test_wide_peak_holds_one_block(self, d):
+        # 3 centroids against 65,536 records form one row of a per block:
+        # the peak is that block and the output, plus numpy's iterator
+        # buffers; the eight partial sums that this replaced took 20.0 MiB
+        # at d 13
+        from qkmeans.clustering import _DIFF_BLOCK
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(3, d)), rng.normal(size=(65536, d))
+        tracemalloc.start()
+        try:
+            _sq_distances(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (max(_DIFF_BLOCK, b.size) + 3 * len(b)) + 2**17
 
     @pytest.mark.parametrize("d", [*range(0, 21), 130, 257])
     def test_out_matches_allocating_call(self, d):
@@ -1142,6 +1172,46 @@ class TestQ11ShotBound:
         kept = postselection_probability(build_qc3(
             records.angles[r, None], centroids.angles[j, None]))
         assert np.allclose(kept, 1.0 / records.slots, rtol=0, atol=1e-15)
+
+
+class TestShotsNumpyCanDraw:
+    """A sampled quantum run is refused, before iteration 1, when a row's
+    redraw of ``REDRAW_FACTOR * M1 * k * shots_base`` shots passes int64,
+    the most numpy's ``multinomial`` draws; the largest that fits passes."""
+
+    @pytest.mark.parametrize("strategy, m1, per_row", [
+        (Strategy.Q11, None, 1),
+        (Strategy.Q1K, None, 3),
+        (Strategy.QMK, None, 150 * 3),
+        (Strategy.QMK, 8, 8 * 3),
+    ])
+    def test_largest_that_fits_passes(self, strategy, m1, per_row):
+        from qkmeans.clustering import REDRAW_FACTOR
+        largest = (2 ** 63 - 1) // (REDRAW_FACTOR * per_row)
+        params = ClusteringParams(k=3, assignment=strategy, m1=m1,
+                                  shots_base=largest)
+        params.validate(150, 3)
+        over = dataclasses.replace(params, shots_base=largest + 1)
+        with pytest.raises(ValueError, match=(
+                f"^shots_base {largest + 1} is too large for sampled "
+                f"{strategy.value} on 150 records: .* use shots_base <= "
+                f"{largest}$")):
+            over.validate(150, 3)
+        dataclasses.replace(over, analytic=True).validate(150, 3)
+
+    def test_refused_before_seeding(self, monkeypatch):
+        from qkmeans import clustering
+        from qkmeans.data import builtin
+
+        def never(*args, **kwargs):
+            raise AssertionError("called before the shot check")
+
+        monkeypatch.setattr(clustering, "kmeanspp_init", never)
+        params = ClusteringParams(k=3, assignment=Strategy.QMK,
+                                  shots_base=2 ** 61)
+        with pytest.raises(ValueError, match="shots_base 2305843009213693952 "
+                                             "is too large"):
+            run(builtin("iris").matrix, params)
 
 
 class TestCircuitShape:

@@ -187,6 +187,13 @@ class TestSelectFeatures:
         with pytest.raises(ValueError):
             select_features(base)
 
+    def test_repeated_names_refused(self):
+        names = ["petal width", "sepal length", "petal width",
+                 "sepal length", "petal length"]
+        with pytest.raises(ValueError, match=r"^repeated feature name\(s\): "
+                           r"\['petal width', 'sepal length'\]$"):
+            select_features(load_iris(), names=names)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_top_variance_below_one(self, count):
         with pytest.raises(ValueError, match=f"got {count}"):

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from qkmeans.circuits import circuit_layout
 from qkmeans.encoding import (
-    isp_rows,
     num_slots,
     prepare_vectors,
     recover_distance,
@@ -82,26 +81,28 @@ class TestStandardize:
 
 class TestIsp:
     def test_origin_maps_to_south_pole(self):
-        assert np.allclose(isp_rows(np.zeros(2))[0], [0, 0, -1])
+        assert np.allclose(prepare_vectors(np.zeros(2)).projected[0],
+                           [0, 0, -1])
 
     def test_unit_vector_on_equator(self):
-        assert np.allclose(isp_rows(np.array([1.0, 0.0]))[0], [1, 0, 0])
+        assert np.allclose(prepare_vectors(np.array([1.0, 0.0])).projected[0],
+                           [1, 0, 0])
 
     def test_three_four(self):
-        assert np.allclose(isp_rows(np.array([3.0, 4.0]))[0],
+        assert np.allclose(prepare_vectors(np.array([3.0, 4.0])).projected[0],
                            [3 / 13, 4 / 13, 12 / 13])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_unit_norm(self, values):
-        projected = isp_rows(np.array(values))[0]
+        projected = prepare_vectors(np.array(values)).projected[0]
         assert abs(np.linalg.norm(projected) - 1.0) <= 1e-12
         assert -1.0 <= projected[-1] < 1.0
 
     def test_rows_match_single(self):
         rng = np.random.default_rng(2)
         mat = rng.normal(size=(20, 5))
-        rows = isp_rows(mat)
+        rows = prepare_vectors(mat).projected
         for i in range(20):
             assert np.allclose(rows[i], isp_reference(mat[i]), atol=1e-15)
 
@@ -116,7 +117,8 @@ class TestRecoverDistance:
     def test_three_four_vs_origin(self):
         x = np.array([3.0, 4.0])
         y = np.zeros(2)
-        dp = float(np.linalg.norm(isp_rows(x)[0] - isp_rows(y)[0]))
+        px, py = prepare_vectors(np.stack([x, y])).projected
+        dp = float(np.linalg.norm(px - py))
         assert recover_distance(dp, 5.0, 0.0) == pytest.approx(5.0, abs=1e-9)
 
     def test_out_of_range(self):
@@ -130,7 +132,8 @@ class TestRecoverDistance:
     def test_round_trip(self, dim, seed):
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=(2, dim))
-        dp = float(np.linalg.norm(isp_rows(x)[0] - isp_rows(y)[0]))
+        px, py = prepare_vectors(np.stack([x, y])).projected
+        dp = float(np.linalg.norm(px - py))
         recovered = recover_distance(dp, float(np.linalg.norm(x)),
                                      float(np.linalg.norm(y)))
         assert recovered == pytest.approx(float(np.linalg.norm(x - y)),
