@@ -427,37 +427,29 @@ def estimate_distance(plan: CircuitPlan, hist: Histogram, *,
                       sampled: Sampled | None = None):
     """Distance estimate from a QC1 histogram.
 
-    Post-selects the register qubit on 1, takes the surviving ancilla-0
-    frequency p and returns sqrt(max(0, 4 - 4p)).  This is the distance
-    between the encoded (projected) unit vectors.  A batched histogram
-    gives one estimate per row.
+    Reads two cells per row, register 1 with ancilla 0 (a0) and with
+    ancilla 1 (a1), each summed over the index register.  t' = a0 + a1
+    survives the register post-selection, and p = a0 / t' gives
+    sqrt(max(0, 4 - 4p)), the distance between the encoded (projected)
+    unit vectors.  A batched histogram gives one estimate per row.
 
-    With ``sampled``, ``hist`` holds exact probabilities, and the kept
-    weights are ``sampled.shots`` shots drawn over two cells per row:
-    register 1 with ancilla 0, and with ancilla 1, each summed over the
-    index register.  A failure then carries the distances; rows whose
-    exact kept probability is 0 fail before the draw, without them.
+    With ``sampled``, ``hist`` holds exact probabilities and the cells are
+    ``sampled.shots`` shots drawn over them; a failure then carries the
+    distances.  Rows whose exact kept probability is 0 fail before the
+    draw, without them.
     """
     # QC1 has no cluster or batch register; keep register = 1
-    weights = _layout_view(plan, hist.weights)
-    kept = weights[..., 0, 1, 0, :, :]  # (..., index, ancilla)
+    kept = _layout_view(plan, hist.weights)[..., 0, 1, 0, :, :]
+    cells = _ordered_sum(np.swapaxes(kept, -1, -2))  # ancilla 0, 1
     if sampled is not None:
-        cells = _ordered_sum(np.swapaxes(kept, -1, -2))  # ancilla 0, 1
         _require_kept(cells, "register post-selection")
-        counts = _draw(cells, sampled)
-        zeros, t_prime = counts[..., 0], counts.sum(axis=-1)
-        distance = _distance(zeros / np.maximum(t_prime, 1))
-        _empty_rows(t_prime, "register post-selection", distance)
-        return distance
-    t_prime = _ordered_sum(kept.reshape(kept.shape[:-2] + (-1,)))
-    _empty_rows(t_prime, "register post-selection")
-    zeros = _ordered_sum(kept[..., 0])  # ancilla = 0
-    return _distance(zeros / t_prime)
-
-
-def _distance(p_hat):
-    """The projected distance for an ancilla-0 frequency ``p_hat``."""
-    return np.sqrt(np.maximum(0.0, 4.0 - 4.0 * p_hat))
+        cells = _draw(cells, sampled)
+    t_prime = cells.sum(axis=-1)
+    p_hat = cells[..., 0] / np.where(t_prime > 0, t_prime, 1)
+    distance = np.sqrt(np.maximum(0.0, 4.0 - 4.0 * p_hat))
+    _empty_rows(t_prime, "register post-selection",
+                None if sampled is None else distance)
+    return distance
 
 
 @dataclass

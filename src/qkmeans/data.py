@@ -33,10 +33,18 @@ SYNTHETIC_SIZE = 1500
 
 @dataclass
 class Dataset:
+    """Records ``matrix`` (one row each) with optional integer ground truth.
+    Every column has a name: unnamed ones get ``f0, f1, ...``, the header
+    ``save_csv`` writes for them."""
+
     name: str
     matrix: np.ndarray
     ground_truth: np.ndarray | None = None
     feature_names: list[str] | None = None
+
+    def __post_init__(self):
+        if self.feature_names is None:
+            self.feature_names = [f"f{i}" for i in range(self.num_features)]
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -50,6 +58,15 @@ class Dataset:
         if self.ground_truth is None:
             return None
         return int(self.ground_truth.max()) + 1
+
+
+def _require_spread(name: str, values) -> None:
+    """Refuse a negative or non-finite spread ``values`` (scalar or array),
+    before anything is drawn."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise ValueError(f"{name} must be finite and >= 0, got "
+                         f"{values.tolist()}")
 
 
 def _split_sizes(m: int, groups: int) -> list[int]:
@@ -66,6 +83,7 @@ def gen_blobs(m: int, centers, std, seed: int, name: str = "blobs") -> Dataset:
     centers = np.asarray(centers, dtype=float)
     if centers.size == 0:
         raise ValueError("need at least one center")
+    _require_spread("std", std)
     stds = np.broadcast_to(np.asarray(std, dtype=float), (centers.shape[0],))
     rng = np.random.default_rng(seed)
     rows, truth = [], []
@@ -87,6 +105,7 @@ def gen_aniso(m: int, seed: int, std: float = 1.0) -> Dataset:
 def gen_moons(m: int, noise: float, seed: int) -> Dataset:
     """Two interleaving half-circles of radius 1, the second one flipped and
     offset by (1, 0.5), with isotropic Gaussian noise."""
+    _require_spread("noise", noise)
     n_outer = m - m // 2
     n_inner = m // 2
     t_outer = np.linspace(0.0, math.pi, n_outer)
@@ -171,10 +190,9 @@ def save_csv(ds: Dataset, path) -> None:
     """Write the dataset with 17-significant-digit values (bit-exact round
     trip through ``load_csv``); ground truth goes into a ``label`` column."""
     path = Path(path)
-    names = ds.feature_names or [f"f{i}" for i in range(ds.num_features)]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(names)
+        header = list(ds.feature_names)
         if ds.ground_truth is not None:
             header.append("label")
         writer.writerow(header)
@@ -193,16 +211,14 @@ def select_features(ds: Dataset, names=None, top_variance: int | None = None
     if (names is None) == (top_variance is None):
         raise ValueError("choose exactly one of names / top_variance")
     if names is not None:
-        if ds.feature_names is None:
-            raise ValueError("dataset has no feature names")
         missing = [n for n in names if n not in ds.feature_names]
         if missing:
-            raise ValueError(f"unknown feature name(s): {missing}")
+            raise ValueError(f"unknown feature name(s): {missing}; "
+                             f"{ds.name} has columns {ds.feature_names}")
         repeated = list(dict.fromkeys(n for n in names if names.count(n) > 1))
         if repeated:
             raise ValueError(f"repeated feature name(s): {repeated}")
         cols = [ds.feature_names.index(n) for n in names]
-        new_names = list(names)
     else:
         if top_variance < 1:
             raise ValueError(f"top_variance must be >= 1, got {top_variance}")
@@ -212,9 +228,8 @@ def select_features(ds: Dataset, names=None, top_variance: int | None = None
         variances = ds.matrix.var(axis=0, ddof=1)
         order = np.argsort(-variances, kind="stable")
         cols = sorted(int(c) for c in order[:top_variance])
-        new_names = ([ds.feature_names[c] for c in cols]
-                     if ds.feature_names is not None else None)
-    return Dataset(ds.name, ds.matrix[:, cols], ds.ground_truth, new_names)
+    return Dataset(ds.name, ds.matrix[:, cols], ds.ground_truth,
+                   [ds.feature_names[c] for c in cols])
 
 
 def _bundled(filename: str, label_column: str) -> Dataset:

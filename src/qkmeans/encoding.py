@@ -34,14 +34,17 @@ def standardize(data: np.ndarray) -> np.ndarray:
     """Z-score each column (population std); returns the standardized matrix.
 
     Constant columns map to all-zeros.  Every clustering run, elbow sweep
-    and CLI command that reads records standardizes them first, so a
-    non-finite value is refused here, before any iteration.  Centring once
-    and taking the std as numpy's ``std`` does (sum, divide, subtract,
-    multiply, sum, divide, sqrt) gives ``(data - mean) / std``'s bytes.
+    and CLI command that reads records standardizes them first, so records
+    without a feature column, or with a non-finite value, are refused here,
+    before any iteration.  Centring once and taking the std as numpy's
+    ``std`` does (sum, divide, subtract, multiply, sum, divide, sqrt) gives
+    ``(data - mean) / std``'s bytes.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("standardize needs a 2-D matrix with at least 2 rows")
+    if data.shape[1] == 0:
+        raise ValueError("the records have no feature column")
     require_finite(data)
     centered = data - data.mean(axis=0)
     std = np.sqrt(np.mean(centered * centered, axis=0))

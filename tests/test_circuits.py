@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -112,6 +113,31 @@ class TestEstimateDistance:
         x = np.array([0.6, 0.8])
         d = self.run_pair(x, -x)
         assert d == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed, records, centroids", [
+        # one circuit whose a0 + a1 rounds apart from the basis-order sum
+        (3, (1, 4), (1, 4)),
+        (450, (450, 1, 4), (450, 1, 4)),  # a batch, the q11 workload's pass
+        (150, (150, 1, 1, 4), (3, 1, 4)),  # a q1:1 grid, row r * k + j
+    ])
+    def test_analytic_decode_reads_the_two_cells(self, seed, records,
+                                                 centroids):
+        """Analytic weights decode to sqrt(max(0, 4 - 4 a0 / (a0 + a1))),
+        byte for byte, over the two cells a sampled decode draws over:
+        register 1 with ancilla 0 (a0) and with ancilla 1 (a1), each summed
+        over the index register in basis order."""
+        rng = np.random.default_rng(seed)
+        plan = build_qc3(rng.uniform(-3.0, 3.0, records),
+                         rng.uniform(-3.0, 3.0, centroids))
+        probs = measure(simulate(plan), Analytic()).weights
+        kept = 1 << plan.layout.register  # index qubits follow the ancilla
+        a0, a1 = (functools.reduce(np.add, (probs[..., kept | i << 1 | a]
+                                            for i in range(4)))
+                  for a in (0, 1))
+        want = np.sqrt(np.maximum(0.0, 4.0 - 4.0 * (a0 / (a0 + a1))))
+        got = estimate_distance(plan, Histogram(probs))
+        assert np.shape(got) == probs.shape[:-1]
+        assert np.asarray(got).tobytes() == want.tobytes()
 
     def test_zero_kept_shots(self):
         plan = qc1(np.zeros(2), np.zeros(2))

@@ -375,6 +375,68 @@ class TestNonFiniteRecords:
         assert result.stdout == ""
 
 
+class TestNoFeatureColumn:
+    """A CSV holding only its label column is refused by name, before any
+    iteration and before any output."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--k", "2"],
+        ["run", "--k", "2", "--algorithm", "q1k", "--analytic"],
+        ["elbow", "--k-min", "2", "--k-max", "2", "--seeds-per-k", "1"],
+        ["stats", "--variant", "q11", "--k", "2"],
+    ])
+    def test_refused(self, runner, tmp_path, command):
+        csv_path = tmp_path / "labels.csv"
+        csv_path.write_text("label\n0\n1\n0\n1\n")
+        out = tmp_path / "out"
+        extra = [] if command[0] == "stats" else ["--out-dir", str(out)]
+        result = runner.invoke(main, command + [
+            "--dataset-csv", str(csv_path), "--label-column", "label",
+            *extra])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.stderr.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": "the records have no feature column"}
+        assert not out.exists()
+        assert result.stdout == ""
+
+
+class TestFeatureNames:
+    def test_unknown_name_lists_the_columns(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--dataset", "iris", "--features", "sepal width",
+            "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.stderr.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": "unknown feature name(s): ['sepal width']; iris has "
+                       "columns ['sepal length', 'petal length', "
+                       "'petal width']"}
+        assert not out.exists()
+
+    def test_generated_columns_by_their_csv_names(self, runner, tmp_path):
+        """A synthetic dataset's columns take the names that ``gen`` writes
+        into its CSV, and select the same records either way."""
+        csv_path = tmp_path / "blobs.csv"
+        assert runner.invoke(main, [
+            "gen", "--dataset", "blobs", "--m", "40", "--seed", "3",
+            "--out", str(csv_path)]).exit_code == 0
+        assert csv_path.read_text().splitlines()[0] == "f0,f1,label"
+        common = ["--features", "f1", "--k", "3", "--seed", "3"]
+        built, read = tmp_path / "built", tmp_path / "read"
+        for source, out in ((["--dataset", "blobs", "--m", "40"], built),
+                            (["--dataset-csv", str(csv_path),
+                              "--label-column", "label"], read)):
+            result = runner.invoke(main, ["run", *source, *common,
+                                          "--out-dir", str(out)])
+            assert result.exit_code == 0, result.output
+        a = strip_timing(json.loads((built / "blobs_kmeans.json").read_text()))
+        b = strip_timing(json.loads((read / "blobs_kmeans.json").read_text()))
+        assert a["config"]["dataset"]["features"] == 1
+        assert a["repetitions"] == b["repetitions"]
+
+
 class TestDatasetFlagsThatDoNotApply:
     """A dataset flag that does not apply to the chosen source is refused,
     naming the flag and the source, before any work and any output."""
@@ -813,6 +875,24 @@ class TestGenCommand:
         err = json.loads(result.stderr.splitlines()[-1])
         assert err["error"] == "ValueError"
         assert err["message"].startswith("moon takes no std parameter")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["moon", "--noise", "-0.2"], "noise must be finite and >= 0, got -0.2"),
+        (["moon", "--noise", "nan"], "noise must be finite and >= 0, got nan"),
+        (["blobs", "--std", "nan"], "std must be finite and >= 0, got nan"),
+        (["blobs", "--std", "-1"], "std must be finite and >= 0, got -1.0"),
+        (["blobs2", "--std", "inf"], "std must be finite and >= 0, got inf"),
+    ])
+    def test_negative_or_non_finite_spread_refused(self, runner, tmp_path,
+                                                   args, message):
+        out = tmp_path / "g.csv"
+        result = runner.invoke(main, ["gen", "--dataset", *args,
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.splitlines() == [json.dumps(
+            {"error": "ValueError", "message": message})]
+        assert result.stdout == ""
         assert not out.exists()
 
     def test_same_seed_identical(self, runner, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ class TestGenBlobs:
         with pytest.raises(ValueError):
             gen_blobs(10, [], 1.0, seed=0)
 
+    @pytest.mark.parametrize("std, shown", [
+        (-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"),
+        ((1.0, np.nan, 0.5), r"\[1.0, nan, 0.5\]"),
+        ((1.0, 2.5, -0.5), r"\[1.0, 2.5, -0.5\]"),
+    ])
+    def test_negative_or_non_finite_std_refused(self, std, shown):
+        with pytest.raises(ValueError,
+                           match=f"^std must be finite and >= 0, got {shown}$"):
+            gen_blobs(9, BLOB_CENTERS, std, seed=0)
+
 
 class TestGenAniso:
     def test_zero_std_is_transformed_centers(self):
@@ -73,6 +85,13 @@ class TestGenMoons:
     def test_noiseless_points_on_arcs(self):
         ds = gen_moons(100, noise=0.0, seed=0)
         assert np.max(self.arc_distance(ds.matrix, ds.ground_truth)) <= 1e-12
+
+    @pytest.mark.parametrize("noise, shown", [
+        (-0.2, "-0.2"), (np.nan, "nan"), (np.inf, "inf")])
+    def test_negative_or_non_finite_noise_refused(self, noise, shown):
+        with pytest.raises(ValueError, match=f"^noise must be finite and "
+                                             f">= 0, got {shown}$"):
+            gen_moons(100, noise=noise, seed=0)
 
     def test_balanced_classes(self):
         ds = gen_moons(100, noise=0.05, seed=1)
@@ -138,6 +157,7 @@ class TestCsv:
         back = load_csv(path, label_column="label")
         assert np.array_equal(back.matrix, ds.matrix)
         assert np.array_equal(back.ground_truth, ds.ground_truth)
+        assert back.feature_names == ds.feature_names == ["f0", "f1", "f2"]
 
 
 class TestBundled:
@@ -177,6 +197,21 @@ class TestSelectFeatures:
                        feature_names=["lo", "hi", "mid"])
         ds = select_features(base, top_variance=2)
         assert ds.feature_names == ["hi", "mid"]
+
+    def test_unnamed_columns_are_named_by_position(self):
+        base = gen_blobs(12, BLOB_CENTERS, 1.0, seed=0)
+        assert base.feature_names == ["f0", "f1"]
+        ds = select_features(base, names=["f1"])
+        assert np.array_equal(ds.matrix, base.matrix[:, [1]])
+        assert ds.feature_names == ["f1"]
+        assert select_features(base, top_variance=1).feature_names in (
+            ["f0"], ["f1"])
+
+    def test_unknown_name_lists_the_columns(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown feature name(s): ['sepal width']; iris has columns "
+                "['sepal length', 'petal length', 'petal width']")):
+            select_features(builtin("iris"), names=["sepal width"])
 
     def test_errors(self):
         base = load_iris()
@@ -258,6 +293,20 @@ class TestBuiltin:
                                                             override):
         assert not np.array_equal(builtin(name, seed=0).matrix,
                                   builtin(name, seed=0, **override).matrix)
+
+    @pytest.mark.parametrize("name, override, refused", [
+        ("blobs", {"std": -1.0}, "std"),
+        ("blobs2", {"std": (1.0, np.nan, 0.5)}, "std"),
+        ("aniso", {"std": np.inf}, "std"),
+        ("blobs3", {"std": np.nan}, "std"),
+        ("moon", {"noise": -0.2}, "noise"),
+        ("moon", {"noise": np.nan}, "noise"),
+    ])
+    def test_negative_or_non_finite_spread_refused(self, name, override,
+                                                   refused):
+        with pytest.raises(ValueError,
+                           match=f"^{refused} must be finite and >= 0"):
+            builtin(name, seed=0, **override)
 
     def test_subsample(self):
         ds = subsample(builtin("blobs", seed=0), 150, 3)

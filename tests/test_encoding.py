@@ -68,6 +68,11 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize(np.array([[1.0, 2.0]]))
 
+    def test_needs_a_feature_column(self):
+        with pytest.raises(ValueError,
+                           match="^the records have no feature column$"):
+            standardize(np.zeros((3, 0)))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_by_row_and_column(self, value):
         data = np.arange(12.0).reshape(4, 3)
