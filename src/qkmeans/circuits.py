@@ -521,8 +521,9 @@ def decode_qc3(plan: CircuitPlan, hist: Histogram, *,
 
 def postselection_probability(plan: CircuitPlan) -> float | np.ndarray:
     """Exact probability that the encoding register measures 1 in the final
-    state; one per row for a batched plan."""
-    kept = _layout_view(plan, probabilities(simulate(plan)))[..., 1, :, :, :]
+    state, squared in place; one per row for a batched plan."""
+    amps = simulate(plan)
+    kept = _layout_view(plan, probabilities(amps, amps))[..., 1, :, :, :]
     kept = kept.reshape(kept.shape[:-4] + (-1,)).sum(axis=-1)
     return float(kept) if plan.rows is None else kept
 

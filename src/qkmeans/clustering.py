@@ -391,8 +391,9 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
     blocks, as many as ``MAX_BATCH_AMPLITUDES`` amplitudes hold, and at
     least one.
 
-    Every pass measures its exact probabilities and hands them to
-    ``decode`` with ``sampled``: None for an analytic run, else one
+    Every pass squares its state in place into its exact probabilities,
+    so it holds one state-sized array, and hands them to ``decode`` with
+    ``sampled``: None for an analytic run, else one
     ``Sampled(shots, rng)`` for the whole call, and the decoder draws its
     shots over the few cells it reads, not over all 2^q basis states.
     Sampled rows draw in row order from one generator keyed
@@ -422,7 +423,8 @@ def _assign_rows(records: np.ndarray, centroids: np.ndarray,
         else:
             plan = build_qc3(records[start:start + step], centroids)
             plans.append(plan)
-        hist = measure(simulate(plan), Analytic())
+        amps = simulate(plan)
+        hist = measure(amps, Analytic(), out=amps)
         try:
             decoded.append(decode(plan, hist, sampled=sampled))
         except EstimationFailure as failure:

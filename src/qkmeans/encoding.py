@@ -35,10 +35,11 @@ def standardize(data: np.ndarray) -> np.ndarray:
 
     Constant columns map to all-zeros.  Every clustering run, elbow sweep
     and CLI command that reads records standardizes them first, so records
-    without a feature column, or with a non-finite value, are refused here,
-    before any iteration.  Centring once and taking the std as numpy's
-    ``std`` does (sum, divide, subtract, multiply, sum, divide, sqrt) gives
-    ``(data - mean) / std``'s bytes.
+    without a feature column, with a non-finite value, or with a column
+    whose variance overflows float64 are refused here, before any
+    iteration.  Centring once and taking the std as numpy's ``std`` does
+    (sum, divide, subtract, multiply, sum, divide, sqrt) gives ``(data -
+    mean) / std``'s bytes.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -46,9 +47,24 @@ def standardize(data: np.ndarray) -> np.ndarray:
     if data.shape[1] == 0:
         raise ValueError("the records have no feature column")
     require_finite(data)
-    centered = data - data.mean(axis=0)
-    std = np.sqrt(np.mean(centered * centered, axis=0))
+    try:
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            centered, var = _centred_variance(data)
+    except FloatingPointError:
+        # an overflow anywhere leaves its column's variance inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, var = _centred_variance(data)
+        column = np.flatnonzero(~np.isfinite(var))[0]
+        raise ValueError(f"column {column} is too large to standardize: its "
+                         f"variance overflows float64") from None
+    std = np.sqrt(var)
     return np.divide(centered, np.where(std == 0.0, 1.0, std), out=centered)
+
+
+def _centred_variance(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns centred on their means, and their population variances."""
+    centered = data - data.mean(axis=0)
+    return centered, np.mean(centered * centered, axis=0)
 
 
 def recover_distance(dp, nx, ny):

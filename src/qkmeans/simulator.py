@@ -25,10 +25,13 @@ and an RY angle may then be a length-B array, one angle per row.  Histograms
 keep the same leading axis.
 
 ``measure`` gives exact probabilities and draws no shots; nor does it
-post-select.  The decoders (``circuits``), given ``Sampled`` as
-``sampled=``, draw shots over the few post-selected cells they read, which
-gives the counts the distribution of shots over all basis states followed
-by post-selection.
+post-select.  Given ``out=``, as ``np.square`` takes it, it writes them
+there instead of into a fresh array: an assignment pass squares the state
+it has just simulated in place, so it holds one state-sized array, not
+two.  The decoders (``circuits``), given ``Sampled`` as ``sampled=``, draw
+shots over the few post-selected cells they read, which gives the counts
+the distribution of shots over all basis states followed by
+post-selection.
 
 Real amplitudes are exact, not an approximation.  H, X and RY are real
 matrices and every circuit starts from |0...0>, so a complex128 run would
@@ -211,11 +214,18 @@ def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     return amps
 
 
-def probabilities(amps: np.ndarray) -> np.ndarray:
-    """amplitude^2 per basis state, in one new array; complex amplitudes are
-    refused, and a real x gives x*x, which is |x|*|x| bit for bit."""
+def probabilities(amps: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """amplitude^2 per basis state, in a new array or written into ``out``,
+    a float64 array of ``amps``'s shape (``amps`` itself squares it in
+    place); complex amplitudes are refused, and a real x gives x*x, which is
+    |x|*|x| bit for bit."""
     require_real(amps, "amplitudes")
-    return np.square(amps)
+    if out is not None and (out.shape != amps.shape
+                            or out.dtype != np.float64):
+        raise ValueError(f"out must be float64 of shape {amps.shape}, got "
+                         f"{out.dtype} of shape {out.shape}")
+    return np.square(amps, out=out)
 
 
 @dataclass(frozen=True)
@@ -268,12 +278,14 @@ class Histogram:
         return Histogram(np.where(keep, self.weights, 0.0))
 
 
-def measure(amps: np.ndarray, mode: Analytic) -> Histogram:
+def measure(amps: np.ndarray, mode: Analytic, *,
+            out: np.ndarray | None = None) -> Histogram:
     """The exact distribution over all qubits, one row per circuit of a
-    batched state; post-selection is left to the caller.  Shots are drawn
-    only by the decoders, given ``Sampled`` as ``sampled=``."""
+    batched state, in a new array or in ``out`` as ``probabilities`` takes
+    it; post-selection is left to the caller.  Shots are drawn only by the
+    decoders, given ``Sampled`` as ``sampled=``."""
     if not isinstance(mode, Analytic):
         raise ValueError(f"measure gives exact probabilities only, not "
                          f"{type(mode).__name__}; draw shots with a "
                          f"decoder's sampled= keyword")
-    return Histogram(probabilities(amps))
+    return Histogram(probabilities(amps, out))

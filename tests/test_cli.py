@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -373,6 +374,29 @@ class TestNonFiniteRecords:
         assert f"row 4, column 1 holds {cell}" in err["message"]
         assert not out.exists()
         assert result.stdout == ""
+
+
+class TestOverflowingColumn:
+    """Finite records too large to standardize are refused by column
+    before any iteration and any output, with no numpy warning."""
+
+    def test_refused_by_column(self, runner, tmp_path):
+        csv_path = tmp_path / "x.csv"
+        assert runner.invoke(main, [
+            "gen", "--dataset", "blobs", "--m", "6", "--std", "1e308",
+            "--out", str(csv_path)]).exit_code == 0
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                "run", "--dataset-csv", str(csv_path), "--label-column",
+                "label", "--algorithm", "kmeans", "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.splitlines() == [json.dumps(
+            {"error": "ValueError", "message": "column 0 is too large to "
+             "standardize: its variance overflows float64"})]
+        assert result.stdout == ""
+        assert not out.exists()
 
 
 class TestNoFeatureColumn:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestStandardize:
                            match=rf"row 2, column 1 holds {value}; every "
                                  r"value must be finite"):
             standardize(data)
+
+    def test_overflowing_variance_refused_by_column(self):
+        """Finite records whose squared deviations overflow are refused,
+        naming the first such column, and no numpy warning escapes."""
+        data = np.array([[1.0, 1e308, -1e308], [2.0, -1e308, 1e308],
+                         [3.0, 5e307, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^column 1 is too large to standardize:"
+                                     r" its variance overflows float64$"):
+                standardize(data)
 
 
 class TestIsp:

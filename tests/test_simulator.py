@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -246,6 +247,51 @@ class TestMeasure:
     def test_shots_validation(self):
         with pytest.raises(ValueError):
             Sampled(0)
+
+
+class TestMeasureOut:
+    """``out=amps`` squares the state in place, as an assignment pass
+    measures it: the same bytes as a fresh array, in the state's memory."""
+
+    @pytest.mark.parametrize("records, centroids", [
+        ((450, 1, 4), (450, 1, 4)),  # q1:1 rows, the q11 workload's pass
+        *(((150, 1, 4), (k, 4)) for k in range(2, 9)),  # q1:k, its k sweep
+        ((2048, 4), (3, 4)),  # qM:k on 17 qubits, the qmk workload's pass
+    ])
+    def test_in_place_is_the_fresh_bytes(self, records, centroids):
+        rng = np.random.default_rng(records[0] + centroids[0])
+        amps = simulate(build_qc3(random_table(rng, records),
+                                  random_table(rng, centroids)))
+        fresh = measure(amps.copy(), Analytic())
+        hist = measure(amps, Analytic(), out=amps)
+        assert hist.weights.tobytes() == fresh.weights.tobytes()
+        assert np.shares_memory(hist.weights, amps)
+
+    def test_probabilities_into_another_array(self):
+        amps = apply_gate(fresh_state(3, rows=2), h(1))
+        out = np.full_like(amps, np.nan)
+        assert probabilities(amps, out) is out
+        assert out.tobytes() == probabilities(amps).tobytes()
+
+    def test_complex_refused(self):
+        amps = np.full(4, 0.5 + 0.0j)
+        with pytest.raises(ValueError,
+                           match="amplitudes must be real, got complex128"):
+            measure(amps, Analytic(), out=amps)
+
+    @pytest.mark.parametrize("out, got", [
+        (np.zeros(8), "float64 of shape (8,)"),
+        (np.zeros((3, 2, 4)), "float64 of shape (3, 2, 4)"),  # broadcasts
+        (np.zeros((2, 4), dtype=np.float32), "float32 of shape (2, 4)"),
+        (np.zeros((2, 4), dtype=np.complex128), "complex128 of shape (2, 4)"),
+    ])
+    def test_mismatched_out_refused(self, out, got):
+        amps = np.full((2, 4), 0.5)
+        with pytest.raises(ValueError, match=re.escape(
+                f"out must be float64 of shape (2, 4), got {got}")):
+            measure(amps, Analytic(), out=out)
+        with pytest.raises(ValueError, match=re.escape(got)):
+            probabilities(amps, out)
 
 
 class TestPostselect:

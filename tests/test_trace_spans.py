@@ -14,6 +14,11 @@ import numpy as np
 import pytest
 
 from qkmeans import circuits, clustering, metrics
+from qkmeans.circuits import simulate
+from qkmeans.clustering import ClusteringParams
+from qkmeans.data import builtin
+from qkmeans.encoding import prepare_vectors, standardize
+from qkmeans.simulator import Analytic, Histogram, Sampled, measure
 from reference_impls import measure_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -127,3 +132,61 @@ def test_decode_counts_the_assignment_postselection():
     assert 0 < kept < 3 * 256
     assert tracer.counts["circuits.decode.kept"] == kept
     assert tracer.counts["circuits.decode.requested"] == 3 * 256
+
+
+@pytest.mark.parametrize("strategy, decode, m1, shots_base, shots", [
+    # 8 shots per pair, so some rows are redrawn
+    ("q11", circuits.estimate_distance, 1, 8, 8),
+    ("q1k", circuits.decode_qc2, 1, 1024, None),  # analytic
+    # 450 shots per circuit of 150 records, so most slots fall back
+    ("qmk", circuits.decode_qc3, 150, 1, 450),
+])
+def test_traced_pass_counts_what_a_fresh_measure_gives(strategy, decode, m1,
+                                                       shots_base, shots):
+    """``measure`` squares the pass's state in place, with ``out`` by
+    keyword, so the benchmark still reads the mode as ``args[1]``; and the
+    kept, requested, fallback and retry counts of one traced pass equal
+    those of each plan's decode replayed on a fresh
+    ``measure(simulate(plan), Analytic())``."""
+    spans = load_bench("spans")
+    modes = []
+
+    class Recording(spans.Tracer):
+        def _count_measure(self, args, result, error):
+            modes.append((len(args), args[1]))
+            super()._count_measure(args, result, error)
+
+    data = standardize(builtin("iris").matrix)
+    params = ClusteringParams(k=3, assignment=strategy, shots_base=shots_base,
+                              m1=m1, analytic=shots is None, seed=5)
+    assign = getattr(clustering, f"assign_{strategy}")
+    plans = []
+    tracer = Recording(circuits)
+    with spans.traced(tracer, {"clustering": clustering, "metrics": metrics}):
+        assign(prepare_vectors(data), prepare_vectors(data[[0, 60, 120]]),
+               params, 1, plans)
+    assert plans and all(n == 2 and isinstance(mode, Analytic)
+                         for n, mode in modes)
+    assert len(modes) == len(plans)
+
+    replay = spans.Tracer(circuits)
+    count = (replay._count_estimate if decode is circuits.estimate_distance
+             else replay._count_decode)
+    rng, retry_rng = (np.random.default_rng(clustering.derive_seed(
+        params.seed, domain, 1)) for domain in (clustering.SeedDomain.ASSIGN,
+                                                clustering.SeedDomain.RETRY))
+    sampled = None if shots is None else Sampled(shots, rng)
+    for plan in plans:
+        hist = measure(simulate(plan), Analytic())
+        try:
+            count((plan, hist), decode(plan, hist, sampled=sampled), None)
+        except circuits.EstimationFailure as failure:  # as _assign_rows redraws
+            count((plan, hist), None, failure)
+            redrawn = Histogram(hist.weights[failure.rows])
+            count((plan, redrawn), decode(plan, redrawn, sampled=Sampled(
+                clustering.REDRAW_FACTOR * shots, retry_rng)), None)
+    names = [f"circuits.decode.{n}"
+             for n in ("kept", "requested", "fallbacks", "retries")]
+    assert ({n: tracer.counts[n] for n in names}
+            == {n: replay.counts[n] for n in names})
+    assert replay.counts["circuits.decode.kept"] > 0
