@@ -54,7 +54,6 @@ from .simulator import (
     h,
     measure,
     new_state,
-    probabilities,
     ry,
     x,
 )

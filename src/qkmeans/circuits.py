@@ -67,13 +67,14 @@ import numpy as np
 
 from .simulator import (
     _H_MATRIX,
+    Analytic,
     Gate,
     Histogram,
     Sampled,
     _half_cos_sin,
     h,
     hadamard_amplitude,
-    probabilities,
+    measure,
     require_qubits,
     require_real,
     ry,
@@ -521,9 +522,11 @@ def decode_qc3(plan: CircuitPlan, hist: Histogram, *,
 
 def postselection_probability(plan: CircuitPlan) -> float | np.ndarray:
     """Exact probability that the encoding register measures 1 in the final
-    state, squared in place; one per row for a batched plan."""
+    state, which ``measure`` squares in place as an assignment pass does;
+    one per row for a batched plan."""
     amps = simulate(plan)
-    kept = _layout_view(plan, probabilities(amps, amps))[..., 1, :, :, :]
+    probs = measure(amps, Analytic(), out=amps).weights
+    kept = _layout_view(plan, probs)[..., 1, :, :, :]
     kept = kept.reshape(kept.shape[:-4] + (-1,)).sum(axis=-1)
     return float(kept) if plan.rows is None else kept
 

@@ -223,6 +223,9 @@ class IterationRecord:
 
 @dataclass
 class ClusteringRun:
+    """A finished run; ``labels`` is ``history[-1].labels``, the final
+    assignment held once."""
+
     labels: np.ndarray
     centroids: np.ndarray
     history: list[IterationRecord]
@@ -581,7 +584,7 @@ def run(data: np.ndarray, params: ClusteringParams) -> ClusteringRun:
         similarity = 100.0 * (int(np.count_nonzero(labels == reference))
                               / len(labels))
         new_centroids = _update_centroids(std, labels, centroids)
-        history.append(IterationRecord(centroids, labels.copy(), similarity))
+        history.append(IterationRecord(centroids, labels, similarity))
         shift = np.linalg.norm(new_centroids - centroids) / max(
             np.linalg.norm(centroids), 1e-12)
         centroids = new_centroids

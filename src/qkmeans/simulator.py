@@ -24,10 +24,11 @@ leading batch axis, ``(B, 2^q)``, holds B circuits that share one gate list,
 and an RY angle may then be a length-B array, one angle per row.  Histograms
 keep the same leading axis.
 
-``measure`` gives exact probabilities and draws no shots; nor does it
-post-select.  Given ``out=``, as ``np.square`` takes it, it writes them
-there instead of into a fresh array: an assignment pass squares the state
-it has just simulated in place, so it holds one state-sized array, not
+``measure`` is the one way from amplitudes to probabilities: it squares
+them exactly, draws no shots and does not post-select.  Given ``out=``, as
+``np.square`` takes it, it writes them there instead of into a fresh
+array: an assignment pass, and ``postselection_probability``, square the
+state just simulated in place, so each holds one state-sized array, not
 two.  The decoders (``circuits``), given ``Sampled`` as ``sampled=``, draw
 shots over the few post-selected cells they read, which gives the counts
 the distribution of shots over all basis states followed by
@@ -38,9 +39,10 @@ matrices and every circuit starts from |0...0>, so a complex128 run would
 hold only imaginary parts of +-0.  The real part of a product
 (u + 0i)(x +- 0i) is u*x - (+-0) and complex sums add real parts alone, so
 every real part equals the float64 result, except perhaps the sign of an
-exact zero, which squaring drops.  Probabilities, and everything
-measured from them, are the same bytes at half the memory traffic.  Gate
-angles and amplitudes must therefore be real: complex ones are refused.
+exact zero, which squaring drops.  ``measure``'s probabilities, and
+everything measured from them, are the same bytes at half the memory
+traffic.  Gate angles and amplitudes must therefore be real: complex ones
+are refused.
 """
 
 from __future__ import annotations
@@ -214,20 +216,6 @@ def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     return amps
 
 
-def probabilities(amps: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """amplitude^2 per basis state, in a new array or written into ``out``,
-    a float64 array of ``amps``'s shape (``amps`` itself squares it in
-    place); complex amplitudes are refused, and a real x gives x*x, which is
-    |x|*|x| bit for bit."""
-    require_real(amps, "amplitudes")
-    if out is not None and (out.shape != amps.shape
-                            or out.dtype != np.float64):
-        raise ValueError(f"out must be float64 of shape {amps.shape}, got "
-                         f"{out.dtype} of shape {out.shape}")
-    return np.square(amps, out=out)
-
-
 @dataclass(frozen=True)
 class Analytic:
     """Exact final-state distribution; the t -> infinity oracle."""
@@ -280,12 +268,20 @@ class Histogram:
 
 def measure(amps: np.ndarray, mode: Analytic, *,
             out: np.ndarray | None = None) -> Histogram:
-    """The exact distribution over all qubits, one row per circuit of a
-    batched state, in a new array or in ``out`` as ``probabilities`` takes
-    it; post-selection is left to the caller.  Shots are drawn only by the
-    decoders, given ``Sampled`` as ``sampled=``."""
+    """The exact distribution over all qubits, amplitude^2 per basis state
+    and one row per circuit of a batched state; post-selection is left to
+    the caller and shots are drawn only by the decoders, given ``Sampled``
+    as ``sampled=``.  The squares go into a new array, or into ``out``, a
+    float64 array of ``amps``'s shape (``amps`` itself squares it in
+    place).  Complex amplitudes are refused; a real x gives x*x, which is
+    |x|*|x| bit for bit."""
     if not isinstance(mode, Analytic):
         raise ValueError(f"measure gives exact probabilities only, not "
                          f"{type(mode).__name__}; draw shots with a "
                          f"decoder's sampled= keyword")
-    return Histogram(probabilities(amps, out))
+    require_real(amps, "amplitudes")
+    if out is not None and (out.shape != amps.shape
+                            or out.dtype != np.float64):
+        raise ValueError(f"out must be float64 of shape {amps.shape}, got "
+                         f"{out.dtype} of shape {out.shape}")
+    return Histogram(np.square(amps, out=out))

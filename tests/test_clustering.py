@@ -1077,6 +1077,81 @@ class TestAnalyticContract:
         assert digest.hexdigest() == (
             "cc47ce812dab191de9bb8ac1e7656605cb3ae200fefe5b8bb346413501156865")
 
+    ORACLE_RECORDED_ON = "Python 3.11.7 with numpy 2.4.6"
+    ORACLE_DIGESTS = {
+        ("blobs", "q11"):
+            "1292017a6554ac251a43922ff6ac6a9750d2f4fd6569e317456e01c7209b5aef",
+        ("blobs", "q1k"):
+            "94c42efbf6ab47b2c1e4c0e99e760639d32d5c5b5bc50e89b5b43bd425c285f9",
+        ("blobs", "qmk"):
+            "94c42efbf6ab47b2c1e4c0e99e760639d32d5c5b5bc50e89b5b43bd425c285f9",
+        ("blobs2", "q11"):
+            "771640e1bc258b805036ba3d59acac3ca2abe92e1d2be7d7d067ecc92818ca9a",
+        ("blobs2", "q1k"):
+            "62fbfa5ae6dae1e45b1dcc4ff32aac546f9f978b5ef116b2fb6aa092d8920e84",
+        ("blobs2", "qmk"):
+            "62fbfa5ae6dae1e45b1dcc4ff32aac546f9f978b5ef116b2fb6aa092d8920e84",
+        ("aniso", "q11"):
+            "c2935bc6618573565c05f0b208be87835f279c16a2b421436c5d0df8400d9f47",
+        ("aniso", "q1k"):
+            "092fffa4a09199161f65e8eff1928a66fb9de765602742bcd96eb8fbbf33dbf8",
+        ("aniso", "qmk"):
+            "092fffa4a09199161f65e8eff1928a66fb9de765602742bcd96eb8fbbf33dbf8",
+        ("moon", "q11"):
+            "1231a48d24ac19bfe19af4c2fc2f2957c8e6f7a513434e2d222abe7c26ac66bb",
+        ("moon", "q1k"):
+            "741bfb9fdbf6dfc6ae5a5c245004e29bc86f4e288d70eaac506b82e070650f64",
+        ("moon", "qmk"):
+            "741bfb9fdbf6dfc6ae5a5c245004e29bc86f4e288d70eaac506b82e070650f64",
+        ("blobs3", "q11"):
+            "30c8bbb9dbb4ccae67da863456ce6534073223920d9c0adef79200f03a41ec45",
+        ("blobs3", "q1k"):
+            "30c8bbb9dbb4ccae67da863456ce6534073223920d9c0adef79200f03a41ec45",
+        ("blobs3", "qmk"):
+            "30c8bbb9dbb4ccae67da863456ce6534073223920d9c0adef79200f03a41ec45",
+        ("iris", "q11"):
+            "9c40e1286a8bc9172bd087364daa80e9aea64e1156be41d1459de3b5d5fd24d5",
+        ("iris", "q1k"):
+            "5aa36cd9fa62dcb7fbd3deb4d319adc617b1362a17729f8ddc65abf54c9ae236",
+        ("iris", "qmk"):
+            "5aa36cd9fa62dcb7fbd3deb4d319adc617b1362a17729f8ddc65abf54c9ae236",
+        ("wine", "q11"):
+            "ae5d9f3492eafd5bf328e78711621af2c39fdae963e59c61114115d57dddfd10",
+        ("wine", "q1k"):
+            "f2f647b872c20b45b6f17f636e9b4979c88d2c2f85dba710260310958737a818",
+        ("wine", "qmk"):
+            "f2f647b872c20b45b6f17f636e9b4979c88d2c2f85dba710260310958737a818",
+    }
+
+    def test_oracle_digests_on_the_builtin_datasets(self):
+        """sha256 over every iteration's int64 labels, centroid bytes and
+        similarity of analytic q1:1, q1:k and qM:k runs on the seven
+        built-in datasets, k their classes, seed 7.  Labels are argmins and
+        argmaxes over exact probabilities and centroids are classical means,
+        so, unlike the CLI rows' float metrics, a digest moves only with a
+        label or the means' arithmetic.  q1:k and qM:k agree on every
+        dataset."""
+        import platform
+        from qkmeans.data import builtin
+        got = {}
+        for name, variant in self.ORACLE_DIGESTS:
+            ds = builtin(name)
+            result = run(ds.matrix, ClusteringParams(
+                k=ds.num_classes, assignment=Strategy(variant),
+                analytic=True, seed=7))
+            digest = hashlib.sha256()
+            for record in result.history:
+                digest.update(record.labels.astype(np.int64).tobytes())
+                digest.update(record.centroids.tobytes())
+                digest.update(np.float64(record.similarity).tobytes())
+            got[name, variant] = digest.hexdigest()
+        moved = sorted(key for key, value in got.items()
+                       if value != self.ORACLE_DIGESTS[key])
+        assert not moved, (
+            f"analytic runs {moved} moved, on Python "
+            f"{platform.python_version()} with numpy {np.__version__}; "
+            f"the digests were recorded on {self.ORACLE_RECORDED_ON}")
+
 
 class TestQubitLimit:
     def test_fails_before_seeding(self, monkeypatch):
@@ -1306,6 +1381,12 @@ class TestClusteringRunIterations:
         for max_ite in (1, 3, 8):
             result = run(ds.matrix, ClusteringParams(k=3, max_ite=max_ite))
             assert result.n_ite == len(result.history) <= max_ite
+
+    @pytest.mark.parametrize("strategy", [Strategy.CLASSICAL, Strategy.QMK])
+    def test_final_labels_are_held_once(self, strategy):
+        result = run(blob_data(m=40).matrix,
+                     ClusteringParams(k=3, assignment=strategy, seed=1))
+        assert result.labels is result.history[-1].labels
 
     def test_replaced_labels_keep_the_iterations(self):
         # the benchmark's oracles corrupt a run with dataclasses.replace

@@ -15,7 +15,7 @@ from qkmeans.encoding import (
     rotation_angles,
     standardize,
 )
-from qkmeans.simulator import apply_gate, h, new_state, probabilities
+from qkmeans.simulator import Analytic, apply_gate, h, measure, new_state
 from reference_impls import (
     GatePlan,
     encode_vector,
@@ -203,7 +203,7 @@ class TestEncodeVector:
     def test_single_slot_postselection(self):
         # angles (pi, 0): slot 0 holds amplitude 1; P(r=1) = 1/2
         state, layout, _ = encoded_state(np.array([math.pi, 0.0]))
-        probs = probabilities(state)
+        probs = measure(state, Analytic()).weights
         basis = np.arange(len(probs))
         r1 = (basis >> layout.register) & 1 == 1
         assert probs[r1].sum() == pytest.approx(0.5)
@@ -245,7 +245,7 @@ class TestEncodeVector:
             vec /= np.linalg.norm(vec)
             state, layout, _ = encoded_state(
                 rotation_angles(vec, 1 << n_index))
-            probs = probabilities(state)
+            probs = measure(state, Analytic()).weights
             basis = np.arange(len(probs))
             p_r1 = probs[(basis >> layout.register) & 1 == 1].sum()
             assert p_r1 == pytest.approx(0.5 ** n_index, abs=1e-12)
@@ -257,7 +257,7 @@ class TestEncodeVector:
             vec = rng.standard_normal(4)
             vec *= rng.uniform(0.1, 0.999) / np.linalg.norm(vec)
             state, layout, _ = encoded_state(rotation_angles(vec, 4))
-            probs = probabilities(state)
+            probs = measure(state, Analytic()).weights
             basis = np.arange(len(probs))
             p_r1 = probs[(basis >> layout.register) & 1 == 1].sum()
             assert p_r1 < 0.25

@@ -20,7 +20,6 @@ from qkmeans.simulator import (
     hadamard_amplitude,
     measure,
     new_state,
-    probabilities,
     ry,
     x,
 )
@@ -202,11 +201,11 @@ class TestApplyGate:
 class TestProbabilities:
     def test_uniform_superposition(self):
         state = apply_gate(new_state(1), h(0))
-        assert np.allclose(probabilities(state), [0.5, 0.5])
+        assert np.allclose(measure(state, Analytic()).weights, [0.5, 0.5])
 
     def test_basis_state(self):
         state = apply_gate(new_state(1), x(0))
-        assert np.allclose(probabilities(state), [0, 1])
+        assert np.allclose(measure(state, Analytic()).weights, [0, 1])
 
     def test_matches_modulus(self):
         """Real amplitudes of either sign square to |amplitude|^2, bit for
@@ -216,12 +215,12 @@ class TestProbabilities:
         amps /= np.linalg.norm(amps)
         amps[[2, 5]] = -0.0, 0.0
         expect = np.array([abs(a) ** 2 for a in amps])
-        assert probabilities(amps).tobytes() == expect.tobytes()
+        assert measure(amps, Analytic()).weights.tobytes() == expect.tobytes()
 
     def test_complex_refused(self):
         with pytest.raises(ValueError,
                            match="amplitudes must be real, got complex128"):
-            probabilities(np.full(4, 0.5 + 0.0j))
+            measure(np.full(4, 0.5 + 0.0j), Analytic())
 
 
 class TestMeasure:
@@ -236,7 +235,7 @@ class TestMeasure:
         apply_gate(state, h(0))
         hist = measure(state, Analytic())
         assert hist.weights.dtype == np.float64
-        assert np.array_equal(hist.weights, probabilities(state))
+        assert np.array_equal(hist.weights, np.square(state))
 
     def test_sampled_is_refused(self):
         # shots are drawn by the decoders, over the cells they read
@@ -270,8 +269,8 @@ class TestMeasureOut:
     def test_probabilities_into_another_array(self):
         amps = apply_gate(fresh_state(3, rows=2), h(1))
         out = np.full_like(amps, np.nan)
-        assert probabilities(amps, out) is out
-        assert out.tobytes() == probabilities(amps).tobytes()
+        assert measure(amps, Analytic(), out=out).weights is out
+        assert out.tobytes() == measure(amps, Analytic()).weights.tobytes()
 
     def test_complex_refused(self):
         amps = np.full(4, 0.5 + 0.0j)
@@ -290,8 +289,6 @@ class TestMeasureOut:
         with pytest.raises(ValueError, match=re.escape(
                 f"out must be float64 of shape (2, 4), got {got}")):
             measure(amps, Analytic(), out=out)
-        with pytest.raises(ValueError, match=re.escape(got)):
-            probabilities(amps, out)
 
 
 class TestPostselect:
@@ -395,7 +392,8 @@ class TestBatchedKernel:
     def test_new_state_rows(self):
         state = fresh_state(2, rows=3)
         assert state.shape == (3, 4)
-        assert np.array_equal(probabilities(state)[:, 0], np.ones(3))
+        weights = measure(state, Analytic()).weights
+        assert np.array_equal(weights[:, 0], np.ones(3))
 
     def test_angle_count_must_match_rows(self):
         with pytest.raises(ValueError):
@@ -414,7 +412,7 @@ class TestBatchedKernel:
         assert hist.weights.dtype == np.int64
         rng = np.random.default_rng(11)
         for r in range(2):
-            probs = probabilities(state[r])
+            probs = measure(state[r], Analytic()).weights
             alone = rng.multinomial(500, probs / probs.sum())
             assert np.array_equal(hist.weights[r], alone)
         # a generator carries on from one draw to the next
@@ -743,7 +741,7 @@ class TestRealAmplitudes:
         centroids = random_table(
             rng, (lead if per_row_centroids and rows else ()) + (k, slots))
         amps = simulate(build_qc3(records, centroids))
-        probs = probabilities(amps)
+        probs = measure(amps, Analytic()).weights
         for r in range(rows or 1):
             row = (slice(None),) if not rows else (r,)
             single = build_qc3(records[row], centroids[row]
